@@ -16,13 +16,10 @@ import argparse
 import sys
 
 from gsetbench.metrics import (
-    CampaignStats,
-    MetricsRow,
-    TargetSpec,
-    project_hw_ttt,
-    repetitions_to_target,
+    DEFAULT_CONFIDENCE,
+    TargetOutcome,
     speedup,
-    write_metrics_csv,
+    write_summary_csv,
 )
 from gsetbench.registry import REFERENCE_TTT_S, builtin_registry
 
@@ -56,25 +53,23 @@ def main(argv=None):
     for name, label, sweeps, successes, printed_stt, printed_hw in PUBLISHED_ROWS:
         entry = registry[name]
         target_cut = entry.best_cut if label == "100%" else round(0.999 * entry.best_cut, 2)
-        stats = CampaignStats(successes=successes, trials=100, sweeps_per_trial=sweeps)
-        r = repetitions_to_target(stats.p_s)
-        stt = sweeps * r
-        hw_ms = project_hw_ttt(stt) * 1000
+        outcome = TargetOutcome(
+            label=f"{name}:{label}",
+            cut=int(target_cut),
+            confidence=DEFAULT_CONFIDENCE,
+            successes=successes,
+            trials=100,
+            sweeps_per_trial=sweeps,
+        )
+        r = outcome.repetitions
+        stt = outcome.stt_sweeps
+        hw_ms = outcome.hw_ttt_s * 1000
         deviation = abs(stt - printed_stt) / printed_stt
         assert deviation < 0.01, f"{name} {label}: {stt} vs {printed_stt}"
-        print(f"{name:<9} {label:<7} {sweeps:>10,} {stats.p_s:>7.2f} "
+        print(f"{name:<9} {label:<7} {sweeps:>10,} {outcome.p_s:>7.2f} "
               f"{r:>7.2f} {stt:>14,.0f} {printed_stt:>10,.0f} {hw_ms:>8.3g} ms"
               f"   (printed {printed_hw})")
-        rows.append(
-            MetricsRow(
-                instance=name,
-                n=entry.n,
-                m=entry.m,
-                target=TargetSpec(label, int(target_cut)),
-                stats=stats,
-                reference_ttt_s=REFERENCE_TTT_S.get((name, label)),
-            )
-        )
+        rows.append(outcome)
 
     print("\nheadline speedups vs the strongest classical reference:")
     for (name, label), measured in MEASURED_TTT_S.items():
@@ -84,7 +79,7 @@ def main(argv=None):
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            write_metrics_csv(rows, fh)
+            write_summary_csv(rows, fh)
         print(f"\nwrote {args.csv}")
 
 

@@ -9,9 +9,12 @@ isolation.
 
 Each finished trial appends one self-describing key=value line to the
 log and the stream is flushed per line, so a crashed campaign can be
-resumed from whatever records made it to disk. Summaries aggregate
-only order-insensitive quantities over the record set, which is what
-makes parallel output identical to serial output.
+resumed from whatever records made it to disk. ``trial_record`` is
+the one place a record is made from a finished trial, for campaigns
+and single ``solve`` runs alike. Summaries aggregate only
+order-insensitive quantities over the record set, which is what makes
+parallel output identical to serial output; their per-target figures
+are ``metrics.TargetOutcome`` objects.
 """
 
 from __future__ import annotations
@@ -24,13 +27,8 @@ from pathlib import Path
 
 from gsetbench.codec import decode_hex, encode_hex
 from gsetbench.instances import ProblemInstance
-from gsetbench.metrics import (
-    TargetSpec,
-    UnreachableTargetError,
-    project_hw_ttt,
-    repetitions_to_target,
-)
-from gsetbench.solvers import ANNEALING, SolverConfig, TrialResult, run_trial
+from gsetbench.metrics import TargetOutcome, TargetSpec
+from gsetbench.solvers import SolverConfig, TrialResult, run_trial
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -128,6 +126,9 @@ def parse_record(line: str) -> TrialRecord:
         if "=" not in tok:
             raise ValueError(f"malformed record token {tok!r}")
         k, v = tok.split("=", 1)
+        if k in fields:
+            # a torn line with the next record appended to it repeats keys
+            raise ValueError(f"record repeats field {k}")
         fields[k] = v
     try:
         return TrialRecord(
@@ -180,24 +181,6 @@ def replay_record(instance: ProblemInstance, record: TrialRecord) -> TrialResult
 
 
 @dataclass(frozen=True)
-class TargetOutcome:
-    """Aggregates of one campaign against one target."""
-
-    label: str
-    cut: int
-    confidence: float
-    successes: int
-    trials: int
-    repetitions: float | None  # None when the target was never reached
-    stt_sweeps: float | None
-    ttt_s: float | None
-
-    @property
-    def p_s(self) -> float:
-        return self.successes / self.trials
-
-
-@dataclass(frozen=True)
 class CampaignSummary:
     instance: str
     kind: str
@@ -222,11 +205,7 @@ class CampaignSummary:
             "min_cut": self.min_cut,
             "average_cut": self.average_cut,
             "cut_histogram": tuple(sorted(self.cut_histogram.items())),
-            "targets": tuple(
-                (t.label, t.cut, t.confidence, t.successes, t.trials,
-                 t.repetitions, t.stt_sweeps)
-                for t in self.targets
-            ),
+            "targets": tuple(replace(t, trial_time_s=None) for t in self.targets),
         }
 
 
@@ -261,27 +240,18 @@ def summarize(records, targets=()) -> CampaignSummary:
     trials = len(records)
     avg_time = sum(r.wall_time_s for r in records) / trials
 
-    outcomes = []
-    for target in targets:
-        successes = sum(1 for c in cuts if c >= target.cut)
-        try:
-            reps = repetitions_to_target(successes / trials, target.confidence)
-            stt = first.sweeps * reps
-            ttt = avg_time * reps
-        except UnreachableTargetError:
-            reps = stt = ttt = None
-        outcomes.append(
-            TargetOutcome(
-                label=target.label,
-                cut=target.cut,
-                confidence=target.confidence,
-                successes=successes,
-                trials=trials,
-                repetitions=reps,
-                stt_sweeps=stt,
-                ttt_s=ttt,
-            )
+    outcomes = tuple(
+        TargetOutcome(
+            label=target.label,
+            cut=target.cut,
+            confidence=target.confidence,
+            successes=sum(1 for c in cuts if c >= target.cut),
+            trials=trials,
+            sweeps_per_trial=first.sweeps,
+            trial_time_s=avg_time,
         )
+        for target in targets
+    )
 
     return CampaignSummary(
         instance=first.instance,
@@ -293,7 +263,7 @@ def summarize(records, targets=()) -> CampaignSummary:
         average_cut=sum(cuts) / trials,
         cut_histogram=histogram,
         avg_trial_time_s=avg_time,
-        targets=tuple(outcomes),
+        targets=outcomes,
     )
 
 
@@ -321,6 +291,29 @@ class _LogWriter:
             self._handle = None
 
 
+def trial_record(
+    index: int,
+    instance_name: str,
+    solver: SolverConfig,
+    result: TrialResult,
+    include_spins: bool,
+) -> TrialRecord:
+    """The log record of one finished trial, with its best spins if asked."""
+    return TrialRecord(
+        index=index,
+        instance=instance_name,
+        kind=solver.kind,
+        sweeps=solver.sweeps,
+        seed=solver.seed,
+        best_cut=result.best_cut,
+        sweeps_executed=result.sweeps_executed,
+        wall_time_s=result.wall_time_s,
+        temp_start=solver.temp_start,
+        temp_end=solver.temp_end,
+        spins_hex=encode_hex(result.best_spins) if include_spins else None,
+    )
+
+
 def _run_one(
     instance: ProblemInstance,
     config: CampaignConfig,
@@ -329,19 +322,7 @@ def _run_one(
 ) -> TrialRecord:
     solver = replace(config.solver, seed=mix_seed(config.master_seed, index))
     result = run_trial(instance, solver)
-    return TrialRecord(
-        index=index,
-        instance=config.instance_name,
-        kind=solver.kind,
-        sweeps=solver.sweeps,
-        seed=solver.seed,
-        best_cut=result.best_cut,
-        sweeps_executed=result.sweeps_executed,
-        wall_time_s=result.wall_time_s,
-        temp_start=solver.temp_start if solver.kind == ANNEALING else None,
-        temp_end=solver.temp_end if solver.kind == ANNEALING else None,
-        spins_hex=encode_hex(result.best_spins) if include_spins else None,
-    )
+    return trial_record(index, config.instance_name, solver, result, include_spins)
 
 
 def run_campaign(
@@ -472,26 +453,6 @@ def write_scan_csv(rows, stream) -> None:
     writer.writerow(["sweeps", "highest_cut", "average_cut"])
     for row in rows:
         writer.writerow([row.sweeps, row.highest_cut, f"{row.average_cut:.10g}"])
-
-
-def write_summary_csv(summary: CampaignSummary, stream) -> None:
-    """Per-target table: one row per target with r/STT/TTT columns."""
-    writer = csv.writer(stream)
-    writer.writerow(
-        ["target", "target_cut", "successes", "trials", "r",
-         "stt_sweeps", "ttt_s", "hw_ttt_s"]
-    )
-    for t in summary.targets:
-        if t.repetitions is None:
-            r_cell = stt_cell = ttt_cell = hw_cell = "unreachable"
-        else:
-            r_cell = f"{t.repetitions:.10g}"
-            stt_cell = f"{t.stt_sweeps:.10g}"
-            ttt_cell = f"{t.ttt_s:.10g}"
-            hw_cell = f"{project_hw_ttt(t.stt_sweeps):.10g}"
-        writer.writerow(
-            [t.label, t.cut, t.successes, t.trials, r_cell, stt_cell, ttt_cell, hw_cell]
-        )
 
 
 def decode_record_spins(record: TrialRecord, n: int) -> tuple[int, ...]:

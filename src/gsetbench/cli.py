@@ -44,10 +44,11 @@ from gsetbench.metrics import (
     DEFAULT_HW_SWEEP_TIME_S,
     TargetSpec,
     project_hw_ttt,
+    write_summary_csv,
 )
 from gsetbench.oracle import exact_max_cut
 from gsetbench.registry import load_registry, locate_instance_file
-from gsetbench.solvers import ANNEALING, GREEDY, SolverConfig, run_trial
+from gsetbench.solvers import ANNEALING, GREEDY, default_config, run_trial
 
 
 class CliError(Exception):
@@ -220,38 +221,13 @@ def cmd_gen_torus(args) -> int:
     return 0
 
 
-def _solver_config(kind, sweeps, seed, temp_start, temp_end) -> SolverConfig:
-    if kind == ANNEALING:
-        from gsetbench.solvers import DEFAULT_TEMP_END, DEFAULT_TEMP_START
-
-        temp_start = DEFAULT_TEMP_START if temp_start is None else temp_start
-        temp_end = DEFAULT_TEMP_END if temp_end is None else temp_end
-    try:
-        return SolverConfig(
-            kind=kind, sweeps=sweeps, seed=seed,
-            temp_start=temp_start, temp_end=temp_end,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def cmd_solve(args) -> int:
     instance = resolve_instance(args.instance, args.instance_dir)
-    config = _solver_config(args.kind, args.sweeps, args.seed,
+    config = default_config(args.kind, args.sweeps, args.seed,
                             args.temp_start, args.temp_end)
     result = run_trial(instance, config)
-    record = campaign_mod.TrialRecord(
-        index=0,
-        instance=instance.name or args.instance,
-        kind=config.kind,
-        sweeps=config.sweeps,
-        seed=config.seed,
-        best_cut=result.best_cut,
-        sweeps_executed=result.sweeps_executed,
-        wall_time_s=result.wall_time_s,
-        temp_start=config.temp_start,
-        temp_end=config.temp_end,
-        spins_hex=encode_hex(result.best_spins) if args.include_spins else None,
+    record = campaign_mod.trial_record(
+        0, instance.name or args.instance, config, result, args.include_spins
     )
     print(campaign_mod.format_record(record))
     return 0
@@ -297,12 +273,10 @@ def _parse_campaign_config(path: str, default_confidence: float):
 
     try:
         kind = need("kind")
-        if kind not in (GREEDY, ANNEALING):
-            raise CliError(f"{path}: unknown solver kind {kind!r}")
         sweeps = int(need("sweeps"))
         temp_start = float(values["temp_start"]) if "temp_start" in values else None
         temp_end = float(values["temp_end"]) if "temp_end" in values else None
-        solver = _solver_config(kind, sweeps, 0, temp_start, temp_end)
+        solver = default_config(kind, sweeps, 0, temp_start, temp_end)
         scan = None
         if "sweep_scan" in values:
             scan = tuple(int(tok) for tok in values["sweep_scan"].replace(",", " ").split())
@@ -322,7 +296,7 @@ def _parse_campaign_config(path: str, default_confidence: float):
 
 def _print_summary(summary, fmt: str) -> None:
     if fmt == "csv":
-        campaign_mod.write_summary_csv(summary, sys.stdout)
+        write_summary_csv(summary.targets, sys.stdout)
         return
     print(
         f"instance={summary.instance} kind={summary.kind} "
@@ -337,7 +311,7 @@ def _print_summary(summary, fmt: str) -> None:
         else:
             tail = (
                 f"r={t.repetitions:.10g} stt_sweeps={t.stt_sweeps:.10g} "
-                f"ttt_s={t.ttt_s:.10g} hw_ttt_s={project_hw_ttt(t.stt_sweeps):.10g}"
+                f"ttt_s={t.ttt_s:.10g} hw_ttt_s={t.hw_ttt_s:.10g}"
             )
         print(
             f"target={t.label} cut={t.cut} confidence={t.confidence:.10g} "
@@ -369,7 +343,7 @@ def cmd_campaign(args) -> int:
     _print_summary(summary, args.format)
     if args.summary_csv:
         with open(args.summary_csv, "w", newline="") as fh:
-            campaign_mod.write_summary_csv(summary, fh)
+            write_summary_csv(summary.targets, fh)
     return 0
 
 
@@ -398,7 +372,7 @@ def cmd_report(args) -> int:
     _print_summary(summary, args.format)
     if args.summary_csv:
         with open(args.summary_csv, "w", newline="") as fh:
-            campaign_mod.write_summary_csv(summary, fh)
+            write_summary_csv(summary.targets, fh)
     return 0
 
 

@@ -12,6 +12,12 @@ is not rounded up. Sweeps-to-target multiplies r by the per-trial
 sweep budget; time-to-target multiplies by the per-trial wall time.
 A sweeps-to-target figure is projected onto special-purpose hardware
 by multiplying with a per-sweep time (default 2 ns per full sweep).
+This is the time-to-solution of Rønnow et al., "Defining and detecting
+quantum speedup" (Science 2014).
+
+``TargetOutcome`` is the one record of a campaign against one target:
+it keeps the integer counts and derives every figure above from them.
+``write_summary_csv`` writes a table of outcomes.
 """
 
 from __future__ import annotations
@@ -41,36 +47,6 @@ class TargetSpec:
             raise ValueError(
                 f"confidence must be in (0, 1), got {self.confidence}"
             )
-
-
-@dataclass(frozen=True)
-class CampaignStats:
-    """Success counts of one campaign against one target.
-
-    Success counts are kept as integers; the probability is derived on
-    demand so no rounding is baked in.
-    """
-
-    successes: int
-    trials: int
-    sweeps_per_trial: int
-    trial_time_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if not (0 <= self.successes <= self.trials):
-            raise ValueError(
-                f"successes must be in 0..{self.trials}, got {self.successes}"
-            )
-        if self.sweeps_per_trial < 1:
-            raise ValueError(
-                f"sweeps_per_trial must be positive, got {self.sweeps_per_trial}"
-            )
-
-    @property
-    def p_s(self) -> float:
-        return self.successes / self.trials
 
 
 def success_probability(successes: int, trials: int) -> float:
@@ -130,92 +106,75 @@ def speedup(reference_ttt_s: float, measured_ttt_s: float) -> float:
 
 
 @dataclass(frozen=True)
-class MetricsRow:
-    """One line of a results table: instance x target."""
+class TargetOutcome:
+    """Success counts of one campaign against one target, and the
+    time-to-target figures derived from them.
 
-    instance: str
-    n: int
-    m: int
-    target: TargetSpec
-    stats: CampaignStats
-    reference_ttt_s: float | None = None
+    Counts are kept as integers; every figure is derived on demand so no
+    rounding is baked in. Each figure is None when the target was never
+    reached, and ``ttt_s`` is also None when no trial time is known.
+    """
 
+    label: str
+    cut: int
+    confidence: float
+    successes: int
+    trials: int
+    sweeps_per_trial: int
+    trial_time_s: float | None = None
+
+    def __post_init__(self) -> None:
+        success_probability(self.successes, self.trials)  # checks the counts
+        if self.sweeps_per_trial < 1:
+            raise ValueError(
+                f"sweeps_per_trial must be positive, got {self.sweeps_per_trial}"
+            )
+
+    @property
+    def p_s(self) -> float:
+        return self.successes / self.trials
+
+    @property
     def repetitions(self) -> float | None:
-        try:
-            return repetitions_to_target(self.stats.p_s, self.target.confidence)
-        except UnreachableTargetError:
+        if self.successes == 0:
             return None
+        return repetitions_to_target(self.p_s, self.confidence)
 
+    @property
     def stt_sweeps(self) -> float | None:
-        r = self.repetitions()
-        return None if r is None else self.stats.sweeps_per_trial * r
+        r = self.repetitions
+        return None if r is None else self.sweeps_per_trial * r
 
+    @property
     def ttt_s(self) -> float | None:
-        r = self.repetitions()
-        if r is None or self.stats.trial_time_s is None:
+        # not time_to_target(): a log whose wall times all read 0 still
+        # reports ttt_s=0 rather than failing
+        r = self.repetitions
+        if r is None or self.trial_time_s is None:
             return None
-        return self.stats.trial_time_s * r
+        return self.trial_time_s * r
 
-    def hw_ttt_s(self, sweep_time_s: float = DEFAULT_HW_SWEEP_TIME_S) -> float | None:
-        stt = self.stt_sweeps()
-        return None if stt is None else project_hw_ttt(stt, sweep_time_s)
-
-    def speedup(self) -> float | None:
-        ttt = self.ttt_s()
-        if ttt is None or self.reference_ttt_s is None:
-            return None
-        return self.reference_ttt_s / ttt
+    @property
+    def hw_ttt_s(self) -> float | None:
+        stt = self.stt_sweeps
+        return None if stt is None else project_hw_ttt(stt)
 
 
-METRICS_CSV_COLUMNS = (
-    "instance",
-    "n",
-    "m",
-    "target",
-    "target_cut",
-    "confidence",
-    "sweeps_per_trial",
-    "successes",
-    "trials",
-    "p_s",
-    "r",
-    "stt_sweeps",
-    "ttt_s",
-    "hw_ttt_s",
-    "reference_ttt_s",
-    "speedup",
-)
+def write_summary_csv(outcomes, stream) -> None:
+    """One row per target outcome.
 
-
-def _cell(value: float | None, unreachable: bool = False) -> str:
-    if value is None:
-        return "unreachable" if unreachable else ""
-    return f"{value:.10g}"
-
-
-def write_metrics_csv(rows, stream) -> None:
-    """Write MetricsRow records as CSV. Unreachable targets are labelled."""
+    The figures of a target never reached read ``unreachable``; a
+    time-to-target without a known trial time is left empty.
+    """
     writer = csv.writer(stream)
-    writer.writerow(METRICS_CSV_COLUMNS)
-    for row in rows:
-        unreachable = row.stats.successes == 0
-        writer.writerow(
-            [
-                row.instance,
-                row.n,
-                row.m,
-                row.target.label,
-                row.target.cut,
-                f"{row.target.confidence:.10g}",
-                row.stats.sweeps_per_trial,
-                row.stats.successes,
-                row.stats.trials,
-                f"{row.stats.p_s:.10g}",
-                _cell(row.repetitions(), unreachable),
-                _cell(row.stt_sweeps(), unreachable),
-                _cell(row.ttt_s(), unreachable),
-                _cell(row.hw_ttt_s(), unreachable),
-                _cell(row.reference_ttt_s),
-                _cell(row.speedup(), unreachable),
-            ]
-        )
+    writer.writerow(
+        ["target", "target_cut", "successes", "trials", "r",
+         "stt_sweeps", "ttt_s", "hw_ttt_s"]
+    )
+    for t in outcomes:
+        figures = (t.repetitions, t.stt_sweeps, t.ttt_s, t.hw_ttt_s)
+        if t.successes == 0:
+            cells = ["unreachable"] * len(figures)
+        else:
+            cells = ["" if v is None else f"{v:.10g}" for v in figures]
+        writer.writerow([t.label, t.cut, t.successes, t.trials, *cells])

@@ -44,7 +44,6 @@ class RegistryEntry:
     m: int
     best_cut: int
     best_energy: int | None = None
-    checksum: str | None = None  # sha256 of the instance file, if known
     historic_cuts: tuple[HistoricalCut, ...] = ()
 
     def __post_init__(self) -> None:
@@ -98,8 +97,8 @@ def builtin_registry() -> dict[str, RegistryEntry]:
 def load_registry() -> dict[str, RegistryEntry]:
     """Builtin registry, with GSETBENCH_REGISTRY JSON entries merged on top.
 
-    The JSON file maps instance name to an object with keys n, m,
-    best_cut, best_energy and optional checksum.
+    The JSON file maps instance name to an object with keys n, m and
+    best_cut, and optional best_energy and historic_cuts.
     """
     reg = builtin_registry()
     override = os.environ.get("GSETBENCH_REGISTRY")
@@ -118,7 +117,6 @@ def load_registry() -> dict[str, RegistryEntry]:
                 best_energy=None
                 if row.get("best_energy") is None
                 else int(row["best_energy"]),
-                checksum=row.get("checksum"),
                 historic_cuts=history,
             )
     return reg

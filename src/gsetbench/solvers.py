@@ -59,17 +59,25 @@ class SolverConfig:
             raise ValueError("greedy local search takes no temperatures")
 
 
-def default_config(kind: str, sweeps: int, seed: int) -> SolverConfig:
-    """SolverConfig with the standard annealing schedule filled in."""
+def default_config(
+    kind: str,
+    sweeps: int,
+    seed: int,
+    temp_start: float | None = None,
+    temp_end: float | None = None,
+) -> SolverConfig:
+    """SolverConfig with unset annealing temperatures taken from the
+    standard schedule."""
     if kind == ANNEALING:
-        return SolverConfig(
-            kind=kind,
-            sweeps=sweeps,
-            seed=seed,
-            temp_start=DEFAULT_TEMP_START,
-            temp_end=DEFAULT_TEMP_END,
-        )
-    return SolverConfig(kind=kind, sweeps=sweeps, seed=seed)
+        temp_start = DEFAULT_TEMP_START if temp_start is None else temp_start
+        temp_end = DEFAULT_TEMP_END if temp_end is None else temp_end
+    return SolverConfig(
+        kind=kind,
+        sweeps=sweeps,
+        seed=seed,
+        temp_start=temp_start,
+        temp_end=temp_end,
+    )
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ from gsetbench.campaign import (
     summarize,
     sweep_scan,
     write_scan_csv,
-    write_summary_csv,
 )
 from gsetbench.instances import TorusSpec, generate_torus
-from gsetbench.metrics import TargetSpec
+from gsetbench.metrics import TargetSpec, write_summary_csv
 from gsetbench.solvers import ANNEALING, GREEDY, default_config
 
 
@@ -284,7 +283,7 @@ def test_summary_csv_has_target_rows(torus):
     )
     summary = run_campaign(torus, config)
     buf = io.StringIO()
-    write_summary_csv(summary, buf)
+    write_summary_csv(summary.targets, buf)
     parsed = list(csv.DictReader(io.StringIO(buf.getvalue())))
     assert len(parsed) == 2
     assert parsed[0]["target"] == "easy"
@@ -297,3 +296,14 @@ def test_read_log_skips_blank_and_comment_lines(tmp_path):
     record = make_record(0, 5)
     log.write_text(f"# campaign log\n\n{format_record(record)}\n")
     assert read_log(log) == [record]
+
+
+def test_read_log_rejects_torn_line_glued_to_next_record(torus, tmp_path):
+    # a crash cut record 4 short, and the next append landed on its line
+    log = tmp_path / "campaign.log"
+    config = campaign_config(num_trials=6, sweeps=10, kind=GREEDY)
+    run_campaign(torus, config, log_path=log)
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join(lines[:4] + [lines[4][:60] + lines[5]]) + "\n")
+    with pytest.raises(ValueError, match="repeats field instance"):
+        read_log(log)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gsetbench.campaign import parse_record, replay_record
+from gsetbench.campaign import mix_seed, parse_record, replay_record
 from gsetbench.cli import CliError, human_time, main, resolve_instance
 from gsetbench.codec import encode_hex
 from gsetbench.instances import TorusSpec, generate_torus, parse_gset
@@ -196,6 +196,37 @@ def _timing_free_tokens(output):
         for tok in line.split()
         if not tok.startswith(skip)
     ]
+
+
+@pytest.mark.parametrize("include_spins", [False, True])
+@pytest.mark.parametrize(
+    "kind, temps",
+    [("greedy_local_search", []), ("simulated_annealing", ["--temp-start", "2.5"])],
+)
+def test_solve_prints_the_campaign_log_line(tmp_path, capsys, kind, temps, include_spins):
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text(
+        f"instance = torus:4x4:1\nkind = {kind}\nsweeps = 30\n"
+        "num_trials = 5\nmaster_seed = 777\n"
+        + ("temp_start = 2.5\n" if temps else "")
+    )
+    log = tmp_path / "run.log"
+    spins = ["--include-spins"] if include_spins else []
+    assert main(["campaign", str(cfg), "--log", str(log)] + spins) == 0
+    index = 3
+    capsys.readouterr()
+    assert main(["solve", "torus:4x4:1", "--kind", kind, "--sweeps", "30",
+                 "--seed", str(mix_seed(777, index))] + temps + spins) == 0
+    solved = capsys.readouterr().out.split()
+    logged = log.read_text().splitlines()[index].split()
+    assert solved[0] == "index=0"
+    assert logged[0] == f"index={index}"
+    assert any(tok.startswith("spins=") for tok in solved) == include_spins
+
+    def untimed(tokens):
+        return [tok for tok in tokens if not tok.startswith("wall_time_s=")]
+
+    assert untimed(solved[1:]) == untimed(logged[1:])
 
 
 def test_campaign_resume_flag(tmp_path, capsys):

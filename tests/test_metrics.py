@@ -5,8 +5,7 @@ import math
 import pytest
 
 from gsetbench.metrics import (
-    CampaignStats,
-    MetricsRow,
+    TargetOutcome,
     TargetSpec,
     UnreachableTargetError,
     project_hw_ttt,
@@ -15,7 +14,7 @@ from gsetbench.metrics import (
     success_probability,
     sweeps_to_target,
     time_to_target,
-    write_metrics_csv,
+    write_summary_csv,
 )
 
 
@@ -84,73 +83,78 @@ def test_target_spec_validation():
         TargetSpec("bad", 100, confidence=1.0)
 
 
-def test_campaign_stats_validation_and_probability():
-    stats = CampaignStats(successes=7, trials=100, sweeps_per_trial=50)
+def outcome(successes, trials, sweeps_per_trial, trial_time_s=None, **kw):
+    return TargetOutcome(
+        label=kw.pop("label", "opt"),
+        cut=kw.pop("cut", 50),
+        confidence=kw.pop("confidence", 0.99),
+        successes=successes,
+        trials=trials,
+        sweeps_per_trial=sweeps_per_trial,
+        trial_time_s=trial_time_s,
+    )
+
+
+def test_target_outcome_validation_and_probability():
+    stats = outcome(successes=7, trials=100, sweeps_per_trial=50)
     # stored as integers: deriving the count back is exact
     assert round(stats.p_s * stats.trials) == stats.successes
     with pytest.raises(ValueError):
-        CampaignStats(successes=5, trials=4, sweeps_per_trial=1)
+        outcome(successes=5, trials=4, sweeps_per_trial=1)
     with pytest.raises(ValueError):
-        CampaignStats(successes=0, trials=0, sweeps_per_trial=1)
+        outcome(successes=0, trials=0, sweeps_per_trial=1)
     with pytest.raises(ValueError):
-        CampaignStats(successes=0, trials=1, sweeps_per_trial=0)
+        outcome(successes=0, trials=1, sweeps_per_trial=0)
 
 
-def test_metrics_row_derivations():
-    row = MetricsRow(
-        instance="x",
-        n=100,
-        m=200,
-        target=TargetSpec("opt", 50),
-        stats=CampaignStats(successes=66, trials=100, sweeps_per_trial=80_000,
-                            trial_time_s=0.5),
-        reference_ttt_s=100.0,
-    )
+def test_target_outcome_derivations():
+    row = outcome(successes=66, trials=100, sweeps_per_trial=80_000, trial_time_s=0.5)
     r = repetitions_to_target(0.66)
-    assert row.repetitions() == r
-    assert row.stt_sweeps() == 80_000 * r
-    assert row.ttt_s() == 0.5 * r
-    assert row.hw_ttt_s() == pytest.approx(80_000 * r * 2e-9)
-    assert row.speedup() == pytest.approx(100.0 / (0.5 * r))
-
-
-def test_metrics_row_unreachable_target():
-    row = MetricsRow(
-        instance="x",
-        n=10,
-        m=20,
-        target=TargetSpec("opt", 50),
-        stats=CampaignStats(successes=0, trials=10, sweeps_per_trial=100),
+    assert row.repetitions == r
+    assert row.stt_sweeps == 80_000 * r
+    assert row.ttt_s == 0.5 * r
+    assert row.hw_ttt_s == pytest.approx(80_000 * r * 2e-9)
+    # the confidence carries through to r
+    assert outcome(66, 100, 1, confidence=0.9).repetitions == repetitions_to_target(
+        0.66, confidence=0.9
     )
-    assert row.repetitions() is None
-    assert row.stt_sweeps() is None
-    assert row.ttt_s() is None
+    # no trial time: sweeps figures only
+    untimed = outcome(successes=66, trials=100, sweeps_per_trial=80_000)
+    assert untimed.ttt_s is None
+    assert untimed.stt_sweeps is not None
+    # a zero trial time (all wall times logged as 0) is a figure, not an error
+    assert outcome(successes=5, trials=10, sweeps_per_trial=5, trial_time_s=0.0).ttt_s == 0.0
+
+
+def test_target_outcome_unreachable_target():
+    row = outcome(successes=0, trials=10, sweeps_per_trial=100, trial_time_s=0.5)
+    assert row.repetitions is None
+    assert row.stt_sweeps is None
+    assert row.ttt_s is None
+    assert row.hw_ttt_s is None
 
 
 def test_metrics_csv_rendering():
     rows = [
-        MetricsRow(
-            instance="a",
-            n=16,
-            m=32,
-            target=TargetSpec("opt", 10),
-            stats=CampaignStats(successes=9, trials=10, sweeps_per_trial=50,
-                                trial_time_s=0.001),
-        ),
-        MetricsRow(
-            instance="b",
-            n=16,
-            m=32,
-            target=TargetSpec("opt", 10),
-            stats=CampaignStats(successes=0, trials=10, sweeps_per_trial=50),
-        ),
+        outcome(successes=9, trials=10, sweeps_per_trial=50, trial_time_s=0.001,
+                label="a", cut=10),
+        outcome(successes=0, trials=10, sweeps_per_trial=50, label="b", cut=10),
+        outcome(successes=5, trials=10, sweeps_per_trial=50, label="c", cut=10),
     ]
     buf = io.StringIO()
-    write_metrics_csv(rows, buf)
+    write_summary_csv(rows, buf)
     parsed = list(csv.DictReader(io.StringIO(buf.getvalue())))
-    assert len(parsed) == 2
-    assert parsed[0]["instance"] == "a"
+    assert list(parsed[0]) == [
+        "target", "target_cut", "successes", "trials", "r",
+        "stt_sweeps", "ttt_s", "hw_ttt_s",
+    ]
+    assert len(parsed) == 3
+    assert parsed[0]["target"] == "a"
     assert float(parsed[0]["r"]) == pytest.approx(repetitions_to_target(0.9))
+    assert float(parsed[0]["ttt_s"]) == pytest.approx(0.001 * repetitions_to_target(0.9))
     assert parsed[1]["r"] == "unreachable"
     assert parsed[1]["stt_sweeps"] == "unreachable"
-    assert parsed[1]["reference_ttt_s"] == ""
+    assert parsed[1]["hw_ttt_s"] == "unreachable"
+    # reachable but untimed: the time column is empty, the rest is filled
+    assert parsed[2]["ttt_s"] == ""
+    assert float(parsed[2]["stt_sweeps"]) == pytest.approx(50 * repetitions_to_target(0.5))
