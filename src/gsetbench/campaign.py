@@ -7,9 +7,12 @@ same regardless of worker count or execution order, campaigns are
 reproducible across runs, and any single logged trial can be re-run in
 isolation.
 
-Each finished trial appends one self-describing key=value line to the
-log and the stream is flushed per line, so a crashed campaign can be
-resumed from whatever records made it to disk. ``trial_record`` is
+Trials run in batches through the solvers' batched kernel. Each
+finished trial appends one self-describing key=value line to the log,
+ending in ``format=2``, and the stream is flushed per batch, so a
+crashed campaign can be resumed from whatever records made it to disk;
+an unterminated last line, a record cut short by the crash, is dropped
+on resume. ``trial_record`` is
 the one place a record is made from a finished trial, for campaigns
 and single ``solve`` runs alike. Summaries aggregate only
 order-insensitive quantities over the record set, which is what makes
@@ -20,6 +23,7 @@ are ``metrics.TargetOutcome`` objects.
 from __future__ import annotations
 
 import csv
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -28,7 +32,16 @@ from pathlib import Path
 from gsetbench.codec import decode_hex, encode_hex
 from gsetbench.instances import ProblemInstance
 from gsetbench.metrics import TargetOutcome, TargetSpec
-from gsetbench.solvers import SolverConfig, TrialResult, run_trial
+from gsetbench.solvers import SolverConfig, TrialResult, run_trial, run_trials
+
+# Version of the trial streams a log's records replay under. Format 2
+# sweeps colour classes with one uniform per spin per sweep; format 1
+# logs came from a shuffled per-spin loop and cannot be replayed.
+LOG_FORMAT = "2"
+
+# A batch holds at most this many spins (trials x n), which keeps its
+# arrays to a few MB whatever the instance size.
+_BATCH_SPINS = 1 << 18
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -117,6 +130,8 @@ def format_record(record: TrialRecord) -> str:
         parts.append(f"temp_end={record.temp_end!r}")
     if record.spins_hex is not None:
         parts.append(f"spins={record.spins_hex}")
+    # last, so that a record cut short anywhere lacks it
+    parts.append(f"format={LOG_FORMAT}")
     return " ".join(parts)
 
 
@@ -131,7 +146,7 @@ def parse_record(line: str) -> TrialRecord:
             raise ValueError(f"record repeats field {k}")
         fields[k] = v
     try:
-        return TrialRecord(
+        record = TrialRecord(
             index=int(fields["index"]),
             instance=fields["instance"],
             kind=fields["kind"],
@@ -146,6 +161,17 @@ def parse_record(line: str) -> TrialRecord:
         )
     except KeyError as exc:
         raise ValueError(f"record is missing field {exc.args[0]}") from None
+    if "format" not in fields:
+        raise ValueError(
+            "record has no format field: it was written in log format 1, whose "
+            "trial streams this version no longer reproduces; re-run the campaign"
+        )
+    if fields["format"] != LOG_FORMAT:
+        raise ValueError(
+            f"record has log format {fields['format']!r}, this version reads "
+            f"format {LOG_FORMAT}; re-run the campaign"
+        )
+    return record
 
 
 def read_log(path) -> list[TrialRecord]:
@@ -267,8 +293,27 @@ def summarize(records, targets=()) -> CampaignSummary:
     )
 
 
+def _drop_torn_tail(path: Path) -> None:
+    """Cut an unterminated last line, a record torn by a crash, off a log."""
+    with path.open("rb+") as fh:
+        data = fh.read()
+        if not data or data.endswith(b"\n"):
+            return
+        keep = data.rfind(b"\n") + 1
+        fh.truncate(keep)
+    print(
+        f"{path}: dropped an unterminated last line ({len(data) - keep} bytes); "
+        "its trial runs again",
+        file=sys.stderr,
+    )
+
+
 class _LogWriter:
-    """Append-only record sink, flushed per line; thread-safe."""
+    """Append-only record sink, flushed per batch; thread-safe.
+
+    Appends always start on a fresh line, so they never extend a line
+    that a crash left unterminated.
+    """
 
     def __init__(self, path):
         self._path = Path(path) if path is not None else None
@@ -276,13 +321,18 @@ class _LogWriter:
         self._handle = None
         if self._path is not None:
             self._handle = self._path.open("a")
+            if self._handle.tell() > 0:
+                with self._path.open("rb") as fh:
+                    fh.seek(-1, 2)
+                    if fh.read(1) != b"\n":
+                        self._handle.write("\n")
 
-    def write(self, record: TrialRecord) -> None:
+    def write(self, lines) -> None:
         if self._handle is None:
             return
-        line = format_record(record)
+        text = "".join(line + "\n" for line in lines)
         with self._lock:
-            self._handle.write(line + "\n")
+            self._handle.write(text)
             self._handle.flush()
 
     def close(self) -> None:
@@ -314,15 +364,26 @@ def trial_record(
     )
 
 
-def _run_one(
+def _run_batch(
     instance: ProblemInstance,
     config: CampaignConfig,
-    index: int,
+    indices: list[int],
     include_spins: bool,
-) -> TrialRecord:
-    solver = replace(config.solver, seed=mix_seed(config.master_seed, index))
-    result = run_trial(instance, solver)
-    return trial_record(index, config.instance_name, solver, result, include_spins)
+) -> list[TrialRecord]:
+    solvers = [
+        replace(config.solver, seed=mix_seed(config.master_seed, i)) for i in indices
+    ]
+    results = run_trials(instance, solvers)
+    return [
+        trial_record(i, config.instance_name, solver, result, include_spins)
+        for i, solver, result in zip(indices, solvers, results)
+    ]
+
+
+def _batches(pending: list[int], n: int, workers: int) -> list[list[int]]:
+    """Split trial indices into capped batches, at least one per worker."""
+    size = max(1, min(_BATCH_SPINS // n, -(-len(pending) // workers)))
+    return [pending[i : i + size] for i in range(0, len(pending), size)]
 
 
 def run_campaign(
@@ -337,8 +398,10 @@ def run_campaign(
     """Run (or finish) a campaign and summarize it.
 
     With ``resume`` and an existing log, trials whose records are
-    already on disk are not re-run; only the missing indices execute.
-    Worker count affects wall time only, never the summary.
+    already on disk are not re-run; only the missing indices execute,
+    and an unterminated last line is dropped first. Trials run in
+    batches, which ``workers`` threads share; worker count affects wall
+    time only, never the summary.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -350,6 +413,7 @@ def run_campaign(
 
     done: dict[int, TrialRecord] = {}
     if resume and log_path is not None and Path(log_path).exists():
+        _drop_torn_tail(Path(log_path))
         for record in read_log(log_path):
             if (record.instance, record.kind, record.sweeps) != (
                 config.instance_name,
@@ -383,23 +447,28 @@ def run_campaign(
             done[record.index] = record
 
     pending = [i for i in range(config.num_trials) if i not in done]
+    batches = _batches(pending, instance.n, workers)
     writer = _LogWriter(log_path)
 
-    def finish(record: TrialRecord) -> None:
-        writer.write(record)
-        # aggregate what the log says, so a later report of the log
-        # reproduces this summary bit for bit
-        done[record.index] = parse_record(format_record(record))
+    def finish(records: list[TrialRecord]) -> None:
+        lines = [format_record(record) for record in records]
+        writer.write(lines)
+        for line in lines:
+            # aggregate what the log says, so a later report of the log
+            # reproduces this summary bit for bit
+            record = parse_record(line)
+            done[record.index] = record
 
     try:
-        if workers == 1 or len(pending) <= 1:
-            for i in pending:
-                finish(_run_one(instance, config, i, include_spins))
+        if workers == 1 or len(batches) <= 1:
+            for batch in batches:
+                finish(_run_batch(instance, config, batch, include_spins))
         else:
+            # numpy releases the GIL inside the kernel, so threads overlap
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_run_one, instance, config, i, include_spins)
-                    for i in pending
+                    pool.submit(_run_batch, instance, config, batch, include_spins)
+                    for batch in batches
                 ]
                 for future in futures:
                     finish(future.result())

@@ -36,6 +36,10 @@ class ProblemInstance:
     _adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    # the solvers' colour classes and neighbour slots, built on first use
+    _sweep_layout: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n < 1:

@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 from dataclasses import replace
 
 import pytest
@@ -96,6 +97,15 @@ def test_parse_record_rejects_malformed_lines():
         parse_record("index=0 instance=x kind=greedy_local_search")
 
 
+def test_parse_record_refuses_other_log_formats():
+    line = format_record(make_record(0, 5, spins_hex="c318"))
+    assert line.endswith(" format=2")
+    with pytest.raises(ValueError, match="log format 1.*re-run the campaign"):
+        parse_record(line[: -len(" format=2")])
+    with pytest.raises(ValueError, match="log format '3'"):
+        parse_record(line[:-1] + "3")
+
+
 def test_summarize_aggregates():
     records = [make_record(i, cut) for i, cut in enumerate((5, 5, 7, 9))]
     summary = summarize(records, targets=(TargetSpec("six", 6),))
@@ -170,6 +180,25 @@ def test_parallel_equals_serial(torus):
     serial = run_campaign(torus, config, workers=1)
     parallel = run_campaign(torus, config, workers=4)
     assert serial.deterministic_fields() == parallel.deterministic_fields()
+
+
+def test_parallel_batches_on_a_fresh_instance_equal_serial():
+    # more workers than cores, frequent thread switches, and a layout
+    # that the first batches must build while the others wait
+    config = CampaignConfig(
+        instance_name="torus:6x6:2",
+        solver=default_config(ANNEALING, 10, seed=0),
+        num_trials=24,
+        master_seed=5,
+    )
+    serial = run_campaign(generate_torus(TorusSpec(6, 6, seed=2)), config)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_campaign(generate_torus(TorusSpec(6, 6, seed=2)), config, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel.deterministic_fields() == serial.deterministic_fields()
 
 
 def test_rerun_reproduces_summary(torus):
@@ -307,3 +336,15 @@ def test_read_log_rejects_torn_line_glued_to_next_record(torus, tmp_path):
     log.write_text("\n".join(lines[:4] + [lines[4][:60] + lines[5]]) + "\n")
     with pytest.raises(ValueError, match="repeats field instance"):
         read_log(log)
+
+
+def test_appends_start_on_a_fresh_line(torus, tmp_path):
+    log = tmp_path / "campaign.log"
+    config = campaign_config(num_trials=3, sweeps=10, kind=GREEDY)
+    run_campaign(torus, config, log_path=log)
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join(lines[:2]) + "\n" + lines[2][:40])
+    run_campaign(torus, config, log_path=log)
+    after = log.read_text().splitlines()
+    assert after[:3] == lines[:2] + [lines[2][:40]]
+    assert [parse_record(line).index for line in after[3:]] == [0, 1, 2]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gsetbench.campaign import mix_seed, parse_record, replay_record
+from gsetbench.campaign import mix_seed, parse_record, read_log, replay_record, summarize
 from gsetbench.cli import CliError, human_time, main, resolve_instance
 from gsetbench.codec import encode_hex
 from gsetbench.instances import TorusSpec, generate_torus, parse_gset
@@ -227,6 +227,36 @@ def test_solve_prints_the_campaign_log_line(tmp_path, capsys, kind, temps, inclu
         return [tok for tok in tokens if not tok.startswith("wall_time_s=")]
 
     assert untimed(solved[1:]) == untimed(logged[1:])
+
+
+@pytest.mark.parametrize(
+    "torn_in", ["index", "instance", "best_cut", "wall_time_s", "before format"]
+)
+def test_resume_drops_a_record_torn_by_a_crash(tmp_path, capsys, torn_in):
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text(
+        "instance = torus:4x4:1\nkind = greedy_local_search\nsweeps = 10\n"
+        "num_trials = 6\nmaster_seed = 777\n"
+    )
+    log = tmp_path / "run.log"
+    assert main(["campaign", str(cfg), "--log", str(log)]) == 0
+    whole = summarize(read_log(log)).deterministic_fields()
+    *kept, last = log.read_text().splitlines()
+    if torn_in == "before format":
+        cut = last.index(" format=")
+    else:
+        # two characters into the field's value
+        cut = last.index(f"{torn_in}=") + len(torn_in) + 3
+    log.write_text("\n".join(kept) + "\n" + last[:cut])
+    capsys.readouterr()
+
+    assert main(["campaign", str(cfg), "--log", str(log), "--resume"]) == 0
+    assert "dropped an unterminated last line" in capsys.readouterr().err
+    records = read_log(log)
+    assert summarize(records).deterministic_fields() == whole
+    # the torn wall time (a value like "1.") was not kept
+    assert all(record.wall_time_s < 1.0 for record in records)
+    assert main(["report", str(log)]) == 0
 
 
 def test_campaign_resume_flag(tmp_path, capsys):

@@ -32,3 +32,25 @@ def test_published_metrics_table_demo(tmp_path, capsys):
     assert float(rows[0]["stt_sweeps"]) == pytest.approx(341_500.1071)
     out = capsys.readouterr().out
     assert "655x" in out and "3,561x" in out
+
+
+def test_torus_campaign_demo(capsys):
+    summary = load_demo("02_torus_campaign.py").main()
+    assert summary.num_trials == sum(summary.cut_histogram.values()) == 100
+    # probe campaigns on this torus never exceed 46, the demo's top target
+    assert summary.highest_cut <= 46
+    replayed = capsys.readouterr().out.splitlines()[-1]
+    assert replayed.startswith("replayed trial 50 ")
+    best, logged = replayed.split("best_cut ")[1].split(" == logged ")
+    assert best == logged
+
+
+def test_sweep_ladder_demo(tmp_path):
+    demo = load_demo("04_sweep_ladder.py")
+    out_csv = tmp_path / "ladder.csv"
+    # main() asserts that the greedy highest-cut curve never falls
+    demo.main(["--csv", str(out_csv)])
+    with out_csv.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["sweeps"]) for row in rows] == list(demo.LADDER)
+    assert all(float(row["highest_cut"]) >= float(row["average_cut"]) for row in rows)

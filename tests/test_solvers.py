@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import random_instance
-from gsetbench.evaluate import cut_value, flip_delta_cut
-from gsetbench.instances import TorusSpec, generate_torus
+from conftest import random_config, random_instance
+from gsetbench.evaluate import cut_value, evaluate_solution, flip_delta_cut
+from gsetbench.instances import ProblemInstance, TorusSpec, generate_torus
 from gsetbench.oracle import exact_max_cut
 from gsetbench.solvers import (
     ANNEALING,
     GREEDY,
+    KINDS,
     SolverConfig,
+    _sweep_layout,
     _temperature,
     default_config,
     run_trial,
+    run_trials,
 )
 
 
@@ -105,3 +110,131 @@ def test_wall_time_recorded():
     inst = generate_torus(TorusSpec(3, 3, seed=1))
     result = run_trial(inst, default_config(GREEDY, 5, seed=1))
     assert result.wall_time_s > 0
+
+
+def kernel_instances():
+    """An even torus, the odd 4x5 torus, and random graphs, one of them
+    with isolated vertices."""
+    rng = np.random.default_rng(8)
+    sparse = random_instance(rng, 10, edge_prob=0.25)
+    return [
+        generate_torus(TorusSpec(6, 6, seed=3)),
+        generate_torus(TorusSpec(4, 5, seed=1000)),
+        ProblemInstance.from_edges(sparse.n + 2, sparse.edges),
+        random_instance(rng, 9),
+    ]
+
+
+def reference_trial(instance, config):
+    """The kernel's sweep, spin by spin in plain Python.
+
+    Colour classes from greedy colouring in vertex order, visited in
+    colour order; one uniform per vertex per annealing sweep, indexed by
+    vertex; best cut checked after each class.
+    """
+    n = instance.n
+    colour = []
+    for v in range(1, n + 1):
+        used = {colour[u - 1] for u, _ in instance.adjacency[v] if u < v}
+        colour.append(min(set(range(len(used) + 1)) - used))
+    classes = [[v for v in range(n) if colour[v] == c] for c in range(max(colour) + 1)]
+
+    rng = np.random.default_rng(config.seed)
+    spins = (rng.integers(0, 2, size=n) * 2 - 1).tolist()
+    current = cut_value(instance, spins)
+    best, best_spins = current, tuple(spins)
+    annealing = config.kind == ANNEALING
+    for sweep in range(config.sweeps):
+        if annealing:
+            temp = _temperature(config, sweep)
+            uniforms = rng.random(n)
+        flipped = False
+        for members in classes:
+            for v in members:
+                delta = spins[v] * sum(w * spins[j - 1] for j, w in instance.adjacency[v + 1])
+                if annealing:
+                    accept = uniforms[v] < math.exp(min(delta, 0) / temp)
+                else:
+                    accept = delta > 0
+                if accept:
+                    spins[v] = -spins[v]
+                    current += delta
+                    flipped = True
+            if current > best:
+                best, best_spins = current, tuple(spins)
+        if not annealing and not flipped:
+            return best, best_spins, sweep + 1
+    return best, best_spins, config.sweeps
+
+
+def outcome(result):
+    return result.best_cut, result.best_spins, result.sweeps_executed
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_matches_spin_by_spin_reference(kind):
+    for inst in kernel_instances():
+        for seed in range(4):
+            config = default_config(kind, 12, seed=seed)
+            assert outcome(run_trial(inst, config)) == reference_trial(inst, config)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sweeps", (2, 25))
+def test_batched_trials_equal_single_trials(kind, sweeps):
+    for inst in kernel_instances():
+        configs = [default_config(kind, sweeps, seed=s) for s in range(100, 107)]
+        single = [outcome(run_trial(inst, config)) for config in configs]
+        for size in (1, 3, len(configs)):
+            batched = [
+                result
+                for i in range(0, len(configs), size)
+                for result in run_trials(inst, configs[i : i + size])
+            ]
+            assert [outcome(r) for r in batched] == single
+            assert [r.seed for r in batched] == [c.seed for c in configs]
+
+
+def test_batch_rejects_mixed_configs():
+    inst = generate_torus(TorusSpec(4, 4, seed=2))
+    with pytest.raises(ValueError, match="at least one"):
+        run_trials(inst, [])
+    with pytest.raises(ValueError, match="apart from the seed"):
+        run_trials(inst, [default_config(GREEDY, 5, seed=1), default_config(GREEDY, 6, seed=2)])
+
+
+def test_colour_classes_partition_vertices_into_independent_sets():
+    # an even torus is a checkerboard; on the odd 4x5 torus greedy order
+    # needs a third colour at (0, 4) and a fourth at (1, 4)
+    tori = [
+        (generate_torus(TorusSpec(6, 6, seed=3)), 2),
+        (generate_torus(TorusSpec(4, 8, seed=4)), 2),
+        (generate_torus(TorusSpec(4, 5, seed=1000)), 4),
+    ]
+    others = [(inst, None) for inst in kernel_instances()[2:]]
+    for inst, expected in tori + others:
+        order, classes = _sweep_layout(inst)
+        assert sorted(order.tolist()) == list(range(inst.n))
+        bounds = [lo for lo, _, _ in classes] + [inst.n]
+        assert bounds[0] == 0 and all(a < b for a, b in zip(bounds, bounds[1:]))
+        assert all(hi == bounds[c + 1] for c, (_, hi, _) in enumerate(classes))
+        class_of = np.empty(inst.n, dtype=np.int64)
+        for c, (lo, hi, _) in enumerate(classes):
+            class_of[order[lo:hi]] = c
+        for u, v, _ in inst.edges:
+            assert class_of[u - 1] != class_of[v - 1]
+        if expected is not None:
+            assert len(classes) == expected
+
+
+def test_layout_is_built_once_by_the_solvers_only():
+    inst = generate_torus(TorusSpec(5, 5, seed=9))
+    spins = random_config(np.random.default_rng(1), inst.n)
+    evaluate_solution(inst, spins)
+    cut_value(inst, spins)
+    assert inst._sweep_layout is None
+    run_trial(inst, default_config(GREEDY, 3, seed=1))
+    layout = inst._sweep_layout
+    assert layout is not None
+    run_trial(inst, default_config(ANNEALING, 3, seed=1))
+    assert inst._sweep_layout is layout
