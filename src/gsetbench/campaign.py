@@ -135,6 +135,10 @@ def format_record(record: TrialRecord) -> str:
     return " ".join(parts)
 
 
+_RECORD_FIELDS = {"index", "instance", "kind", "sweeps", "seed", "best_cut", "sweeps_executed",
+                  "wall_time_s", "temp_start", "temp_end", "spins", "format"}
+
+
 def parse_record(line: str) -> TrialRecord:
     fields: dict[str, str] = {}
     for tok in line.split():
@@ -171,18 +175,24 @@ def parse_record(line: str) -> TrialRecord:
             f"record has log format {fields['format']!r}, this version reads "
             f"format {LOG_FORMAT}; re-run the campaign"
         )
+    unknown = sorted(fields.keys() - _RECORD_FIELDS)
+    if unknown:
+        raise ValueError(f"record has unknown field {unknown[0]}")
     return record
+
+
+def _is_record(line: str) -> bool:
+    stripped = line.strip()
+    return bool(stripped) and not stripped.startswith("#")
 
 
 def read_log(path) -> list[TrialRecord]:
     """Parse all records from a log file, skipping blank and # lines."""
-    records = []
-    for line in Path(path).read_text().splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        records.append(parse_record(stripped))
-    return records
+    return [
+        parse_record(line.strip())
+        for line in Path(path).read_text().splitlines()
+        if _is_record(line)
+    ]
 
 
 def solver_config_for_record(record: TrialRecord) -> SolverConfig:
@@ -412,6 +422,12 @@ def run_campaign(
         )
 
     done: dict[int, TrialRecord] = {}
+    if not resume and log_path is not None and Path(log_path).exists():
+        if any(_is_record(line) for line in Path(log_path).read_text().splitlines()):
+            raise ValueError(
+                f"log {log_path} already holds records; pass --resume to finish "
+                "that campaign, or choose another log path"
+            )
     if resume and log_path is not None and Path(log_path).exists():
         _drop_torn_tail(Path(log_path))
         for record in read_log(log_path):

@@ -34,6 +34,7 @@ from gsetbench.evaluate import evaluate_solution
 from gsetbench.instances import (
     GsetFormatError,
     ProblemInstance,
+    TorusSpec,
     generate_torus,
     load_gset,
     parse_torus_name,
@@ -166,6 +167,8 @@ def _print_report(report, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
+    """The validate and evaluate subcommands; evaluate takes no
+    --substitute or --expect-cut."""
     instance = resolve_instance(args.instance, args.instance_dir)
     spins, header, notes = _decode_solution(args, instance)
     for note in notes:
@@ -182,21 +185,9 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    instance = resolve_instance(args.instance, args.instance_dir)
-    spins, header, _ = _decode_solution(args, instance)
-    best_known = _best_known_for(args, instance, header)
-    report = evaluate_solution(instance, spins, best_known=best_known)
-    _print_report(report, args.format)
-    return 0
-
-
 def cmd_oracle(args) -> int:
     instance = resolve_instance(args.instance, args.instance_dir)
-    try:
-        cut, config = exact_max_cut(instance)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cut, config = exact_max_cut(instance)
     hexstr = encode_hex(config)
     if args.format == "csv":
         print("cut,config")
@@ -207,12 +198,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen_torus(args) -> int:
-    from gsetbench.instances import TorusSpec
-
-    try:
-        spec = TorusSpec(rows=args.rows, cols=args.cols, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    spec = TorusSpec(rows=args.rows, cols=args.cols, seed=args.seed)
     text = write_gset(generate_torus(spec))
     if args.output:
         Path(args.output).write_text(text)
@@ -365,10 +351,7 @@ def cmd_report(args) -> int:
     except (OSError, ValueError) as exc:
         raise CliError(f"{args.log}: {exc}") from exc
     targets = tuple(_parse_target_flag(t, args.confidence) for t in args.target or ())
-    try:
-        summary = campaign_mod.summarize(records, targets)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    summary = campaign_mod.summarize(records, targets)
     _print_summary(summary, args.format)
     if args.summary_csv:
         with open(args.summary_csv, "w", newline="") as fh:
@@ -377,11 +360,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_project(args) -> int:
-    try:
-        seconds = project_hw_ttt(args.stt, args.sweep_time)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    print(human_time(seconds))
+    print(human_time(project_hw_ttt(args.stt, args.sweep_time)))
     return 0
 
 
@@ -416,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--best-known", type=int, default=None)
     p.add_argument("--name", default=None)
     add_common(p)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_validate, expect_cut=None)
 
     p = sub.add_parser("oracle", help="exact optimum of a small instance")
     p.add_argument("instance")

@@ -13,8 +13,9 @@ the payload is ignored.
 
 from __future__ import annotations
 
+import numpy as np
+
 _HEX = "0123456789abcdef"
-_DIGIT_BITS = {c: tuple((int(c, 16) >> s) & 1 for s in (3, 2, 1, 0)) for c in _HEX}
 
 
 class HexDecodeError(ValueError):
@@ -39,7 +40,7 @@ def decode_hex(text: str, n: int) -> tuple[int, ...]:
     cleaned = "".join(text.split()).lower()
     expected = (n + 3) // 4
     for pos, ch in enumerate(cleaned):
-        if ch not in _DIGIT_BITS:
+        if ch not in _HEX:
             raise HexDecodeError(
                 f"invalid hex character {ch!r} at position {pos}",
                 position=pos,
@@ -49,38 +50,28 @@ def decode_hex(text: str, n: int) -> tuple[int, ...]:
         raise HexDecodeError(
             f"expected {expected} hex digits for n={n}, got {len(cleaned)}"
         )
-    spins: list[int] = []
-    for ch in cleaned:
-        for bit in _DIGIT_BITS[ch]:
-            spins.append(1 if bit else -1)
-    for i in range(n, len(spins)):
-        if spins[i] == 1:
-            raise HexDecodeError(
-                f"nonzero pad bit {i - n + 1} past variable {n}"
-            )
-    return tuple(spins[:n])
+    # unpackbits reads bytes most significant bit first, two digits a byte
+    padded = bytes.fromhex(cleaned + "0" * (expected % 2))
+    bits = np.unpackbits(np.frombuffer(padded, dtype=np.uint8))
+    pad = np.flatnonzero(bits[n:])
+    if len(pad):
+        raise HexDecodeError(f"nonzero pad bit {pad[0] + 1} past variable {n}")
+    return tuple((bits[:n].astype(np.int64) * 2 - 1).tolist())
 
 
 def encode_hex(spins) -> str:
     """Encode spins in {-1, +1} as a lowercase hex string, zero-padded."""
-    spins = tuple(spins)
-    if not spins:
+    if not isinstance(spins, np.ndarray):
+        spins = tuple(spins)
+    if not len(spins):
         raise ValueError("cannot encode an empty configuration")
-    bits: list[int] = []
-    for i, s in enumerate(spins):
-        if s == 1:
-            bits.append(1)
-        elif s == -1:
-            bits.append(0)
-        else:
-            raise ValueError(f"spin {i + 1} is {s!r}, expected -1 or +1")
-    while len(bits) % 4:
-        bits.append(0)
-    digits = []
-    for i in range(0, len(bits), 4):
-        val = bits[i] << 3 | bits[i + 1] << 2 | bits[i + 2] << 1 | bits[i + 3]
-        digits.append(_HEX[val])
-    return "".join(digits)
+    values = np.asarray(spins)
+    up = values == 1
+    if not (up | (values == -1)).all():
+        i, s = next((i, s) for i, s in enumerate(spins) if s != 1 and s != -1)
+        raise ValueError(f"spin {i + 1} is {s!r}, expected -1 or +1")
+    # packbits fills bytes most significant bit first
+    return np.packbits(up).tobytes().hex()[: (len(spins) + 3) // 4]
 
 
 def global_flip(spins) -> tuple[int, ...]:

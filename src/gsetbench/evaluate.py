@@ -39,14 +39,14 @@ def cut_value(instance: ProblemInstance, spins) -> int:
     spins and nothing otherwise.
     """
     s = _spin_array(instance, spins)
-    opposite = s[instance._eu] != s[instance._ev]
-    return int(instance._ew[opposite].sum())
+    opposite = s[instance.eu] != s[instance.ev]
+    return int(instance.ew[opposite].sum())
 
 
 def ising_energy(instance: ProblemInstance, spins) -> int:
     """Zero-field Ising energy sum_(u,v) w_uv * s_u * s_v, exact integer."""
     s = _spin_array(instance, spins)
-    return int((instance._ew * s[instance._eu] * s[instance._ev]).sum())
+    return int((instance.ew * s[instance.eu] * s[instance.ev]).sum())
 
 
 def flip_delta_cut(instance: ProblemInstance, spins, k: int) -> int:
@@ -57,11 +57,11 @@ def flip_delta_cut(instance: ProblemInstance, spins, k: int) -> int:
     """
     if not (1 <= k <= instance.n):
         raise ValueError(f"variable {k} out of range 1..{instance.n}")
-    sk = spins[k - 1]
-    acc = 0
-    for j, w in instance.adjacency[k]:
-        acc += w * spins[j - 1]
-    return sk * acc
+    v = k - 1
+    at = (instance.eu == v) | (instance.ev == v)
+    # the far end of an edge at v is the sum of its endpoints minus v
+    far = (instance.eu[at] + instance.ev[at] - v).tolist()
+    return spins[v] * sum(w * spins[j] for j, w in zip(far, instance.ew[at].tolist()))
 
 
 def solution_quality(cut: int, best_known: int) -> float:

@@ -8,6 +8,7 @@ Gset layout: a header line ``n m`` followed by m lines ``u v w``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -16,106 +17,103 @@ class GsetFormatError(ValueError):
     """Raised when instance text or edge data violates the format."""
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """Immutable weighted graph.
+# The solvers sum every edge weight twice in int64, so the absolute
+# weights of one instance must sum to less than this.
+_WEIGHT_SUM_LIMIT = 2**62
 
-    Edges are stored canonically as (u, v, w) with 1 <= u < v <= n.
-    Equality compares structure only; ``name`` is a label and two
-    instances with identical edges compare equal regardless of it.
+
+@dataclass(frozen=True, init=False, eq=False)
+class ProblemInstance:
+    """Immutable weighted graph: ``n`` and three read-only int64 arrays in
+    the input's edge order, 0-based endpoints ``eu < ev`` and weights ``ew``.
+
+    It is built from (u, v, w) triples with 1-based endpoints in either
+    order, as a sequence or an (m, 3) integer array, checked once.
+    Equality and hashing compare n and the edges; ``name`` is a label.
     """
 
     n: int
-    edges: tuple[tuple[int, int, int], ...]
-    name: str = field(default="", compare=False)
-
-    # 0-indexed numpy views of the edge list, built once for fast evaluation
-    _eu: np.ndarray = field(init=False, repr=False, compare=False)
-    _ev: np.ndarray = field(init=False, repr=False, compare=False)
-    _ew: np.ndarray = field(init=False, repr=False, compare=False)
-    _adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    eu: np.ndarray = field(repr=False)
+    ev: np.ndarray = field(repr=False)
+    ew: np.ndarray = field(repr=False)
+    name: str = ""
     # the solvers' colour classes and neighbour slots, built on first use
-    _sweep_layout: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _sweep_layout: tuple | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GsetFormatError(f"vertex count must be positive, got {self.n}")
-        eu = np.empty(len(self.edges), dtype=np.int64)
-        ev = np.empty(len(self.edges), dtype=np.int64)
-        ew = np.empty(len(self.edges), dtype=np.int64)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n + 1)]
-        for i, (u, v, w) in enumerate(self.edges):
-            if not (1 <= u < v <= self.n):
-                raise GsetFormatError(
-                    f"edge {i + 1}: endpoints ({u}, {v}) not canonical for n={self.n}"
-                )
-            eu[i] = u - 1
-            ev[i] = v - 1
-            ew[i] = w
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        object.__setattr__(self, "_eu", eu)
-        object.__setattr__(self, "_ev", ev)
-        object.__setattr__(self, "_ew", ew)
-        object.__setattr__(
-            self, "_adjacency", tuple(tuple(nbrs) for nbrs in adj)
-        )
+    def __init__(self, n: int, edges, name: str = "") -> None:
+        eu, ev, ew = _canonical_edges(n, edges)
+        for key, value in zip(("n", "eu", "ev", "ew", "name"), (int(n), eu, ev, ew, name)):
+            object.__setattr__(self, key, value)
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges,
-        name: str = "",
-    ) -> "ProblemInstance":
-        """Build an instance from raw (u, v, w) triples.
+    def from_edges(cls, n: int, edges, name: str = "") -> "ProblemInstance":
+        """Same as the constructor. Endpoints in either order are normalised
+        to u < v; self-loops, endpoints outside 1..n and duplicate edges (in
+        either orientation) are rejected with distinct messages."""
+        return cls(n, edges, name=name)
 
-        Endpoints may arrive in either order; they are normalised to
-        u < v. Self-loops, endpoints outside 1..n, and duplicate edges
-        (in either orientation) are rejected with distinct messages.
-        """
-        if n < 1:
-            raise GsetFormatError(f"vertex count must be positive, got {n}")
-        seen: set[tuple[int, int]] = set()
-        canonical: list[tuple[int, int, int]] = []
-        for i, (u, v, w) in enumerate(edges):
-            if u == v:
-                raise GsetFormatError(f"edge {i + 1}: self-loop at vertex {u}")
-            if not (1 <= u <= n) or not (1 <= v <= n):
-                raise GsetFormatError(
-                    f"edge {i + 1}: endpoint out of range 1..{n}: ({u}, {v})"
-                )
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise GsetFormatError(f"edge {i + 1}: duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            canonical.append((u, v, int(w)))
-        return cls(n=n, edges=tuple(canonical), name=name)
+    def _key(self) -> tuple:
+        return self.n, self.eu.tobytes(), self.ev.tobytes(), self.ew.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ProblemInstance) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ew)
 
     @property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Neighbour lists indexed by vertex id; entry 0 is unused."""
-        return self._adjacency
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """Canonical (u, v, w) triples, 1-based with u < v, in input order."""
+        return tuple(zip((self.eu + 1).tolist(), (self.ev + 1).tolist(), self.ew.tolist()))
 
     def total_weight(self) -> int:
         """Sum of all edge weights (exact integer)."""
-        return int(self._ew.sum())
+        return int(self.ew.sum())
 
 
-def _tokens_with_lines(text: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for tok in body.split():
-            yield lineno, tok
+def _canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one edge check: raw triples to read-only (eu, ev, ew) arrays.
+
+    The first failing edge wins; on one edge a self-loop is reported
+    before a range error, and a range error before a duplicate. The
+    absolute weights are summed last.
+    """
+    if n < 1:
+        raise GsetFormatError(f"vertex count must be positive, got {n}")
+    u, v, w = np.asarray(edges, dtype=np.int64).reshape(len(edges), 3).T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    loop, out_of_range = u == v, (lo < 1) | (hi > n)
+    # a stable sort puts each repeat of a pair after its first occurrence
+    order = np.lexsort((hi, lo))
+    sorted_lo, sorted_hi = lo[order], hi[order]
+    repeat = np.zeros(len(w), dtype=bool)
+    repeat[order[1:]] = (sorted_lo[1:] == sorted_lo[:-1]) & (sorted_hi[1:] == sorted_hi[:-1])
+    failing = loop | out_of_range | repeat
+    if failing.any():
+        i = int(np.argmax(failing))
+        if loop[i]:
+            raise GsetFormatError(f"edge {i + 1}: self-loop at vertex {u[i]}")
+        if out_of_range[i]:
+            raise GsetFormatError(
+                f"edge {i + 1}: endpoint out of range 1..{n}: ({u[i]}, {v[i]})"
+            )
+        raise GsetFormatError(f"edge {i + 1}: duplicate edge ({lo[i]}, {hi[i]})")
+
+    # |w| as uint64, where |-2^63| fits; the sum is taken exactly only
+    # when m copies of the largest |w| would reach the limit
+    size = np.abs(w).view(np.uint64)
+    if len(w) and int(size.max()) * len(w) >= _WEIGHT_SUM_LIMIT:
+        for i, total in enumerate(accumulate(size.tolist())):
+            if total >= _WEIGHT_SUM_LIMIT:
+                raise GsetFormatError(f"edge {i + 1}: absolute edge weights sum to 2^62 or more")
+    arrays = (lo - 1, hi - 1, w.copy())
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def parse_gset(text: str, name: str = "") -> ProblemInstance:
@@ -124,42 +122,53 @@ def parse_gset(text: str, name: str = "") -> ProblemInstance:
     The format is whitespace-tolerant: tokens are read in sequence
     regardless of line breaks. The first two tokens are n and m,
     followed by exactly 3*m edge tokens. Anything after ``#`` on a
-    line is ignored.
+    line is ignored. Every number must fit in a 64-bit integer.
     """
-    stream = _tokens_with_lines(text)
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = text.split()
 
-    def next_int(what: str) -> tuple[int, int]:
-        try:
-            lineno, tok = next(stream)
-        except StopIteration:
+    def line_of(k: int) -> int:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            k -= len(line.split())
+            if k < 0:
+                return lineno
+
+    def integer(k: int) -> int:
+        """Token k, or the error that a reader in token order meets there."""
+        what = (
+            ("vertex count", "edge count")[k] if k < 2
+            else f"edge {(k + 1) // 3} {'weight' if k % 3 == 1 else 'endpoint'}"
+        )
+        if k >= len(tokens):
             raise GsetFormatError(f"unexpected end of input while reading {what}")
         try:
-            return lineno, int(tok)
+            value = int(tokens[k])
         except ValueError:
             raise GsetFormatError(
-                f"line {lineno}: expected integer {what}, got {tok!r}"
+                f"line {line_of(k)}: expected integer {what}, got {tokens[k]!r}"
             ) from None
+        if not -(2**63) <= value < 2**63:
+            raise GsetFormatError(f"line {line_of(k)}: {what} {tokens[k]} does not fit in 64 bits")
+        return value
 
-    _, n = next_int("vertex count")
-    _, m = next_int("edge count")
+    n, m = integer(0), integer(1)
     if n < 1:
         raise GsetFormatError(f"vertex count must be positive, got {n}")
     if m < 0:
         raise GsetFormatError(f"edge count must be non-negative, got {m}")
-
-    edges: list[tuple[int, int, int]] = []
-    for i in range(m):
-        _, u = next_int(f"edge {i + 1} endpoint")
-        _, v = next_int(f"edge {i + 1} endpoint")
-        _, w = next_int(f"edge {i + 1} weight")
-        edges.append((u, v, w))
-
-    leftover = next(stream, None)
-    if leftover is not None:
+    end = 2 + 3 * m
+    try:
+        values = np.array(tokens[2:end], dtype=np.int64).reshape(m, 3)
+    except (ValueError, OverflowError):
+        # a malformed, oversized or missing edge token: the first one raises
+        for k in range(2, min(end, len(tokens)) + 1):
+            integer(k)
+    if len(tokens) > end:
         raise GsetFormatError(
-            f"line {leftover[0]}: trailing token {leftover[1]!r} after {m} edges"
+            f"line {line_of(end)}: trailing token {tokens[end]!r} after {m} edges"
         )
-    return ProblemInstance.from_edges(n, edges, name=name)
+    return ProblemInstance(n, values, name=name)
 
 
 def write_gset(instance: ProblemInstance) -> str:
@@ -214,18 +223,15 @@ def generate_torus(spec: TorusSpec) -> ProblemInstance:
     """
     rows, cols = spec.rows, spec.cols
     n = rows * cols
-    pairs: list[tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            vid = r * cols + c + 1
-            right = r * cols + (c + 1) % cols + 1
-            down = ((r + 1) % rows) * cols + c + 1
-            pairs.append((vid, right))
-            pairs.append((vid, down))
+    r, c = np.divmod(np.arange(n), cols)
+    right = r * cols + (c + 1) % cols
+    down = (r + 1) % rows * cols + c
+    edges = np.empty((2 * n, 3), dtype=np.int64)
+    edges[:, 0] = np.repeat(np.arange(1, n + 1), 2)
+    edges[0::2, 1], edges[1::2, 1] = right + 1, down + 1
     rng = np.random.default_rng(spec.seed)
-    weights = rng.integers(0, 2, size=len(pairs)) * 2 - 1
-    edges = [(u, v, int(w)) for (u, v), w in zip(pairs, weights)]
-    return ProblemInstance.from_edges(n, edges, name=spec.name)
+    edges[:, 2] = rng.integers(0, 2, size=2 * n) * 2 - 1
+    return ProblemInstance(n, edges, name=spec.name)
 
 
 def parse_torus_name(name: str) -> TorusSpec:

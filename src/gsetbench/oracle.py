@@ -14,7 +14,7 @@ as a set bit.
 
 from __future__ import annotations
 
-from gsetbench.evaluate import cut_value, flip_delta_cut
+from gsetbench.evaluate import cut_value
 from gsetbench.instances import ProblemInstance
 
 MAX_ORACLE_N = 24
@@ -28,22 +28,28 @@ def exact_max_cut(instance: ProblemInstance) -> tuple[int, tuple[int, ...]]:
             f"exhaustive enumeration is limited to n <= {MAX_ORACLE_N}, got {n}"
         )
 
+    # (neighbour, weight) pairs of each vertex, 0-based, built once
+    neighbours = [[] for _ in range(n)]
+    for u, v, w in zip(instance.eu.tolist(), instance.ev.tolist(), instance.ew.tolist()):
+        neighbours[u].append((v, w))
+        neighbours[v].append((u, w))
+
     spins = [1] + [-1] * (n - 1)
     current = cut_value(instance, spins)
     enc = 1 << (n - 1)  # spin 1 is the most significant bit
     best_cut, best_enc = current, enc
 
-    if n == 1:
-        return best_cut, tuple(spins)
-
-    # Gray-code walk over spins 2..n: step t flips the variable given
-    # by the lowest set bit of t, so every configuration of the free
-    # spins is visited exactly once.
+    # Gray-code walk over spins 2..n: step t flips the spin at 0-based
+    # index k, the bit length of the lowest set bit of t, so every
+    # configuration of the free spins is visited exactly once.
     for t in range(1, 1 << (n - 1)):
-        k = 2 + (t & -t).bit_length() - 1
-        current += flip_delta_cut(instance, spins, k)
-        spins[k - 1] = -spins[k - 1]
-        enc ^= 1 << (n - k)
+        k = (t & -t).bit_length()
+        acc = 0
+        for j, w in neighbours[k]:
+            acc += w * spins[j]
+        current += spins[k] * acc
+        spins[k] = -spins[k]
+        enc ^= 1 << (n - 1 - k)
         if current > best_cut or (current == best_cut and enc < best_enc):
             best_cut, best_enc = current, enc
 

@@ -130,19 +130,21 @@ def _sweep_layout(instance: ProblemInstance):
 
 def _build_layout(instance: ProblemInstance):
     n = instance.n
-    src = np.concatenate((instance._eu, instance._ev))
-    dst = np.concatenate((instance._ev, instance._eu))
-    weight = np.concatenate((instance._ew, instance._ew))
+    src = np.concatenate((instance.eu, instance.ev))
+    dst = np.concatenate((instance.ev, instance.eu))
+    weight = np.concatenate((instance.ew, instance.ew))
     by_src = np.argsort(src, kind="stable")
     dst, weight = dst[by_src], weight[by_src]
     degree = np.bincount(src, minlength=n)
-    first = np.cumsum(degree) - degree
+    # CSR rows: v's neighbours are dst[indptr[v]:indptr[v + 1]]
+    indptr = np.concatenate(([0], np.cumsum(degree)))
 
     # greedy colouring in vertex order: each vertex takes the smallest
     # colour that no lower-numbered neighbour has
+    neighbours, rows = dst.tolist(), indptr.tolist()
     colour = [0] * n
-    for v, neighbours in enumerate(instance.adjacency[1:]):
-        used = {colour[u - 1] for u, _ in neighbours if u <= v}
+    for v in range(n):
+        used = {colour[u] for u in neighbours[rows[v] : rows[v + 1]] if u < v}
         c = 0
         while c in used:
             c += 1
@@ -160,7 +162,7 @@ def _build_layout(instance: ProblemInstance):
         slots = []
         for k in range(int(vertex_degree[0])):
             count = int(np.count_nonzero(vertex_degree > k))
-            at = first[vertices[:count]] + k
+            at = indptr[vertices[:count]] + k
             slots.append((count, position[dst[at]], weight[at]))
         classes.append((lo, hi, tuple(slots)))
     return order, tuple(classes)

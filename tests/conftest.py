@@ -1,8 +1,9 @@
-"""Shared helpers: random instances and deliberately naive evaluators.
+"""Shared helpers: random instances, neighbour lists and deliberately
+naive evaluators.
 
 The naive evaluators iterate the full vertex-pair weight matrix, with
-no shortcuts, so they share no code path with the package's
-edge-array evaluators.
+no shortcuts, and the neighbour lists are built from ``edges`` here, so
+neither shares a code path with the package's edge-array code.
 """
 
 import numpy as np
@@ -23,6 +24,16 @@ def random_instance(rng, n, edge_prob=0.5, max_weight=5, name=""):
 
 def random_config(rng, n):
     return tuple(int(s) for s in rng.choice((-1, 1), size=n))
+
+
+def neighbour_lists(instance):
+    """(neighbour, weight) pairs of each 1-based vertex, in edge order;
+    entry 0 is unused."""
+    lists = [[] for _ in range(instance.n + 1)]
+    for u, v, w in instance.edges:
+        lists[u].append((v, w))
+        lists[v].append((u, w))
+    return lists
 
 
 def weight_matrix(instance):

@@ -339,12 +339,38 @@ def test_read_log_rejects_torn_line_glued_to_next_record(torus, tmp_path):
 
 
 def test_appends_start_on_a_fresh_line(torus, tmp_path):
+    # a log that holds only an unterminated comment takes a new campaign
+    log = tmp_path / "campaign.log"
+    log.write_text("# greedy on torus:4x4:1")
+    config = campaign_config(num_trials=3, sweeps=10, kind=GREEDY)
+    run_campaign(torus, config, log_path=log)
+    after = log.read_text().splitlines()
+    assert after[0] == "# greedy on torus:4x4:1"
+    assert [parse_record(line).index for line in after[1:]] == [0, 1, 2]
+
+
+def test_new_campaign_refuses_a_log_that_holds_records(torus, tmp_path):
     log = tmp_path / "campaign.log"
     config = campaign_config(num_trials=3, sweeps=10, kind=GREEDY)
     run_campaign(torus, config, log_path=log)
-    lines = log.read_text().splitlines()
-    log.write_text("\n".join(lines[:2]) + "\n" + lines[2][:40])
+    before = log.read_bytes()
+    for text in (before, before[:40]):
+        log.write_bytes(text)
+        with pytest.raises(ValueError, match=f"log {log} already holds records; pass --resume"):
+            run_campaign(torus, config, log_path=log)
+        assert log.read_bytes() == text
+    # blank and comment lines hold no records
+    log.write_text("\n# notes\n\n")
     run_campaign(torus, config, log_path=log)
-    after = log.read_text().splitlines()
-    assert after[:3] == lines[:2] + [lines[2][:40]]
-    assert [parse_record(line).index for line in after[3:]] == [0, 1, 2]
+    assert len(read_log(log)) == 3
+
+
+def test_parse_record_rejects_unknown_fields():
+    line = format_record(make_record(0, 5))
+    with pytest.raises(ValueError, match="record has unknown field bogus"):
+        parse_record(line.replace(" format=2", " bogus=7 format=2"))
+    # a record from another log format gets the format message first
+    with pytest.raises(ValueError, match="log format '3'"):
+        parse_record(line.replace(" format=2", " bogus=7 format=3"))
+    with pytest.raises(ValueError, match="log format 1"):
+        parse_record(line.replace(" format=2", " bogus=7"))

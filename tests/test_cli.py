@@ -272,6 +272,35 @@ def test_campaign_resume_flag(tmp_path, capsys):
     assert len(log.read_text().splitlines()) == 10
 
 
+def test_campaign_without_resume_refuses_a_log_with_records(tmp_path, capsys):
+    cfg = campaign_config_file(tmp_path)
+    log = tmp_path / "run.log"
+    assert main(["campaign", str(cfg), "--log", str(log)]) == 0
+    before = log.read_bytes()
+    capsys.readouterr()
+    assert main(["campaign", str(cfg), "--log", str(log)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: log {log} already holds records; pass --resume to "
+                   "finish that campaign, or choose another log path\n")
+    assert log.read_bytes() == before
+    assert main(["report", str(log)]) == 0
+    # an empty log is still fine
+    empty = tmp_path / "empty.log"
+    empty.write_text("")
+    assert main(["campaign", str(cfg), "--log", str(empty)]) == 0
+    assert len(read_log(empty)) == 10
+
+
+def test_report_refuses_a_record_with_an_unknown_field(tmp_path, capsys):
+    cfg = campaign_config_file(tmp_path)
+    log = tmp_path / "run.log"
+    assert main(["campaign", str(cfg), "--log", str(log)]) == 0
+    capsys.readouterr()
+    log.write_text(log.read_text().replace(" format=2", " bogus=7 format=2", 1))
+    assert main(["report", str(log)]) == 1
+    assert "record has unknown field bogus" in capsys.readouterr().err
+
+
 def test_campaign_summary_csv(tmp_path, capsys):
     cfg = campaign_config_file(tmp_path)
     out_csv = tmp_path / "summary.csv"

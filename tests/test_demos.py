@@ -16,6 +16,19 @@ def load_demo(filename):
     return module
 
 
+def test_validate_record_solutions_demo(monkeypatch, capsys):
+    # without GSET_DIR the demo checks the bundled texts' shape only;
+    # it runs on import and asserts the synthetic round trip itself
+    monkeypatch.delenv("GSET_DIR", raising=False)
+    load_demo("01_validate_record_solutions.py")
+    out = capsys.readouterr().out
+    assert "exact optimum cut" in out
+    assert "broken string rejected: invalid hex character 'x' at position 0" in out
+    for name in ("G72", "G77", "G81"):
+        assert f"\n{name}: header=" in out
+    assert out.rstrip().endswith("see scripts/fetch_gset.py)")
+
+
 def test_published_metrics_table_demo(tmp_path, capsys):
     demo = load_demo("03_published_metrics_table.py")
     out_csv = tmp_path / "table.csv"

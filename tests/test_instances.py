@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import neighbour_lists, random_instance
+from gsetbench.cli import main
 from gsetbench.instances import (
     GsetFormatError,
     ProblemInstance,
@@ -44,11 +47,24 @@ def test_equality_ignores_name():
     assert a == b
 
 
-def test_adjacency_lists_both_directions():
-    inst = ProblemInstance.from_edges(3, [(1, 2, 5), (2, 3, -1)])
-    assert inst.adjacency[1] == ((2, 5),)
-    assert inst.adjacency[2] == ((1, 5), (3, -1))
-    assert inst.adjacency[3] == ((2, -1),)
+def test_equal_instances_hash_equal():
+    a = parse_gset("3 2\n2 1 5\n2 3 -1\n", name="a")
+    b = ProblemInstance.from_edges(3, [(1, 2, 5), (3, 2, -1)], name="b")
+    assert a == b and hash(a) == hash(b)
+    # equality is n plus the canonical edges in order
+    assert a != ProblemInstance.from_edges(3, [(2, 3, -1), (1, 2, 5)])
+    assert a != ProblemInstance.from_edges(4, [(1, 2, 5), (2, 3, -1)])
+    assert a != ProblemInstance.from_edges(3, [(1, 2, 5), (2, 3, 1)])
+
+
+def test_edge_arrays_are_canonical_zero_based_and_read_only():
+    inst = ProblemInstance.from_edges(3, [(2, 1, 5), (3, 2, -1)])
+    for array, expected in ((inst.eu, [0, 1]), (inst.ev, [1, 2]), (inst.ew, [5, -1])):
+        assert array.dtype == np.int64
+        assert array.tolist() == expected
+        assert not array.flags.writeable
+    empty = ProblemInstance.from_edges(2, [])
+    assert empty.m == 0 and empty.edges == () and empty.eu.shape == (0,)
 
 
 def test_total_weight():
@@ -95,6 +111,100 @@ def test_parse_gset_rejects_bad_counts():
         parse_gset("3 -1\n")
 
 
+# (text, message): each message and, where several faults meet, which
+# one wins; a reader in token order meets malformed and missing tokens
+# first, then the counts, then trailing tokens, then the edges
+PARSE_ERRORS = [
+    ("", "unexpected end of input while reading vertex count"),
+    ("x 1", "line 1: expected integer vertex count, got 'x'"),
+    ("3", "unexpected end of input while reading edge count"),
+    ("0\nx", "line 2: expected integer edge count, got 'x'"),
+    ("0 -1\n", "vertex count must be positive, got 0"),
+    ("3 -1\n", "edge count must be non-negative, got -1"),
+    ("3 2\n1 1 5\n2 x 1\n", "line 3: expected integer edge 2 endpoint, got 'x'"),
+    ("3 1\n1 2 5.0\n", "line 2: expected integer edge 1 weight, got '5.0'"),
+    ("# c\n3 1 # x\n\n1 q 1\n", "line 4: expected integer edge 1 endpoint, got 'q'"),
+    ("3\n1 1\n\nz 5", "line 4: expected integer edge 1 endpoint, got 'z'"),
+    ("3 2\n1 2 5\n2 3\n", "unexpected end of input while reading edge 2 weight"),
+    ("3 1000000000000\n1 2 1\n", "unexpected end of input while reading edge 2 endpoint"),
+    ("3 1\n1 2 5\n9 x 9\n", "line 3: trailing token '9' after 1 edges"),
+    ("3 1\n1 2 5 # c\n\n  oops\n", "line 4: trailing token 'oops' after 1 edges"),
+    ("3 1\n1 1 5\n7\n", "line 3: trailing token '7' after 1 edges"),
+    ("4 2\n4 4 1\n1 2 1\n", "edge 1: self-loop at vertex 4"),
+    ("3 1\n5 5 1\n", "edge 1: self-loop at vertex 5"),
+    ("3 1\n4 1 1\n", "edge 1: endpoint out of range 1..3: (4, 1)"),
+    ("3 3\n1 2 1\n2 4 1\n3 3 1\n", "edge 2: endpoint out of range 1..3: (2, 4)"),
+    ("3 3\n1 2 1\n2 1 1\n3 3 1\n", "edge 2: duplicate edge (1, 2)"),
+    ("3 3\n1 2 1\n1 2 1\n0 1 1\n", "edge 2: duplicate edge (1, 2)"),
+    ("3 3\n2 3 1\n1 0 1\n3 2 1\n", "edge 2: endpoint out of range 1..3: (1, 0)"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_gset_error_messages_and_precedence(text, message):
+    with pytest.raises(GsetFormatError) as excinfo:
+        parse_gset(text)
+    assert str(excinfo.value) == message
+
+
+def test_parse_gset_rejects_numbers_beyond_int64():
+    cases = [
+        ("3 1\n1 2 99999999999999999999\n",
+         "line 2: edge 1 weight 99999999999999999999 does not fit in 64 bits"),
+        ("3 1\n1 -9223372036854775809 1\n",
+         "line 2: edge 1 endpoint -9223372036854775809 does not fit in 64 bits"),
+        ("9223372036854775808 0\n",
+         "line 1: vertex count 9223372036854775808 does not fit in 64 bits"),
+        # a malformed token earlier in the file still wins
+        ("3 2\n1 2 x\n2 3 99999999999999999999\n",
+         "line 2: expected integer edge 1 weight, got 'x'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(GsetFormatError) as excinfo:
+            parse_gset(text)
+        assert str(excinfo.value) == message
+
+
+def test_absolute_weight_sum_must_stay_below_2_to_62():
+    limit = 2**62
+    cases = [
+        (f"3 2\n1 2 {limit}\n2 3 1\n", 1),
+        (f"3 2\n1 2 {limit // 2}\n2 3 {-limit // 2}\n", 2),
+        (f"2 1\n1 2 {-(2**63)}\n", 1),
+    ]
+    for text, edge in cases:
+        with pytest.raises(GsetFormatError) as excinfo:
+            parse_gset(text)
+        assert str(excinfo.value) == f"edge {edge}: absolute edge weights sum to 2^62 or more"
+    with pytest.raises(GsetFormatError, match="sum to 2\\^62"):
+        ProblemInstance.from_edges(3, [(1, 2, limit // 2), (2, 3, limit // 2)])
+    # just below the bound the sums stay exact
+    inst = parse_gset(f"3 2\n1 2 {limit // 2}\n2 3 {-(limit // 2 - 1)}\n")
+    assert inst.total_weight() == 1
+
+
+def test_validate_reports_an_oversized_weight_without_a_traceback(tmp_path, capsys):
+    instance = tmp_path / "big.txt"
+    instance.write_text("2 1\n1 2 99999999999999999999\n")
+    solution = tmp_path / "sol.txt"
+    solution.write_text("c\n")
+    assert main(["validate", str(instance), str(solution)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {instance}: line 2: edge 1 weight "
+                   "99999999999999999999 does not fit in 64 bits\n")
+
+
+def test_parse_gset_memory_does_not_grow_with_n():
+    tracemalloc.start()
+    try:
+        inst = parse_gset("1000000 1\n1 2 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.n == 1_000_000 and inst.m == 1
+    assert peak < 2**20
+
+
 def test_roundtrip_random_instances():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -139,7 +249,7 @@ def test_torus_structure():
         inst = generate_torus(TorusSpec(rows, cols, seed=int(rng.integers(2**32))))
         assert inst.n == rows * cols
         assert inst.m == 2 * rows * cols
-        degrees = [len(inst.adjacency[v]) for v in range(1, inst.n + 1)]
+        degrees = [len(nbrs) for nbrs in neighbour_lists(inst)[1:]]
         assert degrees == [4] * inst.n
         assert all(w in (-1, 1) for _, _, w in inst.edges)
 
@@ -147,7 +257,7 @@ def test_torus_structure():
 def test_torus_vertex_numbering():
     # 3x3: cell (r, c) is vertex (r-1)*3 + c; vertex 1 wraps to 3 and 7
     inst = generate_torus(TorusSpec(3, 3, seed=0))
-    neighbours = {v for v, _ in inst.adjacency[1]}
+    neighbours = {v for v, _ in neighbour_lists(inst)[1]}
     assert neighbours == {2, 4, 3, 7}
 
 

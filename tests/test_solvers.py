@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_config, random_instance
+from conftest import naive_cut, neighbour_lists, random_config, random_instance
 from gsetbench.evaluate import cut_value, evaluate_solution, flip_delta_cut
 from gsetbench.instances import ProblemInstance, TorusSpec, generate_torus
 from gsetbench.oracle import exact_max_cut
@@ -130,28 +130,31 @@ def reference_trial(instance, config):
 
     Colour classes from greedy colouring in vertex order, visited in
     colour order; one uniform per vertex per annealing sweep, indexed by
-    vertex; best cut checked after each class.
+    vertex; best cut checked after each class. Neighbours, cuts and the
+    cooling schedule are computed here, sharing no code with the package.
     """
     n = instance.n
+    neighbours = neighbour_lists(instance)
     colour = []
     for v in range(1, n + 1):
-        used = {colour[u - 1] for u, _ in instance.adjacency[v] if u < v}
+        used = {colour[u - 1] for u, _ in neighbours[v] if u < v}
         colour.append(min(set(range(len(used) + 1)) - used))
     classes = [[v for v in range(n) if colour[v] == c] for c in range(max(colour) + 1)]
 
     rng = np.random.default_rng(config.seed)
     spins = (rng.integers(0, 2, size=n) * 2 - 1).tolist()
-    current = cut_value(instance, spins)
+    current = naive_cut(instance, spins)
     best, best_spins = current, tuple(spins)
     annealing = config.kind == ANNEALING
     for sweep in range(config.sweeps):
         if annealing:
-            temp = _temperature(config, sweep)
+            frac = sweep / (config.sweeps - 1) if config.sweeps > 1 else 0.0
+            temp = config.temp_start * (config.temp_end / config.temp_start) ** frac
             uniforms = rng.random(n)
         flipped = False
         for members in classes:
             for v in members:
-                delta = spins[v] * sum(w * spins[j - 1] for j, w in instance.adjacency[v + 1])
+                delta = spins[v] * sum(w * spins[j - 1] for j, w in neighbours[v + 1])
                 if annealing:
                     accept = uniforms[v] < math.exp(min(delta, 0) / temp)
                 else:
