@@ -48,16 +48,16 @@ def main(argv=None):
 
     curves = {}
     for kind in (GREEDY, ANNEALING):
-        rows = run_ladder(torus, kind)
-        curves[kind] = rows
+        summaries = run_ladder(torus, kind)
+        curves[kind] = summaries
         print(kind)
-        for row in rows:
-            bar = "*" * int(row.average_cut)
-            print(f"  {row.sweeps:>5} sweeps: highest {row.highest_cut:>3} "
-                  f"average {row.average_cut:>6.2f} {bar}")
+        for s in summaries:
+            bar = "*" * int(s.average_cut)
+            print(f"  {s.sweeps_per_trial:>5} sweeps: highest {s.highest_cut:>3} "
+                  f"average {s.average_cut:>6.2f} {bar}")
         print()
 
-    greedy_highs = [row.highest_cut for row in curves[GREEDY]]
+    greedy_highs = [s.highest_cut for s in curves[GREEDY]]
     assert greedy_highs == sorted(greedy_highs), "greedy prefix guarantee violated"
     print(f"greedy highest-cut curve is non-decreasing: {greedy_highs}")
 

@@ -23,10 +23,11 @@ are ``metrics.TargetOutcome`` objects.
 from __future__ import annotations
 
 import csv
+import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from gsetbench.codec import decode_hex, encode_hex
@@ -181,18 +182,14 @@ def parse_record(line: str) -> TrialRecord:
     return record
 
 
-def _is_record(line: str) -> bool:
-    stripped = line.strip()
-    return bool(stripped) and not stripped.startswith("#")
+def _record_lines(text: str) -> list[str]:
+    """A log's record lines, stripped; blank and # lines hold none."""
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
 def read_log(path) -> list[TrialRecord]:
     """Parse all records from a log file, skipping blank and # lines."""
-    return [
-        parse_record(line.strip())
-        for line in Path(path).read_text().splitlines()
-        if _is_record(line)
-    ]
+    return [parse_record(line) for line in _record_lines(Path(path).read_text())]
 
 
 def solver_config_for_record(record: TrialRecord) -> SolverConfig:
@@ -303,52 +300,34 @@ def summarize(records, targets=()) -> CampaignSummary:
     )
 
 
-def _drop_torn_tail(path: Path) -> None:
-    """Cut an unterminated last line, a record torn by a crash, off a log."""
-    with path.open("rb+") as fh:
-        data = fh.read()
-        if not data or data.endswith(b"\n"):
-            return
-        keep = data.rfind(b"\n") + 1
-        fh.truncate(keep)
-    print(
-        f"{path}: dropped an unterminated last line ({len(data) - keep} bytes); "
-        "its trial runs again",
-        file=sys.stderr,
-    )
+def _open_log(path, resume: bool):
+    """Read a campaign log once: its records, and a handle that appends.
 
-
-class _LogWriter:
-    """Append-only record sink, flushed per batch; thread-safe.
-
-    Appends always start on a fresh line, so they never extend a line
-    that a crash left unterminated.
+    A log that holds records is refused unless the run resumes it. On
+    resume an unterminated last line, a record torn by a crash, is cut
+    off and its trial runs again. Appends start on a fresh line.
     """
-
-    def __init__(self, path):
-        self._path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
-        self._handle = None
-        if self._path is not None:
-            self._handle = self._path.open("a")
-            if self._handle.tell() > 0:
-                with self._path.open("rb") as fh:
-                    fh.seek(-1, 2)
-                    if fh.read(1) != b"\n":
-                        self._handle.write("\n")
-
-    def write(self, lines) -> None:
-        if self._handle is None:
-            return
-        text = "".join(line + "\n" for line in lines)
-        with self._lock:
-            self._handle.write(text)
-            self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+    path = Path(path)
+    data = path.read_bytes() if path.exists() else b""
+    keep = data.rfind(b"\n") + 1 if resume else len(data)
+    lines = _record_lines(data[:keep].decode())
+    if lines and not resume:
+        raise ValueError(
+            f"log {path} already holds records; pass --resume to finish "
+            "that campaign, or choose another log path"
+        )
+    records = [parse_record(line) for line in lines]
+    if keep < len(data):
+        os.truncate(path, keep)
+        print(
+            f"{path}: dropped an unterminated last line ({len(data) - keep} bytes); "
+            "its trial runs again",
+            file=sys.stderr,
+        )
+    handle = path.open("a")
+    if keep and not data[:keep].endswith(b"\n"):
+        handle.write("\n")
+    return records, handle
 
 
 def trial_record(
@@ -410,8 +389,10 @@ def run_campaign(
     With ``resume`` and an existing log, trials whose records are
     already on disk are not re-run; only the missing indices execute,
     and an unterminated last line is dropped first. Trials run in
-    batches, which ``workers`` threads share; worker count affects wall
-    time only, never the summary.
+    batches, taken in order by one loop: in the calling thread at one
+    worker, from ``workers`` pool threads otherwise. Worker count
+    affects wall time only, never the summary. An exception stops the
+    campaign once the running batches end.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
@@ -422,15 +403,10 @@ def run_campaign(
         )
 
     done: dict[int, TrialRecord] = {}
-    if not resume and log_path is not None and Path(log_path).exists():
-        if any(_is_record(line) for line in Path(log_path).read_text().splitlines()):
-            raise ValueError(
-                f"log {log_path} already holds records; pass --resume to finish "
-                "that campaign, or choose another log path"
-            )
-    if resume and log_path is not None and Path(log_path).exists():
-        _drop_torn_tail(Path(log_path))
-        for record in read_log(log_path):
+    records, log = _open_log(log_path, resume) if log_path is not None else ([], None)
+    pool = None
+    try:
+        for record in records:
             if (record.instance, record.kind, record.sweeps) != (
                 config.instance_name,
                 config.solver.kind,
@@ -462,44 +438,31 @@ def run_campaign(
                 )
             done[record.index] = record
 
-    pending = [i for i in range(config.num_trials) if i not in done]
-    batches = _batches(pending, instance.n, workers)
-    writer = _LogWriter(log_path)
-
-    def finish(records: list[TrialRecord]) -> None:
-        lines = [format_record(record) for record in records]
-        writer.write(lines)
-        for line in lines:
-            # aggregate what the log says, so a later report of the log
-            # reproduces this summary bit for bit
-            record = parse_record(line)
-            done[record.index] = record
-
-    try:
-        if workers == 1 or len(batches) <= 1:
-            for batch in batches:
-                finish(_run_batch(instance, config, batch, include_spins))
-        else:
+        pending = [i for i in range(config.num_trials) if i not in done]
+        batches = _batches(pending, instance.n, workers)
+        run = partial(_run_batch, instance, config, include_spins=include_spins)
+        if workers > 1 and len(batches) > 1:
             # numpy releases the GIL inside the kernel, so threads overlap
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_batch, instance, config, batch, include_spins)
-                    for batch in batches
-                ]
-                for future in futures:
-                    finish(future.result())
+            pool = ThreadPoolExecutor(max_workers=workers)
+        for batch in (pool.map if pool else map)(run, batches):
+            lines = [format_record(record) for record in batch]
+            if log is not None:
+                log.write("".join(line + "\n" for line in lines))
+                log.flush()
+            for line in lines:
+                # aggregate what the log says, so a later report of the log
+                # reproduces this summary bit for bit
+                record = parse_record(line)
+                done[record.index] = record
     finally:
-        writer.close()
+        if pool is not None:
+            # on any exception, Ctrl-C included, batches not yet started
+            # are dropped and the running ones finish
+            pool.shutdown(cancel_futures=True)
+        if log is not None:
+            log.close()
 
-    records = [done[i] for i in range(config.num_trials)]
-    return summarize(records, config.targets)
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    sweeps: int
-    highest_cut: int
-    average_cut: float
+    return summarize([done[i] for i in range(config.num_trials)], config.targets)
 
 
 def sweep_scan(
@@ -507,37 +470,30 @@ def sweep_scan(
     config: CampaignConfig,
     *,
     workers: int = 1,
-) -> list[ScanRow]:
-    """One full campaign per sweep-ladder entry; rows for plotting.
+) -> list[CampaignSummary]:
+    """One full campaign per sweep-ladder entry, summarized; unlogged.
 
     Every rung reuses the same master seed, so rung k's trial i is a
     budget-extended version of rung k-1's trial i.
     """
     if not config.sweep_scan:
         raise ValueError("config.sweep_scan must be a nonempty ladder")
-    rows = []
-    for sweeps in config.sweep_scan:
-        rung = replace(
-            config,
-            solver=replace(config.solver, sweeps=sweeps),
-            sweep_scan=None,
+    return [
+        run_campaign(
+            instance,
+            replace(config, solver=replace(config.solver, sweeps=sweeps), sweep_scan=None),
+            workers=workers,
         )
-        summary = run_campaign(instance, rung, workers=workers)
-        rows.append(
-            ScanRow(
-                sweeps=sweeps,
-                highest_cut=summary.highest_cut,
-                average_cut=summary.average_cut,
-            )
-        )
-    return rows
+        for sweeps in config.sweep_scan
+    ]
 
 
-def write_scan_csv(rows, stream) -> None:
+def write_scan_csv(summaries, stream) -> None:
+    """Highest and average cut per rung of a sweep scan."""
     writer = csv.writer(stream)
     writer.writerow(["sweeps", "highest_cut", "average_cut"])
-    for row in rows:
-        writer.writerow([row.sweeps, row.highest_cut, f"{row.average_cut:.10g}"])
+    for s in summaries:
+        writer.writerow([s.sweeps_per_trial, s.highest_cut, f"{s.average_cut:.10g}"])
 
 
 def decode_record_spins(record: TrialRecord, n: int) -> tuple[int, ...]:

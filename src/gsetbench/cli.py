@@ -79,17 +79,11 @@ def resolve_instance(spec: str, search_dir=None) -> ProblemInstance:
         except GsetFormatError as exc:
             raise CliError(f"{path}: {exc}") from exc
     if spec.startswith("torus:"):
-        try:
-            return generate_torus(parse_torus_name(spec))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        return generate_torus(parse_torus_name(spec))
     registry = load_registry()
     if spec in registry:
         entry = registry[spec]
-        try:
-            found = locate_instance_file(spec, search_dir)
-        except FileNotFoundError as exc:
-            raise CliError(str(exc)) from exc
+        found = locate_instance_file(spec, search_dir)
         try:
             instance = load_gset(found)
         except GsetFormatError as exc:
@@ -219,6 +213,20 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _target_spec(fields, default_confidence: float, usage: str, where: str) -> TargetSpec:
+    """A target from its LABEL CUT [CONFIDENCE] fields, for a config's
+    target line and report's --target flag alike; a wrong field count
+    reads ``usage``, a bad value ``where: <reason>``."""
+    if len(fields) not in (2, 3):
+        raise CliError(usage)
+    try:
+        cut = int(fields[1])
+        conf = float(fields[2]) if len(fields) == 3 else default_confidence
+        return TargetSpec(label=fields[0], cut=cut, confidence=conf)
+    except ValueError as exc:
+        raise CliError(f"{where}: {exc}") from exc
+
+
 def _parse_campaign_config(path: str, default_confidence: float):
     """Read the key = value campaign description.
 
@@ -236,17 +244,10 @@ def _parse_campaign_config(path: str, default_confidence: float):
             raise CliError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "target":
-            fields = value.split()
-            if len(fields) not in (2, 3):
-                raise CliError(
-                    f"{path}:{lineno}: target wants LABEL CUT [CONFIDENCE]"
-                )
-            try:
-                cut = int(fields[1])
-                conf = float(fields[2]) if len(fields) == 3 else default_confidence
-                targets.append(TargetSpec(label=fields[0], cut=cut, confidence=conf))
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: {exc}") from exc
+            targets.append(_target_spec(
+                value.split(), default_confidence,
+                f"{path}:{lineno}: target wants LABEL CUT [CONFIDENCE]", f"{path}:{lineno}",
+            ))
         elif key in values:
             raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
         else:
@@ -280,43 +281,55 @@ def _parse_campaign_config(path: str, default_confidence: float):
     return config, include_spins
 
 
-def _print_summary(summary, fmt: str) -> None:
-    if fmt == "csv":
+def _print_summary(summary, args) -> None:
+    """The summary of campaign and report: stdout in --format, then the
+    --summary-csv file if asked."""
+    if args.format == "csv":
         write_summary_csv(summary.targets, sys.stdout)
-        return
-    print(
-        f"instance={summary.instance} kind={summary.kind} "
-        f"sweeps_per_trial={summary.sweeps_per_trial} num_trials={summary.num_trials} "
-        f"highest_cut={summary.highest_cut} min_cut={summary.min_cut} "
-        f"average_cut={summary.average_cut:.10g} "
-        f"avg_trial_time_s={summary.avg_trial_time_s:.6e}"
-    )
-    for t in summary.targets:
-        if t.repetitions is None:
-            tail = "r=unreachable stt_sweeps=unreachable ttt_s=unreachable"
-        else:
-            tail = (
-                f"r={t.repetitions:.10g} stt_sweeps={t.stt_sweeps:.10g} "
-                f"ttt_s={t.ttt_s:.10g} hw_ttt_s={t.hw_ttt_s:.10g}"
-            )
+    else:
         print(
-            f"target={t.label} cut={t.cut} confidence={t.confidence:.10g} "
-            f"successes={t.successes} trials={t.trials} p_s={t.p_s:.10g} {tail}"
+            f"instance={summary.instance} kind={summary.kind} "
+            f"sweeps_per_trial={summary.sweeps_per_trial} num_trials={summary.num_trials} "
+            f"highest_cut={summary.highest_cut} min_cut={summary.min_cut} "
+            f"average_cut={summary.average_cut:.10g} "
+            f"avg_trial_time_s={summary.avg_trial_time_s:.6e}"
         )
+        for t in summary.targets:
+            if t.repetitions is None:
+                tail = "r=unreachable stt_sweeps=unreachable ttt_s=unreachable"
+            else:
+                tail = (
+                    f"r={t.repetitions:.10g} stt_sweeps={t.stt_sweeps:.10g} "
+                    f"ttt_s={t.ttt_s:.10g} hw_ttt_s={t.hw_ttt_s:.10g}"
+                )
+            print(
+                f"target={t.label} cut={t.cut} confidence={t.confidence:.10g} "
+                f"successes={t.successes} trials={t.trials} p_s={t.p_s:.10g} {tail}"
+            )
+    if args.summary_csv:
+        with open(args.summary_csv, "w", newline="") as fh:
+            write_summary_csv(summary.targets, fh)
 
 
 def cmd_campaign(args) -> int:
     config, include_spins = _parse_campaign_config(args.config, args.confidence)
-    if args.include_spins:
-        include_spins = True
+    if config.sweep_scan:
+        # a scan writes one CSV row per rung and keeps no log or targets
+        for unused, given in (("--log", args.log), ("--summary-csv", args.summary_csv),
+                              ("--resume", args.resume), ("a target line", config.targets),
+                              ("include_spins", include_spins)):
+            if given:
+                raise CliError(f"{unused} does not apply to a sweep_scan config")
+    elif args.scan_csv:
+        raise CliError("--scan-csv needs a sweep_scan config")
     instance = resolve_instance(config.instance_name, args.instance_dir)
     if config.sweep_scan:
-        rows = campaign_mod.sweep_scan(instance, config, workers=args.workers)
+        summaries = campaign_mod.sweep_scan(instance, config, workers=args.workers)
         if args.scan_csv:
             with open(args.scan_csv, "w", newline="") as fh:
-                campaign_mod.write_scan_csv(rows, fh)
+                campaign_mod.write_scan_csv(summaries, fh)
         else:
-            campaign_mod.write_scan_csv(rows, sys.stdout)
+            campaign_mod.write_scan_csv(summaries, sys.stdout)
         return 0
     summary = campaign_mod.run_campaign(
         instance,
@@ -326,23 +339,8 @@ def cmd_campaign(args) -> int:
         resume=args.resume,
         include_spins=include_spins,
     )
-    _print_summary(summary, args.format)
-    if args.summary_csv:
-        with open(args.summary_csv, "w", newline="") as fh:
-            write_summary_csv(summary.targets, fh)
+    _print_summary(summary, args)
     return 0
-
-
-def _parse_target_flag(raw: str, default_confidence: float) -> TargetSpec:
-    parts = raw.split(":")
-    if len(parts) not in (2, 3):
-        raise CliError(f"--target wants LABEL:CUT[:CONFIDENCE], got {raw!r}")
-    try:
-        cut = int(parts[1])
-        conf = float(parts[2]) if len(parts) == 3 else default_confidence
-        return TargetSpec(label=parts[0], cut=cut, confidence=conf)
-    except ValueError as exc:
-        raise CliError(f"bad --target {raw!r}: {exc}") from exc
 
 
 def cmd_report(args) -> int:
@@ -350,12 +348,12 @@ def cmd_report(args) -> int:
         records = campaign_mod.read_log(args.log)
     except (OSError, ValueError) as exc:
         raise CliError(f"{args.log}: {exc}") from exc
-    targets = tuple(_parse_target_flag(t, args.confidence) for t in args.target or ())
-    summary = campaign_mod.summarize(records, targets)
-    _print_summary(summary, args.format)
-    if args.summary_csv:
-        with open(args.summary_csv, "w", newline="") as fh:
-            write_summary_csv(summary.targets, fh)
+    targets = tuple(
+        _target_spec(raw.split(":"), args.confidence,
+                     f"--target wants LABEL:CUT[:CONFIDENCE], got {raw!r}", f"bad --target {raw!r}")
+        for raw in args.target or ()
+    )
+    _print_summary(campaign_mod.summarize(records, targets), args)
     return 0
 
 
@@ -427,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-csv", default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--include-spins", action="store_true")
     p.add_argument("--confidence", type=float, default=DEFAULT_CONFIDENCE)
     add_common(p)
     p.set_defaults(func=cmd_campaign)

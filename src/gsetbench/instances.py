@@ -7,6 +7,7 @@ Gset layout: a header line ``n m`` followed by m lines ``u v w``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -20,6 +21,9 @@ class GsetFormatError(ValueError):
 # The solvers sum every edge weight twice in int64, so the absolute
 # weights of one instance must sum to less than this.
 _WEIGHT_SUM_LIMIT = 2**62
+
+# A Gset number: optionally signed ASCII decimal digits.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -142,12 +146,11 @@ def parse_gset(text: str, name: str = "") -> ProblemInstance:
         )
         if k >= len(tokens):
             raise GsetFormatError(f"unexpected end of input while reading {what}")
-        try:
-            value = int(tokens[k])
-        except ValueError:
+        if not _DECIMAL.fullmatch(tokens[k]):
             raise GsetFormatError(
                 f"line {line_of(k)}: expected integer {what}, got {tokens[k]!r}"
-            ) from None
+            )
+        value = int(tokens[k])
         if not -(2**63) <= value < 2**63:
             raise GsetFormatError(f"line {line_of(k)}: {what} {tokens[k]} does not fit in 64 bits")
         return value
@@ -159,11 +162,14 @@ def parse_gset(text: str, name: str = "") -> ProblemInstance:
         raise GsetFormatError(f"edge count must be non-negative, got {m}")
     end = 2 + 3 * m
     try:
+        # numpy's conversion, like int(), also reads "1_0" and non-ASCII
+        # digits, which the token reader refuses; ASCII without "_" has neither
+        if not text.isascii() or "_" in text:
+            raise ValueError
         values = np.array(tokens[2:end], dtype=np.int64).reshape(m, 3)
     except (ValueError, OverflowError):
         # a malformed, oversized or missing edge token: the first one raises
-        for k in range(2, min(end, len(tokens)) + 1):
-            integer(k)
+        values = np.array([integer(k) for k in range(2, end)], dtype=np.int64).reshape(m, 3)
     if len(tokens) > end:
         raise GsetFormatError(
             f"line {line_of(end)}: trailing token {tokens[end]!r} after {m} edges"

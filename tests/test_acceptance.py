@@ -287,14 +287,14 @@ def test_criterion_7_sweep_ladder_shape():
         master_seed=99,
         sweep_scan=(10, 30, 100, 300),
     )
-    rows = sweep_scan(torus, config)
-    highs = [row.highest_cut for row in rows]
+    summaries = sweep_scan(torus, config)
+    highs = [s.highest_cut for s in summaries]
     assert highs == sorted(highs)
-    for row in rows:
-        assert row.highest_cut >= row.average_cut
+    for s in summaries:
+        assert s.highest_cut >= s.average_cut
     print(
         "PASS criterion 7: highest cut non-decreasing over ladder "
-        f"{[row.sweeps for row in rows]} -> {highs}, highest >= average everywhere"
+        f"{[s.sweeps_per_trial for s in summaries]} -> {highs}, highest >= average everywhere"
     )
 
 

@@ -1,13 +1,14 @@
 import csv
 import io
 import sys
+import time
 from dataclasses import replace
 
 import pytest
 
+from gsetbench import campaign
 from gsetbench.campaign import (
     CampaignConfig,
-    ScanRow,
     TrialRecord,
     decode_record_spins,
     format_record,
@@ -201,6 +202,38 @@ def test_parallel_batches_on_a_fresh_instance_equal_serial():
     assert parallel.deterministic_fields() == serial.deterministic_fields()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_batch_stops_the_campaign(torus, tmp_path, monkeypatch, workers):
+    # one trial per batch; trial 3 fails and the batches after it are
+    # slow, so the pool cannot start more than one per worker meanwhile
+    monkeypatch.setattr(campaign, "_BATCH_SPINS", torus.n)
+    index_of = {mix_seed(777, i): i for i in range(12)}
+    started = []
+    run_trials = campaign.run_trials
+
+    def failing_at_trial_3(instance, configs):
+        (index,) = [index_of[config.seed] for config in configs]
+        started.append(index)
+        if index == 3:
+            raise RuntimeError("trial 3 failed")
+        if index > 3:
+            time.sleep(0.2)
+        return run_trials(instance, configs)
+
+    monkeypatch.setattr(campaign, "run_trials", failing_at_trial_3)
+    log = tmp_path / "campaign.log"
+    config = campaign_config()
+    with pytest.raises(RuntimeError, match="trial 3 failed"):
+        run_campaign(torus, config, log_path=log, workers=workers)
+    assert len(started) <= 3 + 1 + workers
+    assert [record.index for record in read_log(log)] == [0, 1, 2]
+
+    monkeypatch.setattr(campaign, "run_trials", run_trials)
+    resumed = run_campaign(torus, config, log_path=log, workers=workers, resume=True)
+    assert resumed.deterministic_fields() == run_campaign(torus, config).deterministic_fields()
+    assert sorted(record.index for record in read_log(log)) == list(range(12))
+
+
 def test_rerun_reproduces_summary(torus):
     config = campaign_config()
     a = run_campaign(torus, config)
@@ -284,11 +317,12 @@ def test_include_spins_logs_decodable_configs(torus, tmp_path):
 
 def test_sweep_scan_shape(torus):
     config = campaign_config(num_trials=8, kind=GREEDY, sweep_scan=(2, 4, 8))
-    rows = sweep_scan(torus, config)
-    assert [r.sweeps for r in rows] == [2, 4, 8]
-    for row in rows:
-        assert row.highest_cut >= row.average_cut
-    highs = [r.highest_cut for r in rows]
+    summaries = sweep_scan(torus, config)
+    assert [s.sweeps_per_trial for s in summaries] == [2, 4, 8]
+    for s in summaries:
+        assert s.num_trials == 8
+        assert s.highest_cut >= s.average_cut
+    highs = [s.highest_cut for s in summaries]
     assert highs == sorted(highs)
 
 
@@ -298,11 +332,17 @@ def test_sweep_scan_requires_ladder(torus):
 
 
 def test_scan_csv_roundtrip():
-    rows = [ScanRow(10, 14, 10.3), ScanRow(30, 15, 11.0)]
+    summaries = [
+        summarize([make_record(i, cut, sweeps=sweeps) for i, cut in enumerate(cuts)])
+        for sweeps, cuts in ((10, (14, 7, 10)), (30, (15, 7)))
+    ]
     buf = io.StringIO()
-    write_scan_csv(rows, buf)
+    write_scan_csv(summaries, buf)
     parsed = list(csv.DictReader(io.StringIO(buf.getvalue())))
-    assert parsed[0] == {"sweeps": "10", "highest_cut": "14", "average_cut": "10.3"}
+    assert parsed == [
+        {"sweeps": "10", "highest_cut": "14", "average_cut": "10.33333333"},
+        {"sweeps": "30", "highest_cut": "15", "average_cut": "11"},
+    ]
 
 
 def test_summary_csv_has_target_rows(torus):

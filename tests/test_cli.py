@@ -209,12 +209,13 @@ def test_solve_prints_the_campaign_log_line(tmp_path, capsys, kind, temps, inclu
         f"instance = torus:4x4:1\nkind = {kind}\nsweeps = 30\n"
         "num_trials = 5\nmaster_seed = 777\n"
         + ("temp_start = 2.5\n" if temps else "")
+        + ("include_spins = true\n" if include_spins else "")
     )
     log = tmp_path / "run.log"
-    spins = ["--include-spins"] if include_spins else []
-    assert main(["campaign", str(cfg), "--log", str(log)] + spins) == 0
+    assert main(["campaign", str(cfg), "--log", str(log)]) == 0
     index = 3
     capsys.readouterr()
+    spins = ["--include-spins"] if include_spins else []
     assert main(["solve", "torus:4x4:1", "--kind", kind, "--sweeps", "30",
                  "--seed", str(mix_seed(777, index))] + temps + spins) == 0
     solved = capsys.readouterr().out.split()
@@ -313,18 +314,40 @@ def test_campaign_summary_csv(tmp_path, capsys):
 
 def test_campaign_scan_csv(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
-    cfg.write_text(
-        "instance = torus:4x4:1\n"
-        "kind = greedy_local_search\n"
-        "sweeps = 1\n"
-        "num_trials = 6\n"
-        "master_seed = 5\n"
-        "sweep_scan = 2, 4, 8\n"
-    )
+    cfg.write_text(SCAN_CONFIG)
     assert main(["campaign", str(cfg)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "sweeps,highest_cut,average_cut"
     assert len(out) == 4
+
+
+SCAN_CONFIG = (
+    "instance = torus:4x4:1\nkind = greedy_local_search\nsweeps = 1\n"
+    "num_trials = 6\nmaster_seed = 5\nsweep_scan = 2, 4, 8\n"
+)
+
+
+@pytest.mark.parametrize("extra, flags, message", [
+    ("", ["--log", "run.log"], "--log does not apply to a sweep_scan config"),
+    ("", ["--summary-csv", "s.csv"], "--summary-csv does not apply to a sweep_scan config"),
+    ("", ["--resume"], "--resume does not apply to a sweep_scan config"),
+    ("target = opt 10\n", [], "a target line does not apply to a sweep_scan config"),
+    ("include_spins = true\n", [], "include_spins does not apply to a sweep_scan config"),
+])
+def test_scan_refuses_what_it_would_ignore(tmp_path, monkeypatch, capsys, extra, flags, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scan.cfg").write_text(SCAN_CONFIG + extra)
+    assert main(["campaign", "scan.cfg"] + flags) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.cfg"]
+
+
+def test_scan_csv_needs_a_ladder(tmp_path, capsys):
+    cfg = campaign_config_file(tmp_path)
+    scan = tmp_path / "scan.csv"
+    assert main(["campaign", str(cfg), "--scan-csv", str(scan)]) == 1
+    assert capsys.readouterr() == ("", "error: --scan-csv needs a sweep_scan config\n")
+    assert not scan.exists()
 
 
 def test_campaign_bad_config_lines(tmp_path, capsys):
@@ -335,6 +358,42 @@ def test_campaign_bad_config_lines(tmp_path, capsys):
     cfg.write_text("instance = torus:4x4:1\nkind = greedy_local_search\nsweeps = 5\n")
     assert main(["campaign", str(cfg)]) == 1
     assert "num_trials" in capsys.readouterr().err
+
+
+# (fields, config message after "{cfg}:7: ", --target message): a target
+# line and a --target flag read the same fields, each with its own text
+TARGET_ERRORS = [
+    (["opt"], "target wants LABEL CUT [CONFIDENCE]",
+     "--target wants LABEL:CUT[:CONFIDENCE], got 'opt'"),
+    (["opt", "10", "0.9", "x"], "target wants LABEL CUT [CONFIDENCE]",
+     "--target wants LABEL:CUT[:CONFIDENCE], got 'opt:10:0.9:x'"),
+    (["opt", "1.5"], "invalid literal for int() with base 10: '1.5'",
+     "bad --target 'opt:1.5': invalid literal for int() with base 10: '1.5'"),
+    (["opt", "x", "2"], "invalid literal for int() with base 10: 'x'",
+     "bad --target 'opt:x:2': invalid literal for int() with base 10: 'x'"),
+    (["opt", "10", "1.5"], "confidence must be in (0, 1), got 1.5",
+     "bad --target 'opt:10:1.5': confidence must be in (0, 1), got 1.5"),
+    (["opt", "10", "0"], "confidence must be in (0, 1), got 0.0",
+     "bad --target 'opt:10:0': confidence must be in (0, 1), got 0.0"),
+    (["opt", "10", "1"], "confidence must be in (0, 1), got 1.0",
+     "bad --target 'opt:10:1': confidence must be in (0, 1), got 1.0"),
+    (["opt", "10", "high"], "could not convert string to float: 'high'",
+     "bad --target 'opt:10:high': could not convert string to float: 'high'"),
+]
+
+
+@pytest.mark.parametrize("fields, config_message, flag_message", TARGET_ERRORS)
+def test_bad_targets_exit_one_with_their_message(tmp_path, capsys, fields,
+                                                 config_message, flag_message):
+    cfg = campaign_config_file(tmp_path, "target = " + " ".join(fields) + "\n")
+    assert main(["campaign", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}:7: {config_message}\n")
+    good = campaign_config_file(tmp_path)
+    log = tmp_path / "run.log"
+    assert main(["campaign", str(good), "--log", str(log)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(log), "--target", ":".join(fields)]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag_message}\n")
 
 
 def test_report_rejects_mixed_log(tmp_path, capsys):

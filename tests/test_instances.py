@@ -94,6 +94,13 @@ def test_parse_gset_rejects_garbage_token():
         parse_gset("3 1\n1 x 5\n")
 
 
+def test_parse_gset_reads_signed_decimals_in_non_ascii_text():
+    expected = ProblemInstance.from_edges(3, [(1, 2, 5), (2, 3, -1)])
+    # a non-ASCII separator sends the text through the token reader
+    assert parse_gset("3 2\n+1\u00a02 5\n2 3 -1\n") == expected
+    assert parse_gset("3 2 # café\n1 2 +5\n2 3 -1\n") == expected
+
+
 def test_parse_gset_rejects_truncation():
     with pytest.raises(GsetFormatError, match="end of input"):
         parse_gset("3 2\n1 2 5\n")
@@ -137,6 +144,13 @@ PARSE_ERRORS = [
     ("3 3\n1 2 1\n2 1 1\n3 3 1\n", "edge 2: duplicate edge (1, 2)"),
     ("3 3\n1 2 1\n1 2 1\n0 1 1\n", "edge 2: duplicate edge (1, 2)"),
     ("3 3\n2 3 1\n1 0 1\n3 2 1\n", "edge 2: endpoint out of range 1..3: (1, 0)"),
+    # only optionally signed ASCII decimals, though int() reads these
+    ("3 1\n1 2 1_0\n", "line 2: expected integer edge 1 weight, got '1_0'"),
+    ("3 1_0\n", "line 1: expected integer edge count, got '1_0'"),
+    ("٣ 1\n+1 2 -0\n", "line 1: expected integer vertex count, got '٣'"),
+    ("3 1\n１ 2 1\n", "line 2: expected integer edge 1 endpoint, got '１'"),
+    ("3 2\n1 2 5\n1 ٢ 1\n", "line 3: expected integer edge 2 endpoint, got '٢'"),
+    ("3 1\n1 2 ٥\n", "line 2: expected integer edge 1 weight, got '٥'"),
 ]
 
 
