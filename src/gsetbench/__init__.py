@@ -14,7 +14,7 @@ The package covers the full loop of working with these benchmarks:
 
 from gsetbench.instances import ProblemInstance, TorusSpec, generate_torus, parse_gset
 from gsetbench.codec import decode_hex, encode_hex, global_flip
-from gsetbench.evaluate import cut_value, flip_delta_cut, ising_energy, solution_quality
+from gsetbench.evaluate import cut_value, ising_energy, solution_quality
 
 __all__ = [
     "ProblemInstance",
@@ -25,7 +25,6 @@ __all__ = [
     "encode_hex",
     "global_flip",
     "cut_value",
-    "flip_delta_cut",
     "ising_energy",
     "solution_quality",
 ]

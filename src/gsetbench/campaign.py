@@ -97,38 +97,36 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One logged trial: enough to replay it exactly."""
+    """One logged trial: the solver config it ran, enough to replay it
+    exactly, and what it found."""
 
     index: int
     instance: str
-    kind: str
-    sweeps: int
-    seed: int
+    solver: SolverConfig
     best_cut: int
     sweeps_executed: int
     wall_time_s: float
-    temp_start: float | None = None
-    temp_end: float | None = None
     spins_hex: str | None = None
 
 
 def format_record(record: TrialRecord) -> str:
     if any(c.isspace() or c == "=" for c in record.instance):
         raise ValueError(f"instance name {record.instance!r} not loggable")
+    solver = record.solver
     parts = [
         f"index={record.index}",
         f"instance={record.instance}",
-        f"kind={record.kind}",
-        f"sweeps={record.sweeps}",
-        f"seed={record.seed}",
+        f"kind={solver.kind}",
+        f"sweeps={solver.sweeps}",
+        f"seed={solver.seed}",
         f"best_cut={record.best_cut}",
         f"sweeps_executed={record.sweeps_executed}",
         f"wall_time_s={record.wall_time_s:.6e}",
     ]
-    if record.temp_start is not None:
-        parts.append(f"temp_start={record.temp_start!r}")
-    if record.temp_end is not None:
-        parts.append(f"temp_end={record.temp_end!r}")
+    if solver.temp_start is not None:
+        parts.append(f"temp_start={solver.temp_start!r}")
+    if solver.temp_end is not None:
+        parts.append(f"temp_end={solver.temp_end!r}")
     if record.spins_hex is not None:
         parts.append(f"spins={record.spins_hex}")
     # last, so that a record cut short anywhere lacks it
@@ -136,11 +134,18 @@ def format_record(record: TrialRecord) -> str:
     return " ".join(parts)
 
 
-_RECORD_FIELDS = {"index", "instance", "kind", "sweeps", "seed", "best_cut", "sweeps_executed",
-                  "wall_time_s", "temp_start", "temp_end", "spins", "format"}
+_REQUIRED_FIELDS = ("index", "instance", "kind", "sweeps", "seed", "best_cut",
+                    "sweeps_executed", "wall_time_s")
+_RECORD_FIELDS = {*_REQUIRED_FIELDS, "temp_start", "temp_end", "spins", "format"}
 
 
 def parse_record(line: str) -> TrialRecord:
+    """A log line as a record.
+
+    A missing field, another log format and an unknown field are refused
+    in that order; then the record's SolverConfig is built, so a schedule
+    the solvers would refuse is refused when the log is read.
+    """
     fields: dict[str, str] = {}
     for tok in line.split():
         if "=" not in tok:
@@ -150,22 +155,9 @@ def parse_record(line: str) -> TrialRecord:
             # a torn line with the next record appended to it repeats keys
             raise ValueError(f"record repeats field {k}")
         fields[k] = v
-    try:
-        record = TrialRecord(
-            index=int(fields["index"]),
-            instance=fields["instance"],
-            kind=fields["kind"],
-            sweeps=int(fields["sweeps"]),
-            seed=int(fields["seed"]),
-            best_cut=int(fields["best_cut"]),
-            sweeps_executed=int(fields["sweeps_executed"]),
-            wall_time_s=float(fields["wall_time_s"]),
-            temp_start=float(fields["temp_start"]) if "temp_start" in fields else None,
-            temp_end=float(fields["temp_end"]) if "temp_end" in fields else None,
-            spins_hex=fields.get("spins"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"record is missing field {exc.args[0]}") from None
+    missing = [key for key in _REQUIRED_FIELDS if key not in fields]
+    if missing:
+        raise ValueError(f"record is missing field {missing[0]}")
     if "format" not in fields:
         raise ValueError(
             "record has no format field: it was written in log format 1, whose "
@@ -179,7 +171,20 @@ def parse_record(line: str) -> TrialRecord:
     unknown = sorted(fields.keys() - _RECORD_FIELDS)
     if unknown:
         raise ValueError(f"record has unknown field {unknown[0]}")
-    return record
+    try:
+        temps = [float(fields[k]) if k in fields else None for k in ("temp_start", "temp_end")]
+        solver = SolverConfig(fields["kind"], int(fields["sweeps"]), int(fields["seed"]), *temps)
+        return TrialRecord(
+            index=int(fields["index"]),
+            instance=fields["instance"],
+            solver=solver,
+            best_cut=int(fields["best_cut"]),
+            sweeps_executed=int(fields["sweeps_executed"]),
+            wall_time_s=float(fields["wall_time_s"]),
+            spins_hex=fields.get("spins"),
+        )
+    except ValueError as exc:
+        raise ValueError(f"trial {fields['index']}: {exc}") from None
 
 
 def _record_lines(text: str) -> list[str]:
@@ -192,19 +197,9 @@ def read_log(path) -> list[TrialRecord]:
     return [parse_record(line) for line in _record_lines(Path(path).read_text())]
 
 
-def solver_config_for_record(record: TrialRecord) -> SolverConfig:
-    return SolverConfig(
-        kind=record.kind,
-        sweeps=record.sweeps,
-        seed=record.seed,
-        temp_start=record.temp_start,
-        temp_end=record.temp_end,
-    )
-
-
 def replay_record(instance: ProblemInstance, record: TrialRecord) -> TrialResult:
     """Re-run a logged trial. best_cut must reproduce exactly."""
-    result = run_trial(instance, solver_config_for_record(record))
+    result = run_trial(instance, record.solver)
     if result.best_cut != record.best_cut:
         raise RuntimeError(
             f"replay of trial {record.index} produced best_cut={result.best_cut}, "
@@ -242,23 +237,32 @@ class CampaignSummary:
         }
 
 
+def _schedule_text(instance: str, solver: SolverConfig) -> str:
+    """An instance and a solver schedule, in the log's key=value words."""
+    words = f"instance={instance} kind={solver.kind} sweeps={solver.sweeps}"
+    if solver.temp_start is not None:
+        words += f" temp_start={solver.temp_start!r} temp_end={solver.temp_end!r}"
+    return words
+
+
 def summarize(records, targets=()) -> CampaignSummary:
     """Aggregate trial records into a campaign summary.
 
     Order-insensitive: any permutation of the same records gives the
-    same summary. Records must share one instance, solver kind and
-    sweep budget (mixing scan rungs in one summary is an error).
+    same summary. Records must share one instance and one solver
+    schedule (mixing scan rungs or campaigns in one summary is an error).
     """
     records = list(records)
     if not records:
         raise ValueError("cannot summarize an empty record set")
     first = records[0]
+    schedule = first.solver.schedule
     for r in records:
-        if (r.instance, r.kind, r.sweeps) != (first.instance, first.kind, first.sweeps):
+        if r.instance != first.instance or r.solver.schedule != schedule:
             raise ValueError(
-                "records mix campaigns: "
-                f"({r.instance}, {r.kind}, {r.sweeps}) vs "
-                f"({first.instance}, {first.kind}, {first.sweeps})"
+                f"records mix campaigns: trial {r.index} ran "
+                f"{_schedule_text(r.instance, r.solver)}, trial {first.index} ran "
+                f"{_schedule_text(first.instance, first.solver)}"
             )
     seen = set()
     for r in records:
@@ -280,7 +284,7 @@ def summarize(records, targets=()) -> CampaignSummary:
             confidence=target.confidence,
             successes=sum(1 for c in cuts if c >= target.cut),
             trials=trials,
-            sweeps_per_trial=first.sweeps,
+            sweeps_per_trial=first.solver.sweeps,
             trial_time_s=avg_time,
         )
         for target in targets
@@ -288,8 +292,8 @@ def summarize(records, targets=()) -> CampaignSummary:
 
     return CampaignSummary(
         instance=first.instance,
-        kind=first.kind,
-        sweeps_per_trial=first.sweeps,
+        kind=first.solver.kind,
+        sweeps_per_trial=first.solver.sweeps,
         num_trials=trials,
         highest_cut=max(cuts),
         min_cut=min(cuts),
@@ -341,14 +345,10 @@ def trial_record(
     return TrialRecord(
         index=index,
         instance=instance_name,
-        kind=solver.kind,
-        sweeps=solver.sweeps,
-        seed=solver.seed,
+        solver=solver,
         best_cut=result.best_cut,
         sweeps_executed=result.sweeps_executed,
         wall_time_s=result.wall_time_s,
-        temp_start=solver.temp_start,
-        temp_end=solver.temp_end,
         spins_hex=encode_hex(result.best_spins) if include_spins else None,
     )
 
@@ -406,15 +406,13 @@ def run_campaign(
     records, log = _open_log(log_path, resume) if log_path is not None else ([], None)
     pool = None
     try:
+        schedule = config.solver.schedule
         for record in records:
-            if (record.instance, record.kind, record.sweeps) != (
-                config.instance_name,
-                config.solver.kind,
-                config.solver.sweeps,
-            ):
+            if record.instance != config.instance_name or record.solver.schedule != schedule:
                 raise ValueError(
-                    f"log {log_path} belongs to a different campaign "
-                    f"({record.instance}, {record.kind}, {record.sweeps})"
+                    f"log {log_path} belongs to a different campaign (trial "
+                    f"{record.index} ran {_schedule_text(record.instance, record.solver)}, "
+                    f"this campaign runs {_schedule_text(config.instance_name, config.solver)})"
                 )
             if record.index in done:
                 raise ValueError(f"log has duplicate trial index {record.index}")
@@ -422,19 +420,11 @@ def run_campaign(
                 raise ValueError(
                     f"log trial index {record.index} outside 0..{config.num_trials - 1}"
                 )
-            if record.seed != mix_seed(config.master_seed, record.index):
+            if record.solver.seed != mix_seed(config.master_seed, record.index):
                 raise ValueError(
                     f"log {log_path} belongs to a different campaign "
                     f"(trial {record.index} seed does not derive from "
                     f"master seed {config.master_seed})"
-                )
-            if (record.temp_start, record.temp_end) != (
-                config.solver.temp_start,
-                config.solver.temp_end,
-            ):
-                raise ValueError(
-                    f"log {log_path} belongs to a different campaign "
-                    f"(trial {record.index} has a different temperature schedule)"
                 )
             done[record.index] = record
 

@@ -312,12 +312,15 @@ def _print_summary(summary, args) -> None:
 
 
 def cmd_campaign(args) -> int:
-    config, include_spins = _parse_campaign_config(args.config, args.confidence)
+    confidence = DEFAULT_CONFIDENCE if args.confidence is None else args.confidence
+    config, include_spins = _parse_campaign_config(args.config, confidence)
     if config.sweep_scan:
         # a scan writes one CSV row per rung and keeps no log or targets
         for unused, given in (("--log", args.log), ("--summary-csv", args.summary_csv),
                               ("--resume", args.resume), ("a target line", config.targets),
-                              ("include_spins", include_spins)):
+                              ("include_spins", include_spins),
+                              ("--confidence", args.confidence is not None),
+                              ("--format", args.format is not None)):
             if given:
                 raise CliError(f"{unused} does not apply to a sweep_scan config")
     elif args.scan_csv:
@@ -425,9 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-csv", default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--confidence", type=float, default=DEFAULT_CONFIDENCE)
+    p.add_argument("--confidence", type=float, default=None)
     add_common(p)
-    p.set_defaults(func=cmd_campaign)
+    # None tells a given --confidence or --format from a defaulted one;
+    # they default to DEFAULT_CONFIDENCE and kv where they are read
+    p.set_defaults(func=cmd_campaign, format=None)
 
     p = sub.add_parser("report", help="recompute a summary from a campaign log")
     p.add_argument("log")

@@ -49,21 +49,6 @@ def ising_energy(instance: ProblemInstance, spins) -> int:
     return int((instance.ew * s[instance.eu] * s[instance.ev]).sum())
 
 
-def flip_delta_cut(instance: ProblemInstance, spins, k: int) -> int:
-    """Change in cut value if variable k (1-based) were flipped.
-
-    Evaluated on the pre-flip spins: delta = s_k * sum_{j in N(k)} w_kj * s_j.
-    Accepts any indexable spins container; no copy is made.
-    """
-    if not (1 <= k <= instance.n):
-        raise ValueError(f"variable {k} out of range 1..{instance.n}")
-    v = k - 1
-    at = (instance.eu == v) | (instance.ev == v)
-    # the far end of an edge at v is the sum of its endpoints minus v
-    far = (instance.eu[at] + instance.ev[at] - v).tolist()
-    return spins[v] * sum(w * spins[j] for j, w in zip(far, instance.ew[at].tolist()))
-
-
 def solution_quality(cut: int, best_known: int) -> float:
     """Cut value as a fraction of the best known cut."""
     if best_known <= 0:

@@ -94,31 +94,43 @@ def builtin_registry() -> dict[str, RegistryEntry]:
     return {e.name: e for e in _BUILTIN}
 
 
+def _historic_cut(row) -> HistoricalCut:
+    if not isinstance(row, list) or len(row) != 3:
+        raise ValueError(f"historic_cuts rows are [method, year, cut], got {row!r}")
+    return HistoricalCut(method=str(row[0]), year=int(row[1]), cut=int(row[2]))
+
+
 def load_registry() -> dict[str, RegistryEntry]:
     """Builtin registry, with GSETBENCH_REGISTRY JSON entries merged on top.
 
     The JSON file maps instance name to an object with keys n, m and
-    best_cut, and optional best_energy and historic_cuts.
+    best_cut, and optional best_energy and historic_cuts (rows of
+    method, year, cut). A malformed file raises one ValueError naming
+    the file and the entry.
     """
     reg = builtin_registry()
     override = os.environ.get("GSETBENCH_REGISTRY")
     if override:
         raw = json.loads(Path(override).read_text())
+        if not isinstance(raw, dict) or not all(isinstance(row, dict) for row in raw.values()):
+            raise ValueError(f"{override}: expected an object mapping names to objects")
         for name, row in raw.items():
-            history = tuple(
-                HistoricalCut(method=str(h[0]), year=int(h[1]), cut=int(h[2]))
-                for h in row.get("historic_cuts", ())
-            )
-            reg[name] = RegistryEntry(
-                name=name,
-                n=int(row["n"]),
-                m=int(row["m"]),
-                best_cut=int(row["best_cut"]),
-                best_energy=None
-                if row.get("best_energy") is None
-                else int(row["best_energy"]),
-                historic_cuts=history,
-            )
+            try:
+                history = tuple(map(_historic_cut, row.get("historic_cuts", ())))
+                reg[name] = RegistryEntry(
+                    name=name,
+                    n=int(row["n"]),
+                    m=int(row["m"]),
+                    best_cut=int(row["best_cut"]),
+                    best_energy=None
+                    if row.get("best_energy") is None
+                    else int(row["best_energy"]),
+                    historic_cuts=history,
+                )
+            except KeyError as exc:
+                raise ValueError(f"{override}: entry {name!r} has no {exc.args[0]!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{override}: entry {name!r}: {exc}") from None
     return reg
 
 

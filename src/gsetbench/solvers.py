@@ -70,6 +70,12 @@ class SolverConfig:
         elif self.temp_start is not None or self.temp_end is not None:
             raise ValueError("greedy local search takes no temperatures")
 
+    @property
+    def schedule(self) -> tuple:
+        """Everything but the seed: trials with equal schedules differ
+        only in their random streams."""
+        return (self.kind, self.sweeps, self.temp_start, self.temp_end)
+
 
 def default_config(
     kind: str,
@@ -187,9 +193,8 @@ def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
     if not configs:
         raise ValueError("a batch needs at least one trial")
     template = configs[0]
-    schedule = (template.kind, template.sweeps, template.temp_start, template.temp_end)
     for config in configs:
-        if (config.kind, config.sweeps, config.temp_start, config.temp_end) != schedule:
+        if config.schedule != template.schedule:
             raise ValueError("trials in one batch must share their config apart from the seed")
     order, classes = _sweep_layout(instance)
     n, batch = instance.n, len(configs)

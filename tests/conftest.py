@@ -54,6 +54,12 @@ def naive_cut(instance, spins):
     return total
 
 
+def naive_flip_delta(w, spins, k):
+    """Change in cut if 1-based variable k flipped, from row k of the
+    weight matrix ``w``: s_k * sum_j w_kj * s_j on the pre-flip spins."""
+    return spins[k - 1] * sum(wt * s for wt, s in zip(w[k][1:], spins))
+
+
 def naive_energy(instance, spins):
     w = weight_matrix(instance)
     total = 0

@@ -16,7 +16,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import naive_cut, naive_energy, neighbour_lists, random_config, random_instance
+from conftest import (
+    naive_cut,
+    naive_energy,
+    naive_flip_delta,
+    neighbour_lists,
+    random_config,
+    random_instance,
+    weight_matrix,
+)
 from gsetbench.campaign import (
     CampaignConfig,
     read_log,
@@ -34,7 +42,6 @@ from gsetbench.codec import (
 )
 from gsetbench.evaluate import (
     cut_value,
-    flip_delta_cut,
     format_quality_percent,
     ising_energy,
     solution_quality,
@@ -199,11 +206,12 @@ def test_criterion_5_property_suite():
     # (b) delta accumulation vs recomputation on 1,000-flip walks
     for _ in range(20):
         inst = random_instance(rng, int(rng.integers(4, 25)))
+        w = weight_matrix(inst)
         spins = list(random_config(rng, inst.n))
         running = cut_value(inst, spins)
         for step in range(1, 1001):
             k = int(rng.integers(1, inst.n + 1))
-            running += flip_delta_cut(inst, spins, k)
+            running += naive_flip_delta(w, spins, k)
             spins[k - 1] = -spins[k - 1]
             if step % 100 == 0:
                 assert running == cut_value(inst, spins)

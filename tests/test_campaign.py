@@ -23,21 +23,17 @@ from gsetbench.campaign import (
 )
 from gsetbench.instances import TorusSpec, generate_torus
 from gsetbench.metrics import TargetSpec, write_summary_csv
-from gsetbench.solvers import ANNEALING, GREEDY, default_config
+from gsetbench.solvers import ANNEALING, GREEDY, SolverConfig, default_config
 
 
 def make_record(index, cut, sweeps=50, time=0.001, **kw):
     return TrialRecord(
         index=index,
         instance="torus:4x4:1",
-        kind=ANNEALING,
-        sweeps=sweeps,
-        seed=mix_seed(1, index),
+        solver=SolverConfig(ANNEALING, sweeps, mix_seed(1, index), 3.0, 0.05),
         best_cut=cut,
         sweeps_executed=sweeps,
         wall_time_s=time,
-        temp_start=3.0,
-        temp_end=0.05,
         **kw,
     )
 
@@ -85,7 +81,7 @@ def test_record_roundtrip():
     record = make_record(3, 9, spins_hex="c318")
     assert parse_record(format_record(record)) == record
     bare = TrialRecord(
-        index=0, instance="g", kind=GREEDY, sweeps=5, seed=7,
+        index=0, instance="g", solver=SolverConfig(GREEDY, 5, 7),
         best_cut=4, sweeps_executed=2, wall_time_s=0.5,
     )
     assert parse_record(format_record(bare)) == bare
@@ -172,7 +168,7 @@ def test_run_campaign_writes_one_record_per_trial(torus, tmp_path):
     records = read_log(log)
     assert len(records) == 12
     assert sorted(r.index for r in records) == list(range(12))
-    assert {r.seed for r in records} == {mix_seed(777, i) for i in range(12)}
+    assert {r.solver.seed for r in records} == {mix_seed(777, i) for i in range(12)}
     assert summarize(records).deterministic_fields() == summary.deterministic_fields()
 
 
@@ -255,7 +251,7 @@ def test_resume_runs_only_missing_trials(torus, tmp_path):
 def test_resume_rejects_foreign_log(torus, tmp_path):
     log = tmp_path / "campaign.log"
     run_campaign(torus, campaign_config(sweeps=30), log_path=log)
-    with pytest.raises(ValueError, match="different campaign"):
+    with pytest.raises(ValueError, match="different campaign.* sweeps=30 .* sweeps=99 "):
         run_campaign(torus, campaign_config(sweeps=99), log_path=log, resume=True)
 
 
@@ -274,7 +270,8 @@ def test_resume_rejects_log_with_other_schedule(torus, tmp_path):
     config = campaign_config()
     run_campaign(torus, config, log_path=log)
     retuned = replace(config, solver=replace(config.solver, temp_start=5.0))
-    with pytest.raises(ValueError, match="temperature schedule"):
+    with pytest.raises(ValueError, match=r"different campaign \(trial 0 ran .* temp_start=3\.0 "
+                       r"temp_end=0\.05, this campaign runs .* temp_start=5\.0 temp_end=0\.05\)"):
         run_campaign(torus, retuned, log_path=log, resume=True)
 
 
@@ -297,7 +294,8 @@ def test_replay_record_reproduces_best_cut(torus, tmp_path):
 
 
 def test_replay_record_detects_tampering(torus):
-    record = replace(make_record(0, 1, sweeps=30), seed=mix_seed(777, 0))
+    record = make_record(0, 1, sweeps=30)
+    record = replace(record, solver=replace(record.solver, seed=mix_seed(777, 0)))
     with pytest.raises(RuntimeError, match="replay"):
         replay_record(torus, record)
 

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -158,7 +160,7 @@ def test_solve_prints_replayable_record(torus, capsys):
     out = capsys.readouterr().out.strip()
     assert code == 0
     record = parse_record(out)
-    assert record.kind == "simulated_annealing"
+    assert record.solver.kind == "simulated_annealing"
     assert record.spins_hex is not None
     replay_record(torus, record)
 
@@ -333,6 +335,8 @@ SCAN_CONFIG = (
     ("", ["--resume"], "--resume does not apply to a sweep_scan config"),
     ("target = opt 10\n", [], "a target line does not apply to a sweep_scan config"),
     ("include_spins = true\n", [], "include_spins does not apply to a sweep_scan config"),
+    ("", ["--confidence", "0.5"], "--confidence does not apply to a sweep_scan config"),
+    ("", ["--format", "kv"], "--format does not apply to a sweep_scan config"),
 ])
 def test_scan_refuses_what_it_would_ignore(tmp_path, monkeypatch, capsys, extra, flags, message):
     monkeypatch.chdir(tmp_path)
@@ -411,6 +415,83 @@ def test_report_rejects_mixed_log(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", str(log)]) == 1
     assert "mix" in capsys.readouterr().err
+
+
+def test_report_refuses_a_log_that_mixes_schedules(tmp_path, capsys):
+    # same instance, kind and sweeps; another temp_end and master seed
+    base = ("instance = torus:4x4:1\nkind = simulated_annealing\nsweeps = 30\n"
+            "num_trials = 6\n")
+    lines = []
+    for name, extra, kept in (("a", "master_seed = 777\n", slice(0, 3)),
+                              ("b", "master_seed = 778\ntemp_end = 0.1\n", slice(3, 6))):
+        cfg, log = tmp_path / f"{name}.cfg", tmp_path / f"{name}.log"
+        cfg.write_text(base + extra)
+        assert main(["campaign", str(cfg), "--log", str(log)]) == 0
+        lines += log.read_text().splitlines()[kept]
+    mixed = tmp_path / "mixed.log"
+    mixed.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(mixed)]) == 1
+    schedule = "instance=torus:4x4:1 kind=simulated_annealing sweeps=30 temp_start=3.0"
+    assert capsys.readouterr() == ("", (
+        f"error: records mix campaigns: trial 3 ran {schedule} temp_end=0.1, "
+        f"trial 0 ran {schedule} temp_end=0.05\n"))
+
+
+GREEDY_LINE = ("index=1 instance=torus:4x4:1 kind=greedy_local_search sweeps=10 seed=7 "
+               "best_cut=12 sweeps_executed=3 wall_time_s=1.0e-04 format=2")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("kind=greedy_local_search", "kind=bogus",
+     "unknown solver kind 'bogus', expected one of "
+     "('greedy_local_search', 'simulated_annealing')"),
+    ("kind=greedy_local_search", "kind=simulated_annealing",
+     "simulated annealing needs temp_start and temp_end"),
+    (" format=2", " temp_start=2.5 format=2", "greedy local search takes no temperatures"),
+    ("sweeps=10", "sweeps=-4", "sweeps must be positive, got -4"),
+    ("seed=7", "seed=18446744073709551616",
+     "seed must fit in 64 bits, got 18446744073709551616"),
+])
+def test_report_refuses_a_record_with_an_invalid_schedule(tmp_path, capsys, old, new, message):
+    log = tmp_path / "run.log"
+    log.write_text(GREEDY_LINE.replace("index=1", "index=0") + "\n")
+    assert main(["report", str(log)]) == 0
+    capsys.readouterr()
+    log.write_text(log.read_text() + GREEDY_LINE.replace(old, new) + "\n")
+    assert main(["report", str(log)]) == 1
+    assert capsys.readouterr() == ("", f"error: {log}: trial 1: {message}\n")
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# logs written by the format-2 code before a record held its SolverConfig,
+# with their `report` output in kv and csv, and the configs that wrote them
+FORMAT2_LOGS = {
+    "format2_annealing": "instance = torus:5x5:2\nkind = simulated_annealing\nsweeps = 4\n"
+                         "num_trials = 5\nmaster_seed = 31\ntemp_start = 2.5\n"
+                         "include_spins = true\n",
+    "format2_greedy": "instance = torus:5x5:2\nkind = greedy_local_search\nsweeps = 10\n"
+                      "num_trials = 3\nmaster_seed = 32\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT2_LOGS))
+def test_a_format_2_log_reads_back_to_the_same_summary(tmp_path, capsys, name):
+    log = DATA / f"{name}.log"
+    for fmt in ("kv", "csv"):
+        assert main(["report", str(log), "--target", "top:18", "--target", "near:16:0.9",
+                     "--format", fmt]) == 0
+        assert capsys.readouterr() == ((DATA / f"{name}.{fmt}").read_bytes().decode(), "")
+    # its config writes the same log again, apart from the wall times
+    cfg, again = tmp_path / "camp.cfg", tmp_path / "again.log"
+    cfg.write_text(FORMAT2_LOGS[name])
+    assert main(["campaign", str(cfg), "--log", str(again)]) == 0
+
+    def untimed(path):
+        return re.sub(r"wall_time_s=\S+", "", path.read_text())
+
+    assert untimed(again) == untimed(log)
 
 
 def test_project_known_values(capsys):

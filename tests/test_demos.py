@@ -1,12 +1,17 @@
-"""Demos run here end to end, with their own asserts."""
+"""Demos and the README's campaign example run here end to end."""
 
 import csv
 import importlib.util
+import shlex
 from pathlib import Path
 
 import pytest
 
+import gsetbench
+from gsetbench.cli import main
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = DEMOS.parent / "README.md"
 
 
 def load_demo(filename):
@@ -67,3 +72,23 @@ def test_sweep_ladder_demo(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [int(row["sweeps"]) for row in rows] == list(demo.LADDER)
     assert all(float(row["highest_cut"]) >= float(row["average_cut"]) for row in rows)
+
+
+def test_readme_campaign_example(tmp_path, monkeypatch, capsys):
+    # the camp.cfg block and the two commands after it, as the README gives them
+    _, rest = README.read_text().split("```ini\n# camp.cfg\n", 1)
+    config, rest = rest.split("```", 1)
+    commands = rest.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "camp.cfg").write_text(config)
+    outputs = []
+    for command in commands:
+        program, *argv = shlex.split(command, comments=True)
+        assert program == "gsetbench"
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    campaign_out, report_out = outputs
+    assert report_out == campaign_out
+    assert "num_trials=100" in campaign_out and "target=within_two" in report_out
+    # every exported name resolves
+    assert [name for name in gsetbench.__all__ if not hasattr(gsetbench, name)] == []

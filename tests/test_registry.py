@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from gsetbench.cli import main
 from gsetbench.registry import (
     HistoricalCut,
     RegistryEntry,
@@ -54,6 +56,26 @@ def test_registry_env_override(tmp_path, monkeypatch):
     assert reg["G81"].best_cut == 14_061  # override wins
     assert reg["custom"].historic_cuts[0].label == "mine (2024)"
     assert reg["G72"].best_cut == 7_008  # builtin rows survive
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"X": {"n": 16, "best_cut": 3}}, "entry 'X' has no 'm'"),
+    ({"X": {"n": 16, "m": 32, "best_cut": 3, "historic_cuts": [["m", 2000]]}},
+     "entry 'X': historic_cuts rows are [method, year, cut], got ['m', 2000]"),
+    ([{"X": {"n": 16, "m": 32, "best_cut": 3}}],
+     "expected an object mapping names to objects"),
+])
+def test_a_malformed_registry_file_is_one_clean_error(tmp_path, monkeypatch, capsys,
+                                                      payload, message):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(payload))
+    monkeypatch.setenv("GSETBENCH_REGISTRY", str(path))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_registry()
+    solution = tmp_path / "solution.txt"
+    solution.write_text("0000\n")
+    assert main(["validate", "torus:4x4:1", str(solution)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 def test_bundled_solution_texts_are_verbatim_transcriptions():
