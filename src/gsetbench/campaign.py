@@ -5,7 +5,8 @@ on one instance. Trial i gets its own seed derived from the campaign
 master seed by a fixed SplitMix64 mix, so the set of trials is the
 same regardless of worker count or execution order, campaigns are
 reproducible across runs, and any single logged trial can be re-run in
-isolation.
+isolation. The mix is a bijection, so a record's seed and index name
+its master seed too.
 
 Trials run in batches through the solvers' batched kernel. Each
 finished trial appends one self-describing key=value line to the log,
@@ -23,6 +24,7 @@ are ``metrics.TargetOutcome`` objects.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +32,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from gsetbench.codec import decode_hex, encode_hex
+from gsetbench.codec import encode_hex
 from gsetbench.instances import ProblemInstance
 from gsetbench.metrics import TargetOutcome, TargetSpec
 from gsetbench.solvers import SolverConfig, TrialResult, run_trial, run_trials
@@ -45,7 +47,11 @@ LOG_FORMAT = "2"
 _BATCH_SPINS = 1 << 18
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+_UNMIX_1 = pow(_MIX_1, -1, 1 << 64)
+_UNMIX_2 = pow(_MIX_2, -1, 1 << 64)
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -60,9 +66,21 @@ def mix_seed(master_seed: int, index: int) -> int:
     if index < 0:
         raise ValueError(f"trial index must be non-negative, got {index}")
     z = (master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK64
     return z ^ (z >> 31)
+
+
+def master_seed_of(seed: int, index: int) -> int:
+    """The master seed whose trial ``index`` gets ``seed``: the exact
+    inverse of ``mix_seed``, whose steps (an addition, xorshifts,
+    products with odd constants) are bijections of 64-bit words. A right
+    xorshift by s >= 22 is undone by xoring in the word shifted by s and 2s.
+    """
+    z = ((seed ^ (seed >> 31) ^ (seed >> 62)) * _UNMIX_2) & _MASK64
+    z = ((z ^ (z >> 27) ^ (z >> 54)) * _UNMIX_1) & _MASK64
+    z ^= (z >> 30) ^ (z >> 60)
+    return (z - (index + 1) * _SPLITMIX_GAMMA) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -107,6 +125,29 @@ class TrialRecord:
     sweeps_executed: int
     wall_time_s: float
     spins_hex: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.index < 0:
+            raise ValueError(f"trial index must be non-negative, got {self.index}")
+        if not (1 <= self.sweeps_executed <= self.solver.sweeps):
+            raise ValueError(f"sweeps_executed must be in 1..{self.solver.sweeps}, "
+                             f"got {self.sweeps_executed}")
+        if not (0.0 <= self.wall_time_s < math.inf):
+            raise ValueError(f"wall_time_s must be finite and >= 0, got {self.wall_time_s}")
+
+    @property
+    def campaign(self) -> tuple:
+        """(instance, schedule, master seed): one campaign's records share it."""
+        return self.instance, self.solver.schedule, master_seed_of(self.solver.seed, self.index)
+
+
+def _campaign_text(campaign: tuple) -> str:
+    """A campaign identity in the log's key=value words."""
+    instance, (kind, sweeps, temp_start, temp_end), master_seed = campaign
+    words = f"instance={instance} kind={kind} sweeps={sweeps}"
+    if temp_start is not None:
+        words += f" temp_start={temp_start!r} temp_end={temp_end!r}"
+    return f"{words} master_seed={master_seed}"
 
 
 def format_record(record: TrialRecord) -> str:
@@ -237,32 +278,23 @@ class CampaignSummary:
         }
 
 
-def _schedule_text(instance: str, solver: SolverConfig) -> str:
-    """An instance and a solver schedule, in the log's key=value words."""
-    words = f"instance={instance} kind={solver.kind} sweeps={solver.sweeps}"
-    if solver.temp_start is not None:
-        words += f" temp_start={solver.temp_start!r} temp_end={solver.temp_end!r}"
-    return words
-
-
 def summarize(records, targets=()) -> CampaignSummary:
     """Aggregate trial records into a campaign summary.
 
     Order-insensitive: any permutation of the same records gives the
-    same summary. Records must share one instance and one solver
-    schedule (mixing scan rungs or campaigns in one summary is an error).
+    same summary. Records must share one ``TrialRecord.campaign``:
+    mixing scan rungs or campaigns in one summary is an error.
     """
     records = list(records)
     if not records:
         raise ValueError("cannot summarize an empty record set")
     first = records[0]
-    schedule = first.solver.schedule
+    campaign = first.campaign
     for r in records:
-        if r.instance != first.instance or r.solver.schedule != schedule:
+        if r.campaign != campaign:
             raise ValueError(
-                f"records mix campaigns: trial {r.index} ran "
-                f"{_schedule_text(r.instance, r.solver)}, trial {first.index} ran "
-                f"{_schedule_text(first.instance, first.solver)}"
+                f"records mix campaigns: trial {r.index} ran {_campaign_text(r.campaign)}, "
+                f"trial {first.index} ran {_campaign_text(campaign)}"
             )
     seen = set()
     for r in records:
@@ -406,25 +438,19 @@ def run_campaign(
     records, log = _open_log(log_path, resume) if log_path is not None else ([], None)
     pool = None
     try:
-        schedule = config.solver.schedule
+        campaign = (config.instance_name, config.solver.schedule, config.master_seed)
         for record in records:
-            if record.instance != config.instance_name or record.solver.schedule != schedule:
+            if record.campaign != campaign:
                 raise ValueError(
                     f"log {log_path} belongs to a different campaign (trial "
-                    f"{record.index} ran {_schedule_text(record.instance, record.solver)}, "
-                    f"this campaign runs {_schedule_text(config.instance_name, config.solver)})"
+                    f"{record.index} ran {_campaign_text(record.campaign)}, "
+                    f"this campaign runs {_campaign_text(campaign)})"
                 )
             if record.index in done:
                 raise ValueError(f"log has duplicate trial index {record.index}")
-            if not (0 <= record.index < config.num_trials):
+            if record.index >= config.num_trials:
                 raise ValueError(
                     f"log trial index {record.index} outside 0..{config.num_trials - 1}"
-                )
-            if record.solver.seed != mix_seed(config.master_seed, record.index):
-                raise ValueError(
-                    f"log {log_path} belongs to a different campaign "
-                    f"(trial {record.index} seed does not derive from "
-                    f"master seed {config.master_seed})"
                 )
             done[record.index] = record
 
@@ -484,10 +510,3 @@ def write_scan_csv(summaries, stream) -> None:
     writer.writerow(["sweeps", "highest_cut", "average_cut"])
     for s in summaries:
         writer.writerow([s.sweeps_per_trial, s.highest_cut, f"{s.average_cut:.10g}"])
-
-
-def decode_record_spins(record: TrialRecord, n: int) -> tuple[int, ...]:
-    """Spins stored in a record, if the campaign logged them."""
-    if record.spins_hex is None:
-        raise ValueError(f"trial {record.index} was logged without spins")
-    return decode_hex(record.spins_hex, n)

@@ -32,8 +32,11 @@ class ProblemInstance:
     the input's edge order, 0-based endpoints ``eu < ev`` and weights ``ew``.
 
     It is built from (u, v, w) triples with 1-based endpoints in either
-    order, as a sequence or an (m, 3) integer array, checked once.
-    Equality and hashing compare n and the edges; ``name`` is a label.
+    order, as a sequence or an (m, 3) integer array, checked once:
+    endpoints are normalised to u < v, and self-loops, endpoints outside
+    1..n and duplicate edges (in either orientation) are rejected with
+    distinct messages. Equality and hashing compare n and the edges;
+    ``name`` is a label.
     """
 
     n: int
@@ -48,13 +51,6 @@ class ProblemInstance:
         eu, ev, ew = _canonical_edges(n, edges)
         for key, value in zip(("n", "eu", "ev", "ew", "name"), (int(n), eu, ev, ew, name)):
             object.__setattr__(self, key, value)
-
-    @classmethod
-    def from_edges(cls, n: int, edges, name: str = "") -> "ProblemInstance":
-        """Same as the constructor. Endpoints in either order are normalised
-        to u < v; self-loops, endpoints outside 1..n and duplicate edges (in
-        either orientation) are rejected with distinct messages."""
-        return cls(n, edges, name=name)
 
     def _key(self) -> tuple:
         return self.n, self.eu.tobytes(), self.ev.tobytes(), self.ew.tobytes()

@@ -72,22 +72,6 @@ def repetitions_to_target(p_s: float, confidence: float = DEFAULT_CONFIDENCE) ->
     return max(1.0, math.log(1.0 - confidence) / math.log(1.0 - p_s))
 
 
-def sweeps_to_target(
-    sweeps_per_trial: int, p_s: float, confidence: float = DEFAULT_CONFIDENCE
-) -> float:
-    if sweeps_per_trial < 1:
-        raise ValueError(f"sweeps_per_trial must be positive, got {sweeps_per_trial}")
-    return sweeps_per_trial * repetitions_to_target(p_s, confidence)
-
-
-def time_to_target(
-    trial_time_s: float, p_s: float, confidence: float = DEFAULT_CONFIDENCE
-) -> float:
-    if trial_time_s <= 0:
-        raise ValueError(f"trial time must be positive, got {trial_time_s}")
-    return trial_time_s * repetitions_to_target(p_s, confidence)
-
-
 def project_hw_ttt(
     stt_sweeps: float, sweep_time_s: float = DEFAULT_HW_SWEEP_TIME_S
 ) -> float:
@@ -147,8 +131,7 @@ class TargetOutcome:
 
     @property
     def ttt_s(self) -> float | None:
-        # not time_to_target(): a log whose wall times all read 0 still
-        # reports ttt_s=0 rather than failing
+        # no positivity check: a log whose wall times all read 0 reports ttt_s=0
         r = self.repetitions
         if r is None or self.trial_time_s is None:
             return None

@@ -19,7 +19,7 @@ def random_instance(rng, n, edge_prob=0.5, max_weight=5, name=""):
                 edges.append((u, v, int(rng.integers(-max_weight, max_weight + 1))))
     if not edges:
         edges.append((1, 2, int(rng.integers(1, max_weight + 1))))
-    return ProblemInstance.from_edges(n, edges, name=name)
+    return ProblemInstance(n, edges, name=name)
 
 
 def random_config(rng, n):

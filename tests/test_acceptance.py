@@ -48,11 +48,11 @@ from gsetbench.evaluate import (
 )
 from gsetbench.instances import TorusSpec, generate_torus, load_gset
 from gsetbench.metrics import (
+    TargetOutcome,
     TargetSpec,
     project_hw_ttt,
     repetitions_to_target,
     speedup,
-    sweeps_to_target,
 )
 from gsetbench.oracle import exact_max_cut
 from gsetbench.registry import builtin_registry, locate_instance_file, solution_text
@@ -161,7 +161,7 @@ def test_criterion_3_published_metric_reproduction():
 
     checked = []
     for sweeps, successes, trials, published_stt, published_hw, figures in rows:
-        stt = sweeps_to_target(sweeps, successes / trials)
+        stt = TargetOutcome("99.9%", 0, 0.99, successes, trials, sweeps).stt_sweeps
         assert abs(stt - published_stt) / published_stt < 0.01
         hw = project_hw_ttt(stt)
         assert round_sig(hw, figures) == published_hw

@@ -1,5 +1,7 @@
 import csv
 import io
+import random
+import re
 import sys
 import time
 from dataclasses import replace
@@ -10,8 +12,8 @@ from gsetbench import campaign
 from gsetbench.campaign import (
     CampaignConfig,
     TrialRecord,
-    decode_record_spins,
     format_record,
+    master_seed_of,
     mix_seed,
     parse_record,
     read_log,
@@ -21,6 +23,7 @@ from gsetbench.campaign import (
     sweep_scan,
     write_scan_csv,
 )
+from gsetbench.codec import decode_hex
 from gsetbench.instances import TorusSpec, generate_torus
 from gsetbench.metrics import TargetSpec, write_summary_csv
 from gsetbench.solvers import ANNEALING, GREEDY, SolverConfig, default_config
@@ -57,6 +60,14 @@ def test_mix_seed_validation_and_spread():
     seeds = {mix_seed(42, i) for i in range(1000)}
     assert len(seeds) == 1000
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def test_master_seed_of_inverts_mix_seed():
+    rng = random.Random(2014)
+    pairs = [(m, i) for m in (0, 2**64 - 1) for i in (0, 2**40 + 3)]
+    pairs += [(rng.getrandbits(64), rng.randrange(2**32)) for _ in range(2000)]
+    for master, index in pairs:
+        assert master_seed_of(mix_seed(master, index), index) == master
 
 
 def test_campaign_config_validation():
@@ -162,6 +173,18 @@ def campaign_config(num_trials=12, sweeps=30, kind=ANNEALING, **kw):
     )
 
 
+# campaign_config() in the log's words
+CAMPAIGN_777 = ("instance=torus:4x4:1 kind=simulated_annealing sweeps=30 temp_start=3.0 "
+                "temp_end=0.05 master_seed=777")
+
+
+def refused_resume(log, ran, runs):
+    """The whole message of a resume refused for another campaign, as a pattern."""
+    message = (f"log {log} belongs to a different campaign (trial 0 ran {ran}, "
+               f"this campaign runs {runs})")
+    return f"^{re.escape(message)}$"
+
+
 def test_run_campaign_writes_one_record_per_trial(torus, tmp_path):
     log = tmp_path / "campaign.log"
     summary = run_campaign(torus, campaign_config(), log_path=log)
@@ -251,7 +274,8 @@ def test_resume_runs_only_missing_trials(torus, tmp_path):
 def test_resume_rejects_foreign_log(torus, tmp_path):
     log = tmp_path / "campaign.log"
     run_campaign(torus, campaign_config(sweeps=30), log_path=log)
-    with pytest.raises(ValueError, match="different campaign.* sweeps=30 .* sweeps=99 "):
+    ran = CAMPAIGN_777.replace("sweeps=30", "sweeps={}")
+    with pytest.raises(ValueError, match=refused_resume(log, ran.format(30), ran.format(99))):
         run_campaign(torus, campaign_config(sweeps=99), log_path=log, resume=True)
 
 
@@ -261,7 +285,8 @@ def test_resume_rejects_log_with_other_master_seed(torus, tmp_path):
     log = tmp_path / "campaign.log"
     run_campaign(torus, campaign_config(), log_path=log)
     other = replace(campaign_config(), master_seed=778)
-    with pytest.raises(ValueError, match="master seed"):
+    ran = CAMPAIGN_777.replace("master_seed=777", "master_seed={}")
+    with pytest.raises(ValueError, match=refused_resume(log, ran.format(777), ran.format(778))):
         run_campaign(torus, other, log_path=log, resume=True)
 
 
@@ -270,8 +295,8 @@ def test_resume_rejects_log_with_other_schedule(torus, tmp_path):
     config = campaign_config()
     run_campaign(torus, config, log_path=log)
     retuned = replace(config, solver=replace(config.solver, temp_start=5.0))
-    with pytest.raises(ValueError, match=r"different campaign \(trial 0 ran .* temp_start=3\.0 "
-                       r"temp_end=0\.05, this campaign runs .* temp_start=5\.0 temp_end=0\.05\)"):
+    ran = CAMPAIGN_777.replace("temp_start=3.0", "temp_start={}")
+    with pytest.raises(ValueError, match=refused_resume(log, ran.format(3.0), ran.format(5.0))):
         run_campaign(torus, retuned, log_path=log, resume=True)
 
 
@@ -306,11 +331,8 @@ def test_include_spins_logs_decodable_configs(torus, tmp_path):
     from gsetbench.evaluate import cut_value
 
     for record in read_log(log):
-        spins = decode_record_spins(record, torus.n)
+        spins = decode_hex(record.spins_hex, torus.n)
         assert cut_value(torus, spins) == record.best_cut
-    plain = make_record(0, 5)
-    with pytest.raises(ValueError, match="without spins"):
-        decode_record_spins(plain, torus.n)
 
 
 def test_sweep_scan_shape(torus):

@@ -417,13 +417,14 @@ def test_report_rejects_mixed_log(tmp_path, capsys):
     assert "mix" in capsys.readouterr().err
 
 
-def test_report_refuses_a_log_that_mixes_schedules(tmp_path, capsys):
-    # same instance, kind and sweeps; another temp_end and master seed
+def spliced_log(tmp_path, capsys, extra_b):
+    """Trials 0-2 of a 6-trial annealing campaign with master seed 777,
+    then trials 3-5 of the same config with ``extra_b`` added."""
     base = ("instance = torus:4x4:1\nkind = simulated_annealing\nsweeps = 30\n"
             "num_trials = 6\n")
     lines = []
     for name, extra, kept in (("a", "master_seed = 777\n", slice(0, 3)),
-                              ("b", "master_seed = 778\ntemp_end = 0.1\n", slice(3, 6))):
+                              ("b", extra_b, slice(3, 6))):
         cfg, log = tmp_path / f"{name}.cfg", tmp_path / f"{name}.log"
         cfg.write_text(base + extra)
         assert main(["campaign", str(cfg), "--log", str(log)]) == 0
@@ -431,15 +432,45 @@ def test_report_refuses_a_log_that_mixes_schedules(tmp_path, capsys):
     mixed = tmp_path / "mixed.log"
     mixed.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
+    return mixed
+
+
+def test_report_refuses_a_log_that_mixes_schedules(tmp_path, capsys):
+    # same instance, kind and sweeps; another temp_end and master seed
+    mixed = spliced_log(tmp_path, capsys, "master_seed = 778\ntemp_end = 0.1\n")
     assert main(["report", str(mixed)]) == 1
     schedule = "instance=torus:4x4:1 kind=simulated_annealing sweeps=30 temp_start=3.0"
     assert capsys.readouterr() == ("", (
-        f"error: records mix campaigns: trial 3 ran {schedule} temp_end=0.1, "
-        f"trial 0 ran {schedule} temp_end=0.05\n"))
+        f"error: records mix campaigns: trial 3 ran {schedule} temp_end=0.1 master_seed=778, "
+        f"trial 0 ran {schedule} temp_end=0.05 master_seed=777\n"))
+
+
+def test_report_refuses_a_log_that_mixes_master_seeds(tmp_path, capsys):
+    mixed = spliced_log(tmp_path, capsys, "master_seed = 778\n")
+    assert main(["report", str(mixed)]) == 1
+    schedule = ("instance=torus:4x4:1 kind=simulated_annealing sweeps=30 temp_start=3.0 "
+                "temp_end=0.05")
+    assert capsys.readouterr() == ("", (
+        f"error: records mix campaigns: trial 3 ran {schedule} master_seed=778, "
+        f"trial 0 ran {schedule} master_seed=777\n"))
 
 
 GREEDY_LINE = ("index=1 instance=torus:4x4:1 kind=greedy_local_search sweeps=10 seed=7 "
                "best_cut=12 sweeps_executed=3 wall_time_s=1.0e-04 format=2")
+
+
+def report_with_second_record(tmp_path, capsys, old, new):
+    """The error of ``report`` on a valid greedy record followed by
+    GREEDY_LINE with ``old`` replaced by ``new``, less its prefix."""
+    log = tmp_path / "run.log"
+    log.write_text(GREEDY_LINE.replace("index=1", "index=0") + "\n")
+    assert main(["report", str(log)]) == 0
+    capsys.readouterr()
+    log.write_text(log.read_text() + GREEDY_LINE.replace(old, new) + "\n")
+    assert main(["report", str(log)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {log}: ") and err.endswith("\n")
+    return err[len(f"error: {log}: "):-1]
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -454,13 +485,25 @@ GREEDY_LINE = ("index=1 instance=torus:4x4:1 kind=greedy_local_search sweeps=10 
      "seed must fit in 64 bits, got 18446744073709551616"),
 ])
 def test_report_refuses_a_record_with_an_invalid_schedule(tmp_path, capsys, old, new, message):
-    log = tmp_path / "run.log"
-    log.write_text(GREEDY_LINE.replace("index=1", "index=0") + "\n")
-    assert main(["report", str(log)]) == 0
-    capsys.readouterr()
-    log.write_text(log.read_text() + GREEDY_LINE.replace(old, new) + "\n")
-    assert main(["report", str(log)]) == 1
-    assert capsys.readouterr() == ("", f"error: {log}: trial 1: {message}\n")
+    assert report_with_second_record(tmp_path, capsys, old, new) == f"trial 1: {message}"
+
+
+# each row breaks one outcome field; a report must not average such a trial
+@pytest.mark.parametrize("old, new, message", [
+    ("index=1", "index=-1", "trial -1: trial index must be non-negative, got -1"),
+    ("sweeps_executed=3", "sweeps_executed=50",
+     "trial 1: sweeps_executed must be in 1..10, got 50"),
+    ("sweeps_executed=3", "sweeps_executed=0",
+     "trial 1: sweeps_executed must be in 1..10, got 0"),
+    ("wall_time_s=1.0e-04", "wall_time_s=-1.0",
+     "trial 1: wall_time_s must be finite and >= 0, got -1.0"),
+    ("wall_time_s=1.0e-04", "wall_time_s=nan",
+     "trial 1: wall_time_s must be finite and >= 0, got nan"),
+    ("wall_time_s=1.0e-04", "wall_time_s=inf",
+     "trial 1: wall_time_s must be finite and >= 0, got inf"),
+])
+def test_report_refuses_a_record_with_an_invalid_outcome(tmp_path, capsys, old, new, message):
+    assert report_with_second_record(tmp_path, capsys, old, new) == message
 
 
 DATA = Path(__file__).resolve().parent / "data"

@@ -22,7 +22,7 @@ from gsetbench.instances import ProblemInstance
 
 
 def test_single_edge_known_values():
-    k2 = ProblemInstance.from_edges(2, [(1, 2, 1)])
+    k2 = ProblemInstance(2, [(1, 2, 1)])
     assert cut_value(k2, (1, -1)) == 1
     assert cut_value(k2, (1, 1)) == 0
     assert ising_energy(k2, (1, -1)) == -1
@@ -30,7 +30,7 @@ def test_single_edge_known_values():
 
 
 def test_negative_weight_edge():
-    k2 = ProblemInstance.from_edges(2, [(1, 2, -3)])
+    k2 = ProblemInstance(2, [(1, 2, -3)])
     assert cut_value(k2, (1, -1)) == -3
     assert ising_energy(k2, (1, -1)) == 3
 
@@ -76,7 +76,7 @@ def test_flip_delta_matches_recomputation():
 
 
 def test_rejects_wrong_length_or_invalid_spins():
-    inst = ProblemInstance.from_edges(2, [(1, 2, 1)])
+    inst = ProblemInstance(2, [(1, 2, 1)])
     with pytest.raises(ValueError, match="2 variables"):
         cut_value(inst, (1, -1, 1))
     with pytest.raises(ValueError, match="-1 or"):
@@ -96,7 +96,7 @@ def test_format_quality_percent():
 
 
 def test_evaluation_report_kv_line():
-    inst = ProblemInstance.from_edges(2, [(1, 2, 1)], name="k2")
+    inst = ProblemInstance(2, [(1, 2, 1)], name="k2")
     report = evaluate_solution(inst, (1, -1), best_known=1)
     assert report == EvaluationReport(instance="k2", n=2, cut=1, energy=-1, quality=1.0)
     assert report.to_kv() == "instance=k2 n=2 cut=1 energy=-1 quality=100.000%"

@@ -18,57 +18,57 @@ from gsetbench.instances import (
 
 
 def test_from_edges_normalises_endpoint_order():
-    inst = ProblemInstance.from_edges(3, [(2, 1, 5), (3, 2, -1)])
+    inst = ProblemInstance(3, [(2, 1, 5), (3, 2, -1)])
     assert inst.edges == ((1, 2, 5), (2, 3, -1))
 
 
 def test_from_edges_rejects_self_loop():
     with pytest.raises(GsetFormatError, match="self-loop"):
-        ProblemInstance.from_edges(3, [(2, 2, 1)])
+        ProblemInstance(3, [(2, 2, 1)])
 
 
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(GsetFormatError, match="out of range"):
-        ProblemInstance.from_edges(3, [(1, 4, 1)])
+        ProblemInstance(3, [(1, 4, 1)])
     with pytest.raises(GsetFormatError, match="out of range"):
-        ProblemInstance.from_edges(3, [(0, 2, 1)])
+        ProblemInstance(3, [(0, 2, 1)])
 
 
 def test_from_edges_rejects_duplicates_in_either_orientation():
     with pytest.raises(GsetFormatError, match="duplicate"):
-        ProblemInstance.from_edges(3, [(1, 2, 1), (1, 2, 4)])
+        ProblemInstance(3, [(1, 2, 1), (1, 2, 4)])
     with pytest.raises(GsetFormatError, match="duplicate"):
-        ProblemInstance.from_edges(3, [(1, 2, 1), (2, 1, 4)])
+        ProblemInstance(3, [(1, 2, 1), (2, 1, 4)])
 
 
 def test_equality_ignores_name():
-    a = ProblemInstance.from_edges(2, [(1, 2, 3)], name="a")
-    b = ProblemInstance.from_edges(2, [(1, 2, 3)], name="b")
+    a = ProblemInstance(2, [(1, 2, 3)], name="a")
+    b = ProblemInstance(2, [(1, 2, 3)], name="b")
     assert a == b
 
 
 def test_equal_instances_hash_equal():
     a = parse_gset("3 2\n2 1 5\n2 3 -1\n", name="a")
-    b = ProblemInstance.from_edges(3, [(1, 2, 5), (3, 2, -1)], name="b")
+    b = ProblemInstance(3, [(1, 2, 5), (3, 2, -1)], name="b")
     assert a == b and hash(a) == hash(b)
     # equality is n plus the canonical edges in order
-    assert a != ProblemInstance.from_edges(3, [(2, 3, -1), (1, 2, 5)])
-    assert a != ProblemInstance.from_edges(4, [(1, 2, 5), (2, 3, -1)])
-    assert a != ProblemInstance.from_edges(3, [(1, 2, 5), (2, 3, 1)])
+    assert a != ProblemInstance(3, [(2, 3, -1), (1, 2, 5)])
+    assert a != ProblemInstance(4, [(1, 2, 5), (2, 3, -1)])
+    assert a != ProblemInstance(3, [(1, 2, 5), (2, 3, 1)])
 
 
 def test_edge_arrays_are_canonical_zero_based_and_read_only():
-    inst = ProblemInstance.from_edges(3, [(2, 1, 5), (3, 2, -1)])
+    inst = ProblemInstance(3, [(2, 1, 5), (3, 2, -1)])
     for array, expected in ((inst.eu, [0, 1]), (inst.ev, [1, 2]), (inst.ew, [5, -1])):
         assert array.dtype == np.int64
         assert array.tolist() == expected
         assert not array.flags.writeable
-    empty = ProblemInstance.from_edges(2, [])
+    empty = ProblemInstance(2, [])
     assert empty.m == 0 and empty.edges == () and empty.eu.shape == (0,)
 
 
 def test_total_weight():
-    inst = ProblemInstance.from_edges(3, [(1, 2, 5), (2, 3, -1)])
+    inst = ProblemInstance(3, [(1, 2, 5), (2, 3, -1)])
     assert inst.total_weight() == 4
 
 
@@ -95,7 +95,7 @@ def test_parse_gset_rejects_garbage_token():
 
 
 def test_parse_gset_reads_signed_decimals_in_non_ascii_text():
-    expected = ProblemInstance.from_edges(3, [(1, 2, 5), (2, 3, -1)])
+    expected = ProblemInstance(3, [(1, 2, 5), (2, 3, -1)])
     # a non-ASCII separator sends the text through the token reader
     assert parse_gset("3 2\n+1\u00a02 5\n2 3 -1\n") == expected
     assert parse_gset("3 2 # café\n1 2 +5\n2 3 -1\n") == expected
@@ -191,7 +191,7 @@ def test_absolute_weight_sum_must_stay_below_2_to_62():
             parse_gset(text)
         assert str(excinfo.value) == f"edge {edge}: absolute edge weights sum to 2^62 or more"
     with pytest.raises(GsetFormatError, match="sum to 2\\^62"):
-        ProblemInstance.from_edges(3, [(1, 2, limit // 2), (2, 3, limit // 2)])
+        ProblemInstance(3, [(1, 2, limit // 2), (2, 3, limit // 2)])
     # just below the bound the sums stay exact
     inst = parse_gset(f"3 2\n1 2 {limit // 2}\n2 3 {-(limit // 2 - 1)}\n")
     assert inst.total_weight() == 1
@@ -230,7 +230,7 @@ def test_total_weight_invariant_under_relabeling():
     rng = np.random.default_rng(12)
     inst = random_instance(rng, 10)
     perm = rng.permutation(10) + 1
-    relabeled = ProblemInstance.from_edges(
+    relabeled = ProblemInstance(
         10, [(int(perm[u - 1]), int(perm[v - 1]), w) for u, v, w in inst.edges]
     )
     assert relabeled.total_weight() == inst.total_weight()

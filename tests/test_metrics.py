@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -12,8 +13,6 @@ from gsetbench.metrics import (
     repetitions_to_target,
     speedup,
     success_probability,
-    sweeps_to_target,
-    time_to_target,
     write_summary_csv,
 )
 
@@ -54,12 +53,12 @@ def test_repetitions_errors():
 
 def test_sweeps_and_time_to_target_scale_repetitions():
     r = repetitions_to_target(0.66)
-    assert sweeps_to_target(80_000, 0.66) == 80_000 * r
-    assert time_to_target(0.25, 0.66) == 0.25 * r
-    with pytest.raises(ValueError):
-        sweeps_to_target(0, 0.66)
-    with pytest.raises(ValueError):
-        time_to_target(0.0, 0.66)
+    row = TargetOutcome("t", 50, 0.99, successes=66, trials=100,
+                        sweeps_per_trial=80_000, trial_time_s=0.25)
+    assert row.stt_sweeps == 80_000 * r
+    assert row.ttt_s == 0.25 * r
+    with pytest.raises(ValueError, match="sweeps_per_trial must be positive"):
+        replace(row, sweeps_per_trial=0)
 
 
 def test_hardware_projection():

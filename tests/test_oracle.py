@@ -17,28 +17,28 @@ def brute_force_max(instance):
 
 
 def test_single_edge():
-    inst = ProblemInstance.from_edges(2, [(1, 2, 1)])
+    inst = ProblemInstance(2, [(1, 2, 1)])
     cut, config = exact_max_cut(inst)
     assert cut == 1
     assert config == (1, -1)
 
 
 def test_four_cycle_is_fully_cut():
-    inst = ProblemInstance.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)])
+    inst = ProblemInstance(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)])
     cut, config = exact_max_cut(inst)
     assert cut == 4
     assert config == (1, -1, 1, -1)
 
 
 def test_triangle_cuts_two_edges():
-    inst = ProblemInstance.from_edges(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
+    inst = ProblemInstance(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
     cut, _ = exact_max_cut(inst)
     assert cut == 2
 
 
 def test_tie_break_prefers_lowest_encoding():
     # vertex 3 is isolated: both settings tie, the -1 one encodes lower
-    inst = ProblemInstance.from_edges(3, [(1, 2, 1)])
+    inst = ProblemInstance(3, [(1, 2, 1)])
     cut, config = exact_max_cut(inst)
     assert cut == 1
     assert config == (1, -1, -1)

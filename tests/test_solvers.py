@@ -128,7 +128,7 @@ def kernel_instances():
     return [
         generate_torus(TorusSpec(6, 6, seed=3)),
         generate_torus(TorusSpec(4, 5, seed=1000)),
-        ProblemInstance.from_edges(sparse.n + 2, sparse.edges),
+        ProblemInstance(sparse.n + 2, sparse.edges),
         random_instance(rng, 9),
     ]
 
