@@ -4,11 +4,13 @@ Highest and average cut as a function of trial length.
 
 Runs one full campaign per sweep budget on a fixed torus and prints
 the resulting curve, the standard way to show how solution quality
-saturates as trials get longer. Greedy local search has a strict
-budget-prefix guarantee (same seed, longer budget, never worse), so
-its highest-cut curve is non-decreasing by construction; annealing
-re-stretches its cooling schedule to the budget, so its curve is only
-statistically increasing.
+saturates as trials get longer. Every rung reuses the campaign's master
+seed, so rung k's trial i is rung k-1's trial i with a longer budget
+(``gsetbench campaign`` runs a ``sweep_scan`` config the same way).
+Greedy local search has a strict budget-prefix guarantee (same seed,
+longer budget, never worse), so its highest-cut curve is non-decreasing
+by construction; annealing re-stretches its cooling schedule to the
+budget, so its curve is only statistically increasing.
 
 Run:
     python demos/04_sweep_ladder.py [--csv out.csv]
@@ -17,8 +19,9 @@ Run:
 import argparse
 import io
 import sys
+from dataclasses import replace
 
-from gsetbench.campaign import CampaignConfig, sweep_scan, write_scan_csv
+from gsetbench.campaign import CampaignConfig, run_campaign, write_scan_csv
 from gsetbench.instances import TorusSpec, generate_torus
 from gsetbench.solvers import ANNEALING, GREEDY, default_config
 
@@ -29,12 +32,14 @@ TRIALS = 30
 def run_ladder(torus, kind):
     config = CampaignConfig(
         instance_name=torus.name,
-        solver=default_config(kind, sweeps=1, seed=0),
+        solver=default_config(kind, sweeps=LADDER[0], seed=0),
         num_trials=TRIALS,
         master_seed=1414,
-        sweep_scan=LADDER,
     )
-    return sweep_scan(torus, config, workers=4)
+    return [
+        run_campaign(torus, replace(config, solver=replace(config.solver, sweeps=sweeps)), workers=4)
+        for sweeps in LADDER
+    ]
 
 
 def main(argv=None):

@@ -88,8 +88,8 @@ class CampaignConfig:
     """What to run: instance, solver template, trial count, targets.
 
     The solver template's seed field is ignored; per-trial seeds come
-    from the master seed. ``sweep_scan`` optionally lists per-trial
-    sweep budgets for a ladder scan.
+    from the master seed. A sweep ladder is one campaign per budget,
+    each with the template's sweeps replaced and the same master seed.
     """
 
     instance_name: str
@@ -97,20 +97,12 @@ class CampaignConfig:
     num_trials: int
     master_seed: int
     targets: tuple[TargetSpec, ...] = ()
-    sweep_scan: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.num_trials < 1:
             raise ValueError(f"num_trials must be positive, got {self.num_trials}")
         if not (0 <= self.master_seed < 2**64):
             raise ValueError(f"master seed must fit in 64 bits, got {self.master_seed}")
-        if self.sweep_scan is not None:
-            if not self.sweep_scan:
-                raise ValueError("sweep_scan must be nonempty when given")
-            if any(s < 1 for s in self.sweep_scan):
-                raise ValueError("sweep_scan entries must be positive")
-            if any(b <= a for a, b in zip(self.sweep_scan, self.sweep_scan[1:])):
-                raise ValueError("sweep_scan entries must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -479,29 +471,6 @@ def run_campaign(
             log.close()
 
     return summarize([done[i] for i in range(config.num_trials)], config.targets)
-
-
-def sweep_scan(
-    instance: ProblemInstance,
-    config: CampaignConfig,
-    *,
-    workers: int = 1,
-) -> list[CampaignSummary]:
-    """One full campaign per sweep-ladder entry, summarized; unlogged.
-
-    Every rung reuses the same master seed, so rung k's trial i is a
-    budget-extended version of rung k-1's trial i.
-    """
-    if not config.sweep_scan:
-        raise ValueError("config.sweep_scan must be a nonempty ladder")
-    return [
-        run_campaign(
-            instance,
-            replace(config, solver=replace(config.solver, sweeps=sweeps), sweep_scan=None),
-            workers=workers,
-        )
-        for sweeps in config.sweep_scan
-    ]
 
 
 def write_scan_csv(summaries, stream) -> None:

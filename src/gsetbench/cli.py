@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from gsetbench import campaign as campaign_mod
@@ -107,12 +108,20 @@ def _read_text(path_arg: str) -> str:
 
 
 def _best_known_for(args, instance, header) -> int | None:
+    """--best-known, else the best cut of the first registry entry named by
+    --name, the solution header or the instance; its n and m must match."""
     if getattr(args, "best_known", None) is not None:
         return args.best_known
     registry = load_registry()
     for candidate in (getattr(args, "name", None), header.get("instance"), instance.name):
         if candidate and candidate in registry:
-            return registry[candidate].best_cut
+            entry = registry[candidate]
+            if entry.n != instance.n or entry.m != instance.m:
+                raise CliError(
+                    f"cannot score against {candidate}: registry has n={entry.n} "
+                    f"m={entry.m}, instance has n={instance.n} m={instance.m}"
+                )
+            return entry.best_cut
     return None
 
 
@@ -165,9 +174,9 @@ def cmd_validate(args) -> int:
     --substitute or --expect-cut."""
     instance = resolve_instance(args.instance, args.instance_dir)
     spins, header, notes = _decode_solution(args, instance)
+    best_known = _best_known_for(args, instance, header)
     for note in notes:
         print(note)
-    best_known = _best_known_for(args, instance, header)
     report = evaluate_solution(instance, spins, best_known=best_known)
     _print_report(report, args.format)
     if args.expect_cut is not None:
@@ -227,13 +236,20 @@ def _target_spec(fields, default_confidence: float, usage: str, where: str) -> T
         raise CliError(f"{where}: {exc}") from exc
 
 
-def _parse_campaign_config(path: str, default_confidence: float):
-    """Read the key = value campaign description.
+_CONFIG_KEYS = {"instance", "kind", "sweeps", "temp_start", "temp_end", "num_trials",
+                "master_seed", "sweep_scan", "include_spins"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
-    Keys: instance, kind, sweeps, temp_start, temp_end, num_trials,
-    master_seed, sweep_scan (comma separated), include_spins, and one
-    ``target = LABEL CUT [CONFIDENCE]`` line per target.
+
+def _parse_campaign_config(args):
+    """Read the key = value campaign config ``args.config`` and check it
+    with the campaign flags. Keys are ``_CONFIG_KEYS``, unknown ones
+    refused, plus one ``target = LABEL CUT [CONFIDENCE]`` line per target.
+    Returns (config, include_spins, ladder); the sweep_scan ladder is None
+    for a plain campaign and replaces ``sweeps`` in a scan.
     """
+    path = args.config
+    confidence = DEFAULT_CONFIDENCE if args.confidence is None else args.confidence
     values: dict[str, str] = {}
     targets: list[TargetSpec] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -245,9 +261,11 @@ def _parse_campaign_config(path: str, default_confidence: float):
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "target":
             targets.append(_target_spec(
-                value.split(), default_confidence,
+                value.split(), confidence,
                 f"{path}:{lineno}: target wants LABEL CUT [CONFIDENCE]", f"{path}:{lineno}",
             ))
+        elif key not in _CONFIG_KEYS:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         elif key in values:
             raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
         else:
@@ -260,25 +278,43 @@ def _parse_campaign_config(path: str, default_confidence: float):
 
     try:
         kind = need("kind")
-        sweeps = int(need("sweeps"))
-        temp_start = float(values["temp_start"]) if "temp_start" in values else None
-        temp_end = float(values["temp_end"]) if "temp_end" in values else None
-        solver = default_config(kind, sweeps, 0, temp_start, temp_end)
-        scan = None
+        ladder = None
         if "sweep_scan" in values:
-            scan = tuple(int(tok) for tok in values["sweep_scan"].replace(",", " ").split())
+            ladder = tuple(int(tok) for tok in values["sweep_scan"].replace(",", " ").split())
+            if not ladder:
+                raise ValueError("sweep_scan must be nonempty when given")
+            if any(s < 1 for s in ladder):
+                raise ValueError("sweep_scan entries must be positive")
+            if any(b <= a for a, b in zip(ladder, ladder[1:])):
+                raise ValueError("sweep_scan entries must be strictly increasing")
+        sweeps = ladder[0] if ladder else int(need("sweeps"))
+        temps = [float(values[k]) if k in values else None for k in ("temp_start", "temp_end")]
         config = campaign_mod.CampaignConfig(
             instance_name=need("instance"),
-            solver=solver,
+            solver=default_config(kind, sweeps, 0, *temps),
             num_trials=int(need("num_trials")),
             master_seed=int(need("master_seed")),
             targets=tuple(targets),
-            sweep_scan=scan,
         )
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    include_spins = values.get("include_spins", "false").lower() in ("1", "true", "yes")
-    return config, include_spins
+    include_spins = _BOOLEANS.get(values.get("include_spins", "false").lower())
+    if include_spins is None:
+        raise CliError(f"{path}: include_spins must be true or false, "
+                       f"got {values['include_spins']!r}")
+
+    if ladder:
+        # a scan writes one CSV row per rung and keeps no log or targets
+        for unused, given in (("--log", args.log), ("--summary-csv", args.summary_csv),
+                              ("--resume", args.resume), ("a target line", targets),
+                              ("include_spins", include_spins), ("sweeps", "sweeps" in values),
+                              ("--confidence", args.confidence is not None),
+                              ("--format", args.format is not None)):
+            if given:
+                raise CliError(f"{unused} does not apply to a sweep_scan config")
+    elif args.scan_csv:
+        raise CliError("--scan-csv needs a sweep_scan config")
+    return config, include_spins, ladder
 
 
 def _print_summary(summary, args) -> None:
@@ -312,22 +348,13 @@ def _print_summary(summary, args) -> None:
 
 
 def cmd_campaign(args) -> int:
-    confidence = DEFAULT_CONFIDENCE if args.confidence is None else args.confidence
-    config, include_spins = _parse_campaign_config(args.config, confidence)
-    if config.sweep_scan:
-        # a scan writes one CSV row per rung and keeps no log or targets
-        for unused, given in (("--log", args.log), ("--summary-csv", args.summary_csv),
-                              ("--resume", args.resume), ("a target line", config.targets),
-                              ("include_spins", include_spins),
-                              ("--confidence", args.confidence is not None),
-                              ("--format", args.format is not None)):
-            if given:
-                raise CliError(f"{unused} does not apply to a sweep_scan config")
-    elif args.scan_csv:
-        raise CliError("--scan-csv needs a sweep_scan config")
+    config, include_spins, ladder = _parse_campaign_config(args)
     instance = resolve_instance(config.instance_name, args.instance_dir)
-    if config.sweep_scan:
-        summaries = campaign_mod.sweep_scan(instance, config, workers=args.workers)
+    if ladder:
+        # one unlogged campaign per rung, all under one master seed, so
+        # rung k's trial i is rung k-1's trial i with a longer budget
+        rungs = [replace(config, solver=replace(config.solver, sweeps=s)) for s in ladder]
+        summaries = [campaign_mod.run_campaign(instance, c, workers=args.workers) for c in rungs]
         if args.scan_csv:
             with open(args.scan_csv, "w", newline="") as fh:
                 campaign_mod.write_scan_csv(summaries, fh)

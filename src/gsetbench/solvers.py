@@ -104,7 +104,6 @@ class TrialResult:
     best_spins: tuple[int, ...]
     sweeps_executed: int
     wall_time_s: float
-    seed: int
 
 
 def _temperature(config: SolverConfig, sweep_index: int) -> float:
@@ -271,9 +270,8 @@ def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
             best_spins=tuple(row.tolist()),
             sweeps_executed=int(executed),
             wall_time_s=wall,
-            seed=config.seed,
         )
-        for config, cut, row, executed in zip(configs, final_cut, by_vertex, sweeps_executed)
+        for cut, row, executed in zip(final_cut, by_vertex, sweeps_executed)
     ]
 
 

@@ -12,6 +12,7 @@ to run the bit-exact validation end to end.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from gsetbench.campaign import (
     read_log,
     replay_record,
     run_campaign,
-    sweep_scan,
 )
 from gsetbench.codec import (
     HexDecodeError,
@@ -290,12 +290,12 @@ def test_criterion_7_sweep_ladder_shape():
     torus = generate_torus(TorusSpec(5, 5, seed=3))
     config = CampaignConfig(
         instance_name=torus.name,
-        solver=default_config(GREEDY, 1, seed=0),
+        solver=default_config(GREEDY, 10, seed=0),
         num_trials=20,
         master_seed=99,
-        sweep_scan=(10, 30, 100, 300),
     )
-    summaries = sweep_scan(torus, config)
+    summaries = [run_campaign(torus, replace(config, solver=replace(config.solver, sweeps=s)))
+                 for s in (10, 30, 100, 300)]
     highs = [s.highest_cut for s in summaries]
     assert highs == sorted(highs)
     for s in summaries:

@@ -20,7 +20,6 @@ from gsetbench.campaign import (
     replay_record,
     run_campaign,
     summarize,
-    sweep_scan,
     write_scan_csv,
 )
 from gsetbench.codec import decode_hex
@@ -76,16 +75,6 @@ def test_campaign_config_validation():
         CampaignConfig(instance_name="x", solver=solver, num_trials=0, master_seed=1)
     with pytest.raises(ValueError, match="64 bits"):
         CampaignConfig(instance_name="x", solver=solver, num_trials=1, master_seed=-1)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        CampaignConfig(
-            instance_name="x", solver=solver, num_trials=1, master_seed=1,
-            sweep_scan=(10, 10),
-        )
-    with pytest.raises(ValueError, match="nonempty"):
-        CampaignConfig(
-            instance_name="x", solver=solver, num_trials=1, master_seed=1,
-            sweep_scan=(),
-        )
 
 
 def test_record_roundtrip():
@@ -336,19 +325,16 @@ def test_include_spins_logs_decodable_configs(torus, tmp_path):
 
 
 def test_sweep_scan_shape(torus):
-    config = campaign_config(num_trials=8, kind=GREEDY, sweep_scan=(2, 4, 8))
-    summaries = sweep_scan(torus, config)
+    # a ladder is one campaign per budget under one master seed
+    config = campaign_config(num_trials=8, kind=GREEDY)
+    summaries = [run_campaign(torus, replace(config, solver=replace(config.solver, sweeps=s)))
+                 for s in (2, 4, 8)]
     assert [s.sweeps_per_trial for s in summaries] == [2, 4, 8]
     for s in summaries:
         assert s.num_trials == 8
         assert s.highest_cut >= s.average_cut
     highs = [s.highest_cut for s in summaries]
     assert highs == sorted(highs)
-
-
-def test_sweep_scan_requires_ladder(torus):
-    with pytest.raises(ValueError, match="ladder"):
-        sweep_scan(torus, campaign_config())
 
 
 def test_scan_csv_roundtrip():

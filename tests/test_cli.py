@@ -85,6 +85,41 @@ def test_validate_fail_exit_code(tmp_path, torus, capsys):
     assert "cut=0" in out
 
 
+G81_MISMATCH = ("error: cannot score against G81: registry has n=20000 m=40000, "
+                "instance has n=16 m=32\n")
+
+
+@pytest.mark.parametrize("source", ["header", "name", "file-stem"])
+def test_validate_refuses_a_registry_entry_of_another_size(tmp_path, torus, torus_file,
+                                                           capsys, source):
+    _, config = exact_max_cut(torus)
+    sol = tmp_path / "sol.txt"
+    header = "# instance=G81 n=16\n" if source == "header" else ""
+    sol.write_text(header + encode_hex(config) + "\n")
+    instance, flags = str(torus_file), []
+    if source == "name":
+        flags = ["--name", "G81"]
+    elif source == "file-stem":
+        instance = str(tmp_path / "G81.txt")
+        Path(instance).write_text(torus_file.read_text())
+    assert main(["validate", instance, str(sol)] + flags) == 1
+    assert capsys.readouterr() == ("", G81_MISMATCH)
+    # --best-known is taken as given
+    assert main(["validate", instance, str(sol), "--best-known", "10"] + flags) == 0
+    assert "quality=100.000%" in capsys.readouterr().out
+
+
+def test_validate_scores_against_a_matching_registry_entry(tmp_path, torus, torus_file,
+                                                           capsys, monkeypatch):
+    reg_path = tmp_path / "reg.json"
+    reg_path.write_text(json.dumps({"tiny": {"n": 16, "m": 32, "best_cut": 10}}))
+    monkeypatch.setenv("GSETBENCH_REGISTRY", str(reg_path))
+    _, config = exact_max_cut(torus)
+    sol = solution_file(tmp_path, torus, config)
+    assert main(["validate", str(torus_file), str(sol), "--name", "tiny"]) == 0
+    assert "quality=100.000%" in capsys.readouterr().out
+
+
 def test_validate_header_n_mismatch(tmp_path, torus, capsys):
     sol = tmp_path / "sol.txt"
     sol.write_text("# instance=other n=9\nffff\n")
@@ -165,17 +200,19 @@ def test_solve_prints_replayable_record(torus, capsys):
     replay_record(torus, record)
 
 
+PLAIN_CONFIG = (
+    "instance = torus:4x4:1\n"
+    "kind = simulated_annealing\n"
+    "sweeps = 30\n"
+    "num_trials = 10\n"
+    "master_seed = 777\n"
+    "target = optimum 10\n"
+)
+
+
 def campaign_config_file(tmp_path, extra=""):
     path = tmp_path / "camp.cfg"
-    path.write_text(
-        "instance = torus:4x4:1\n"
-        "kind = simulated_annealing\n"
-        "sweeps = 30\n"
-        "num_trials = 10\n"
-        "master_seed = 777\n"
-        "target = optimum 10\n"
-        + extra
-    )
+    path.write_text(PLAIN_CONFIG + extra)
     return path
 
 
@@ -323,10 +360,8 @@ def test_campaign_scan_csv(tmp_path, capsys):
     assert len(out) == 4
 
 
-SCAN_CONFIG = (
-    "instance = torus:4x4:1\nkind = greedy_local_search\nsweeps = 1\n"
-    "num_trials = 6\nmaster_seed = 5\nsweep_scan = 2, 4, 8\n"
-)
+SCAN_BASE = "instance = torus:4x4:1\nkind = greedy_local_search\nnum_trials = 6\nmaster_seed = 5\n"
+SCAN_CONFIG = SCAN_BASE + "sweep_scan = 2, 4, 8\n"
 
 
 @pytest.mark.parametrize("extra, flags, message", [
@@ -352,6 +387,43 @@ def test_scan_csv_needs_a_ladder(tmp_path, capsys):
     assert main(["campaign", str(cfg), "--scan-csv", str(scan)]) == 1
     assert capsys.readouterr() == ("", "error: --scan-csv needs a sweep_scan config\n")
     assert not scan.exists()
+
+
+# (config text, flags, message with {cfg} for the config path)
+READER_ERRORS = {
+    "unknown-key": (PLAIN_CONFIG + "temp_strat = 9.0\n", ["--log", "run.log"],
+                    "{cfg}:7: unknown key 'temp_strat'"),
+    "include_spin": (PLAIN_CONFIG + "include_spin = true\n", ["--log", "run.log"],
+                     "{cfg}:7: unknown key 'include_spin'"),
+    "include_spins-maybe": (PLAIN_CONFIG + "include_spins = maybe\n", ["--log", "run.log"],
+                            "{cfg}: include_spins must be true or false, got 'maybe'"),
+    "scan-sweeps": (SCAN_CONFIG + "sweeps = 999999\n", [],
+                    "sweeps does not apply to a sweep_scan config"),
+    "empty-ladder": (SCAN_BASE + "sweep_scan =\n", [],
+                     "{cfg}: sweep_scan must be nonempty when given"),
+    "ladder-0-5": (SCAN_BASE + "sweep_scan = 0 5\n", [],
+                   "{cfg}: sweep_scan entries must be positive"),
+    "ladder-5-5": (SCAN_BASE + "sweep_scan = 5 5\n", [],
+                   "{cfg}: sweep_scan entries must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("text, flags, message", READER_ERRORS.values(), ids=READER_ERRORS)
+def test_campaign_reader_refuses(tmp_path, monkeypatch, capsys, text, flags, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "camp.cfg").write_text(text)
+    assert main(["campaign", "camp.cfg"] + flags) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(cfg='camp.cfg')}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["camp.cfg"]
+
+
+@pytest.mark.parametrize("word, logged", [("1", True), ("TRUE", True), ("Yes", True),
+                                          ("0", False), ("False", False), ("no", False)])
+def test_include_spins_spellings(tmp_path, capsys, word, logged):
+    cfg = campaign_config_file(tmp_path, f"include_spins = {word}\n")
+    log = tmp_path / "run.log"
+    assert main(["campaign", str(cfg), "--log", str(log)]) == 0
+    assert all((r.spins_hex is not None) == logged for r in read_log(log))
 
 
 def test_campaign_bad_config_lines(tmp_path, capsys):

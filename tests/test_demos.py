@@ -74,21 +74,38 @@ def test_sweep_ladder_demo(tmp_path):
     assert all(float(row["highest_cut"]) >= float(row["average_cut"]) for row in rows)
 
 
-def test_readme_campaign_example(tmp_path, monkeypatch, capsys):
-    # the camp.cfg block and the two commands after it, as the README gives them
-    _, rest = README.read_text().split("```ini\n# camp.cfg\n", 1)
+def run_readme_example(config_name, tmp_path, monkeypatch, capsys):
+    """Write the README's ``config_name`` block to tmp_path and run the
+    commands of the sh block after it there; their config and stdouts."""
+    _, rest = README.read_text().split(f"```ini\n# {config_name}\n", 1)
     config, rest = rest.split("```", 1)
     commands = rest.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "camp.cfg").write_text(config)
+    (tmp_path / config_name).write_text(config)
     outputs = []
     for command in commands:
         program, *argv = shlex.split(command, comments=True)
         assert program == "gsetbench"
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out)
-    campaign_out, report_out = outputs
+    return config, outputs
+
+
+def test_readme_campaign_example(tmp_path, monkeypatch, capsys):
+    # the camp.cfg block and the two commands after it, as the README gives them
+    _, (campaign_out, report_out) = run_readme_example("camp.cfg", tmp_path, monkeypatch, capsys)
     assert report_out == campaign_out
     assert "num_trials=100" in campaign_out and "target=within_two" in report_out
     # every exported name resolves
     assert [name for name in gsetbench.__all__ if not hasattr(gsetbench, name)] == []
+
+
+def test_readme_scan_example(tmp_path, monkeypatch, capsys):
+    # a scan config has no sweeps line; its stdout is the scan CSV
+    config, (out,) = run_readme_example("scan.cfg", tmp_path, monkeypatch, capsys)
+    assert "sweeps =" not in config
+    ladder = [int(tok) for tok in config.split("sweep_scan =", 1)[1].split()]
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["sweeps", "highest_cut", "average_cut"]
+    assert [int(row[0]) for row in rows[1:]] == ladder
+    assert all(int(row[1]) >= float(row[2]) for row in rows[1:])
