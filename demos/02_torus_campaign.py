@@ -29,7 +29,6 @@ def main():
     # probe campaigns on this instance (600 annealing trials of up to
     # 10,000 sweeps, under three cooling schedules) never exceed 46
     config = CampaignConfig(
-        instance_name=torus.name,
         solver=default_config(ANNEALING, sweeps=200, seed=0),
         num_trials=100,
         master_seed=8675309,

@@ -31,7 +31,6 @@ TRIALS = 30
 
 def run_ladder(torus, kind):
     config = CampaignConfig(
-        instance_name=torus.name,
         solver=default_config(kind, sweeps=LADDER[0], seed=0),
         num_trials=TRIALS,
         master_seed=1414,

@@ -85,14 +85,14 @@ def master_seed_of(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """What to run: instance, solver template, trial count, targets.
+    """What to run on the instance ``run_campaign`` is given: solver
+    template, trial count, targets.
 
     The solver template's seed field is ignored; per-trial seeds come
     from the master seed. A sweep ladder is one campaign per budget,
     each with the template's sweeps replaced and the same master seed.
     """
 
-    instance_name: str
     solver: SolverConfig
     num_trials: int
     master_seed: int
@@ -142,9 +142,13 @@ def _campaign_text(campaign: tuple) -> str:
     return f"{words} master_seed={master_seed}"
 
 
+def _check_loggable(instance_name: str) -> None:
+    if any(c.isspace() or c == "=" for c in instance_name):
+        raise ValueError(f"instance name {instance_name!r} not loggable")
+
+
 def format_record(record: TrialRecord) -> str:
-    if any(c.isspace() or c == "=" for c in record.instance):
-        raise ValueError(f"instance name {record.instance!r} not loggable")
+    _check_loggable(record.instance)
     solver = record.solver
     parts = [
         f"index={record.index}",
@@ -388,7 +392,7 @@ def _run_batch(
     ]
     results = run_trials(instance, solvers)
     return [
-        trial_record(i, config.instance_name, solver, result, include_spins)
+        trial_record(i, instance.name, solver, result, include_spins)
         for i, solver, result in zip(indices, solvers, results)
     ]
 
@@ -416,21 +420,18 @@ def run_campaign(
     batches, taken in order by one loop: in the calling thread at one
     worker, from ``workers`` pool threads otherwise. Worker count
     affects wall time only, never the summary. An exception stops the
-    campaign once the running batches end.
+    campaign once the running batches end. Records carry
+    ``instance.name``; a name the log cannot hold is refused first.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    if config.instance_name and instance.name and config.instance_name != instance.name:
-        raise ValueError(
-            f"config names instance {config.instance_name!r} "
-            f"but got {instance.name!r}"
-        )
+    _check_loggable(instance.name)
 
     done: dict[int, TrialRecord] = {}
     records, log = _open_log(log_path, resume) if log_path is not None else ([], None)
     pool = None
     try:
-        campaign = (config.instance_name, config.solver.schedule, config.master_seed)
+        campaign = (instance.name, config.solver.schedule, config.master_seed)
         for record in records:
             if record.campaign != campaign:
                 raise ValueError(

@@ -73,32 +73,27 @@ def human_time(seconds: float) -> str:
 
 def resolve_instance(spec: str, search_dir=None) -> ProblemInstance:
     """Instance from a path, a torus:RxC:SEED label, or a registry name."""
-    path = Path(spec)
-    if path.exists():
-        try:
-            return load_gset(path)
-        except GsetFormatError as exc:
-            raise CliError(f"{path}: {exc}") from exc
-    if spec.startswith("torus:"):
-        return generate_torus(parse_torus_name(spec))
-    registry = load_registry()
-    if spec in registry:
-        entry = registry[spec]
-        found = locate_instance_file(spec, search_dir)
-        try:
-            instance = load_gset(found)
-        except GsetFormatError as exc:
-            raise CliError(f"{found}: {exc}") from exc
-        if instance.n != entry.n or instance.m != entry.m:
+    path, entry = Path(spec), None
+    if not path.exists():
+        if spec.startswith("torus:"):
+            return generate_torus(parse_torus_name(spec))
+        entry = load_registry().get(spec)
+        if entry is None:
             raise CliError(
-                f"{found}: expected n={entry.n} m={entry.m} for {spec}, "
-                f"file has n={instance.n} m={instance.m}"
+                f"cannot resolve instance {spec!r}: not a file, not torus:RxC:SEED, "
+                "not a registered name"
             )
-        return instance
-    raise CliError(
-        f"cannot resolve instance {spec!r}: not a file, not torus:RxC:SEED, "
-        "not a registered name"
-    )
+        path = locate_instance_file(spec, search_dir)
+    try:
+        instance = load_gset(path)
+    except GsetFormatError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    if entry is not None and (instance.n, instance.m) != (entry.n, entry.m):
+        raise CliError(
+            f"{path}: expected n={entry.n} m={entry.m} for {spec}, "
+            f"file has n={instance.n} m={instance.m}"
+        )
+    return instance
 
 
 def _read_text(path_arg: str) -> str:
@@ -215,25 +210,28 @@ def cmd_solve(args) -> int:
     config = default_config(args.kind, args.sweeps, args.seed,
                             args.temp_start, args.temp_end)
     result = run_trial(instance, config)
-    record = campaign_mod.trial_record(
-        0, instance.name or args.instance, config, result, args.include_spins
-    )
+    record = campaign_mod.trial_record(0, instance.name, config, result, args.include_spins)
     print(campaign_mod.format_record(record))
     return 0
 
 
-def _target_spec(fields, default_confidence: float, usage: str, where: str) -> TargetSpec:
-    """A target from its LABEL CUT [CONFIDENCE] fields, for a config's
-    target line and report's --target flag alike; a wrong field count
-    reads ``usage``, a bad value ``where: <reason>``."""
+def _add_target(targets: list[TargetSpec], fields, default_confidence: float,
+                usage: str, where: str) -> None:
+    """Append the target of LABEL CUT [CONFIDENCE] ``fields`` to ``targets``,
+    for a config's target lines and report's --target flags alike; a wrong
+    field count reads ``usage``, a bad value or a label already in
+    ``targets`` ``where: <reason>``."""
     if len(fields) not in (2, 3):
         raise CliError(usage)
     try:
         cut = int(fields[1])
         conf = float(fields[2]) if len(fields) == 3 else default_confidence
-        return TargetSpec(label=fields[0], cut=cut, confidence=conf)
+        target = TargetSpec(label=fields[0], cut=cut, confidence=conf)
     except ValueError as exc:
         raise CliError(f"{where}: {exc}") from exc
+    if any(t.label == target.label for t in targets):
+        raise CliError(f"{where}: duplicate target label {target.label!r}")
+    targets.append(target)
 
 
 _CONFIG_KEYS = {"instance", "kind", "sweeps", "temp_start", "temp_end", "num_trials",
@@ -245,8 +243,9 @@ def _parse_campaign_config(args):
     """Read the key = value campaign config ``args.config`` and check it
     with the campaign flags. Keys are ``_CONFIG_KEYS``, unknown ones
     refused, plus one ``target = LABEL CUT [CONFIDENCE]`` line per target.
-    Returns (config, include_spins, ladder); the sweep_scan ladder is None
-    for a plain campaign and replaces ``sweeps`` in a scan.
+    Returns (instance, config, include_spins, ladder); the instance is
+    resolved last, after every other check, and the sweep_scan ladder is
+    None for a plain campaign and replaces ``sweeps`` in a scan.
     """
     path = args.config
     confidence = DEFAULT_CONFIDENCE if args.confidence is None else args.confidence
@@ -260,10 +259,9 @@ def _parse_campaign_config(args):
             raise CliError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "target":
-            targets.append(_target_spec(
-                value.split(), confidence,
-                f"{path}:{lineno}: target wants LABEL CUT [CONFIDENCE]", f"{path}:{lineno}",
-            ))
+            where = f"{path}:{lineno}"
+            _add_target(targets, value.split(), confidence,
+                        f"{where}: target wants LABEL CUT [CONFIDENCE]", where)
         elif key not in _CONFIG_KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         elif key in values:
@@ -289,8 +287,8 @@ def _parse_campaign_config(args):
                 raise ValueError("sweep_scan entries must be strictly increasing")
         sweeps = ladder[0] if ladder else int(need("sweeps"))
         temps = [float(values[k]) if k in values else None for k in ("temp_start", "temp_end")]
+        instance_spec = need("instance")
         config = campaign_mod.CampaignConfig(
-            instance_name=need("instance"),
             solver=default_config(kind, sweeps, 0, *temps),
             num_trials=int(need("num_trials")),
             master_seed=int(need("master_seed")),
@@ -314,7 +312,7 @@ def _parse_campaign_config(args):
                 raise CliError(f"{unused} does not apply to a sweep_scan config")
     elif args.scan_csv:
         raise CliError("--scan-csv needs a sweep_scan config")
-    return config, include_spins, ladder
+    return resolve_instance(instance_spec, args.instance_dir), config, include_spins, ladder
 
 
 def _print_summary(summary, args) -> None:
@@ -348,8 +346,7 @@ def _print_summary(summary, args) -> None:
 
 
 def cmd_campaign(args) -> int:
-    config, include_spins, ladder = _parse_campaign_config(args)
-    instance = resolve_instance(config.instance_name, args.instance_dir)
+    instance, config, include_spins, ladder = _parse_campaign_config(args)
     if ladder:
         # one unlogged campaign per rung, all under one master seed, so
         # rung k's trial i is rung k-1's trial i with a longer budget
@@ -378,11 +375,10 @@ def cmd_report(args) -> int:
         records = campaign_mod.read_log(args.log)
     except (OSError, ValueError) as exc:
         raise CliError(f"{args.log}: {exc}") from exc
-    targets = tuple(
-        _target_spec(raw.split(":"), args.confidence,
-                     f"--target wants LABEL:CUT[:CONFIDENCE], got {raw!r}", f"bad --target {raw!r}")
-        for raw in args.target or ()
-    )
+    targets: list[TargetSpec] = []
+    for raw in args.target or ():
+        _add_target(targets, raw.split(":"), args.confidence,
+                    f"--target wants LABEL:CUT[:CONFIDENCE], got {raw!r}", f"bad --target {raw!r}")
     _print_summary(campaign_mod.summarize(records, targets), args)
     return 0
 

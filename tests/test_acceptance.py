@@ -264,7 +264,6 @@ def test_criterion_6_desk_scale_campaign():
     torus = generate_torus(TorusSpec(4, 4, seed=1))
     optimum, _ = exact_max_cut(torus)
     config = CampaignConfig(
-        instance_name=torus.name,
         solver=default_config(ANNEALING, 50, seed=0),
         num_trials=100,
         master_seed=20250814,
@@ -289,7 +288,6 @@ def test_criterion_6_desk_scale_campaign():
 def test_criterion_7_sweep_ladder_shape():
     torus = generate_torus(TorusSpec(5, 5, seed=3))
     config = CampaignConfig(
-        instance_name=torus.name,
         solver=default_config(GREEDY, 10, seed=0),
         num_trials=20,
         master_seed=99,
@@ -313,7 +311,6 @@ def test_criterion_8_log_lines_replay_exactly(tmp_path):
         # one log per campaign: a log that holds records takes no new campaign
         log = tmp_path / f"{kind}.log"
         config = CampaignConfig(
-            instance_name=torus.name,
             solver=default_config(kind, sweeps, seed=0),
             num_trials=6,
             master_seed=4242,

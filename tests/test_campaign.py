@@ -23,7 +23,7 @@ from gsetbench.campaign import (
     write_scan_csv,
 )
 from gsetbench.codec import decode_hex
-from gsetbench.instances import TorusSpec, generate_torus
+from gsetbench.instances import ProblemInstance, TorusSpec, generate_torus
 from gsetbench.metrics import TargetSpec, write_summary_csv
 from gsetbench.solvers import ANNEALING, GREEDY, SolverConfig, default_config
 
@@ -72,9 +72,9 @@ def test_master_seed_of_inverts_mix_seed():
 def test_campaign_config_validation():
     solver = default_config(GREEDY, 10, seed=0)
     with pytest.raises(ValueError, match="num_trials"):
-        CampaignConfig(instance_name="x", solver=solver, num_trials=0, master_seed=1)
+        CampaignConfig(solver=solver, num_trials=0, master_seed=1)
     with pytest.raises(ValueError, match="64 bits"):
-        CampaignConfig(instance_name="x", solver=solver, num_trials=1, master_seed=-1)
+        CampaignConfig(solver=solver, num_trials=1, master_seed=-1)
 
 
 def test_record_roundtrip():
@@ -154,7 +154,6 @@ def torus():
 
 def campaign_config(num_trials=12, sweeps=30, kind=ANNEALING, **kw):
     return CampaignConfig(
-        instance_name="torus:4x4:1",
         solver=default_config(kind, sweeps, seed=0),
         num_trials=num_trials,
         master_seed=777,
@@ -195,7 +194,6 @@ def test_parallel_batches_on_a_fresh_instance_equal_serial():
     # more workers than cores, frequent thread switches, and a layout
     # that the first batches must build while the others wait
     config = CampaignConfig(
-        instance_name="torus:6x6:2",
         solver=default_config(ANNEALING, 10, seed=0),
         num_trials=24,
         master_seed=5,
@@ -289,15 +287,16 @@ def test_resume_rejects_log_with_other_schedule(torus, tmp_path):
         run_campaign(torus, retuned, log_path=log, resume=True)
 
 
-def test_campaign_rejects_instance_name_mismatch(torus):
-    config = CampaignConfig(
-        instance_name="torus:9x9:9",
-        solver=default_config(GREEDY, 5, seed=0),
-        num_trials=2,
-        master_seed=1,
-    )
-    with pytest.raises(ValueError, match="names instance"):
-        run_campaign(torus, config)
+@pytest.mark.parametrize("name", ["my t44", "a=b"])
+def test_campaign_refuses_an_unloggable_instance_name_before_any_trial(torus, tmp_path,
+                                                                       monkeypatch, name):
+    # a file's stem names its instance, and a stem may hold a space
+    monkeypatch.setattr(campaign, "run_trials", lambda *a: pytest.fail("a trial ran"))
+    log = tmp_path / "campaign.log"
+    named = ProblemInstance(torus.n, torus.edges, name=name)
+    with pytest.raises(ValueError, match=re.escape(f"instance name {name!r} not loggable")):
+        run_campaign(named, campaign_config(), log_path=log)
+    assert not log.exists()
 
 
 def test_replay_record_reproduces_best_cut(torus, tmp_path):

@@ -237,30 +237,41 @@ def _timing_free_tokens(output):
     ]
 
 
+SOLVE_KINDS = (("greedy_local_search", []), ("simulated_annealing", ["--temp-start", "2.5"]))
+# (the instance as the config and the solve line spell it, the name its
+# records carry, id prefix); the canonical spelling's rows are named by kind
+SPELLINGS = (("torus:4x4:1", "torus:4x4:1", ""), ("t44.txt", "t44", "path-"),
+             ("torus:04x4:1", "torus:4x4:1", "padded-"))
+
+
 @pytest.mark.parametrize("include_spins", [False, True])
-@pytest.mark.parametrize(
-    "kind, temps",
-    [("greedy_local_search", []), ("simulated_annealing", ["--temp-start", "2.5"])],
-)
-def test_solve_prints_the_campaign_log_line(tmp_path, capsys, kind, temps, include_spins):
-    cfg = tmp_path / "camp.cfg"
-    cfg.write_text(
-        f"instance = torus:4x4:1\nkind = {kind}\nsweeps = 30\n"
+@pytest.mark.parametrize("spelling, name, kind, temps", [
+    pytest.param(spelling, name, kind, temps, id=f"{prefix}{kind}-temps{i}")
+    for spelling, name, prefix in SPELLINGS for i, (kind, temps) in enumerate(SOLVE_KINDS)
+])
+def test_solve_prints_the_campaign_log_line(tmp_path, monkeypatch, capsys, spelling, name,
+                                            kind, temps, include_spins):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-torus", "4", "4", "--seed", "1", "-o", "t44.txt"]) == 0
+    Path("camp.cfg").write_text(
+        f"instance = {spelling}\nkind = {kind}\nsweeps = 30\n"
         "num_trials = 5\nmaster_seed = 777\n"
         + ("temp_start = 2.5\n" if temps else "")
         + ("include_spins = true\n" if include_spins else "")
     )
-    log = tmp_path / "run.log"
-    assert main(["campaign", str(cfg), "--log", str(log)]) == 0
+    assert main(["campaign", "camp.cfg", "--log", "run.log"]) == 0
+    campaign_out = capsys.readouterr().out
+    assert main(["report", "run.log"]) == 0
+    assert capsys.readouterr().out == campaign_out
     index = 3
-    capsys.readouterr()
     spins = ["--include-spins"] if include_spins else []
-    assert main(["solve", "torus:4x4:1", "--kind", kind, "--sweeps", "30",
+    assert main(["solve", spelling, "--kind", kind, "--sweeps", "30",
                  "--seed", str(mix_seed(777, index))] + temps + spins) == 0
     solved = capsys.readouterr().out.split()
-    logged = log.read_text().splitlines()[index].split()
+    logged = Path("run.log").read_text().splitlines()[index].split()
     assert solved[0] == "index=0"
     assert logged[0] == f"index={index}"
+    assert logged[1] == f"instance={name}"
     assert any(tok.startswith("spins=") for tok in solved) == include_spins
 
     def untimed(tokens):
@@ -470,6 +481,26 @@ def test_bad_targets_exit_one_with_their_message(tmp_path, capsys, fields,
     capsys.readouterr()
     assert main(["report", str(log), "--target", ":".join(fields)]) == 1
     assert capsys.readouterr() == ("", f"error: {flag_message}\n")
+
+
+@pytest.mark.parametrize("source", ["config", "report"])
+def test_a_repeated_target_label_is_refused(tmp_path, monkeypatch, capsys, source):
+    # two rows under one label could not be told apart in the summary
+    monkeypatch.chdir(tmp_path)
+    if source == "config":
+        Path("camp.cfg").write_text(PLAIN_CONFIG.replace("optimum", "a") + "target = a 9\n")
+        argv = ["campaign", "camp.cfg", "--log", "run.log"]
+        message = "camp.cfg:7: duplicate target label 'a'"
+    else:
+        assert main(["campaign", str(campaign_config_file(tmp_path)), "--log", "run.log"]) == 0
+        capsys.readouterr()
+        argv = ["report", "run.log", "--target", "a:8", "--target", "a:9"]
+        message = "bad --target 'a:9': duplicate target label 'a'"
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # refused before any trial ran: no log is written or changed
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_report_rejects_mixed_log(tmp_path, capsys):

@@ -1,8 +1,11 @@
-"""Demos and the README's campaign example run here end to end."""
+"""Demos and the README's quick start and campaign examples run here end to end."""
 
 import csv
 import importlib.util
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +112,20 @@ def test_readme_scan_example(tmp_path, monkeypatch, capsys):
     assert rows[0] == ["sweeps", "highest_cut", "average_cut"]
     assert [int(row[0]) for row in rows[1:]] == ladder
     assert all(int(row[1]) >= float(row[2]) for row in rows[1:])
+
+
+def test_readme_quick_start(tmp_path):
+    # the block as written, under sh -e, with gsetbench bound to this checkout
+    block = README.read_text().split("## Quick start\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "quick_start.sh"
+    script.write_text(f'gsetbench() {{ {shlex.quote(sys.executable)} -m gsetbench.cli "$@"; }}\n'
+                      + block)
+    path = [str(DEMOS.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run(["sh", "-e", str(script)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert "cut=10 config=c318" in lines
+    assert "PASS cut matches expected 10" in lines
