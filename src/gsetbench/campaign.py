@@ -15,10 +15,13 @@ crashed campaign can be resumed from whatever records made it to disk;
 an unterminated last line, a record cut short by the crash, is dropped
 on resume. ``trial_record`` is
 the one place a record is made from a finished trial, for campaigns
-and single ``solve`` runs alike. Summaries aggregate only
-order-insensitive quantities over the record set, which is what makes
-parallel output identical to serial output; their per-target figures
-are ``metrics.TargetOutcome`` objects.
+and single ``solve`` runs alike, and it rounds the wall time to the
+value its line holds, so a record reads back from its line unchanged
+and a campaign summarizes the records it wrote, as a later report of
+the log does. Summaries aggregate only order-insensitive quantities
+over the record set, which is what makes parallel output identical to
+serial output; their per-target figures are ``metrics.TargetOutcome``
+objects.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -142,13 +146,18 @@ def _campaign_text(campaign: tuple) -> str:
     return f"{words} master_seed={master_seed}"
 
 
-def _check_loggable(instance_name: str) -> None:
-    if any(c.isspace() or c == "=" for c in instance_name):
+# \s matches exactly the characters str.isspace() calls whitespace
+_UNLOGGABLE = re.compile(r"[\s=]")
+
+
+def check_loggable(instance_name: str) -> None:
+    """Refuse an instance name that a record's key=value words cannot hold."""
+    if _UNLOGGABLE.search(instance_name):
         raise ValueError(f"instance name {instance_name!r} not loggable")
 
 
 def format_record(record: TrialRecord) -> str:
-    _check_loggable(record.instance)
+    check_loggable(record.instance)
     solver = record.solver
     parts = [
         f"index={record.index}",
@@ -369,14 +378,15 @@ def trial_record(
     result: TrialResult,
     include_spins: bool,
 ) -> TrialRecord:
-    """The log record of one finished trial, with its best spins if asked."""
+    """The log record of one finished trial, with its best spins if asked;
+    its wall time is rounded as its log line writes it."""
     return TrialRecord(
         index=index,
         instance=instance_name,
         solver=solver,
         best_cut=result.best_cut,
         sweeps_executed=result.sweeps_executed,
-        wall_time_s=result.wall_time_s,
+        wall_time_s=float(f"{result.wall_time_s:.6e}"),
         spins_hex=encode_hex(result.best_spins) if include_spins else None,
     )
 
@@ -425,7 +435,7 @@ def run_campaign(
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    _check_loggable(instance.name)
+    check_loggable(instance.name)
 
     done: dict[int, TrialRecord] = {}
     records, log = _open_log(log_path, resume) if log_path is not None else ([], None)
@@ -454,15 +464,12 @@ def run_campaign(
             # numpy releases the GIL inside the kernel, so threads overlap
             pool = ThreadPoolExecutor(max_workers=workers)
         for batch in (pool.map if pool else map)(run, batches):
-            lines = [format_record(record) for record in batch]
             if log is not None:
-                log.write("".join(line + "\n" for line in lines))
+                log.write("".join(format_record(record) + "\n" for record in batch))
                 log.flush()
-            for line in lines:
-                # aggregate what the log says, so a later report of the log
-                # reproduces this summary bit for bit
-                record = parse_record(line)
-                done[record.index] = record
+            # each record reads back from its line unchanged, so a later
+            # report of the log reproduces this summary bit for bit
+            done.update((record.index, record) for record in batch)
     finally:
         if pool is not None:
             # on any exception, Ctrl-C included, batches not yet started

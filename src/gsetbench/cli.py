@@ -209,6 +209,8 @@ def cmd_solve(args) -> int:
     instance = resolve_instance(args.instance, args.instance_dir)
     config = default_config(args.kind, args.sweeps, args.seed,
                             args.temp_start, args.temp_end)
+    # refuse a name the record cannot hold before the trial runs
+    campaign_mod.check_loggable(instance.name)
     result = run_trial(instance, config)
     record = campaign_mod.trial_record(0, instance.name, config, result, args.include_spins)
     print(campaign_mod.format_record(record))

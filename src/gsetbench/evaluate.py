@@ -32,15 +32,21 @@ def _spin_array(instance: ProblemInstance, spins) -> np.ndarray:
     return arr
 
 
-def cut_value(instance: ProblemInstance, spins) -> int:
-    """Weighted cut of the configuration, as an exact integer.
-
-    An edge contributes its weight when its endpoints take opposite
-    spins and nothing otherwise.
+def cut_values(instance: ProblemInstance, spins: np.ndarray) -> np.ndarray:
+    """Weighted cut of each row of an (R, n) array of +-1 spins, as exact
+    int64 integers: an edge contributes its weight when its endpoints
+    take opposite spins and nothing otherwise. The rows are not checked.
     """
+    opposite = np.take(spins, instance.eu, axis=1) != np.take(spins, instance.ev, axis=1)
+    # einsum casts the mask in small buffers, where a matmul would cast
+    # it whole to int64
+    return np.einsum("re,e->r", opposite, instance.ew)
+
+
+def cut_value(instance: ProblemInstance, spins) -> int:
+    """Weighted cut of the configuration, as an exact integer."""
     s = _spin_array(instance, spins)
-    opposite = s[instance.eu] != s[instance.ev]
-    return int(instance.ew[opposite].sum())
+    return int(cut_values(instance, s[np.newaxis])[0])
 
 
 def ising_energy(instance: ProblemInstance, spins) -> int:

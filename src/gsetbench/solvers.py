@@ -16,10 +16,11 @@ budget, and always consumes the whole budget.
 Trials run as a batch, one row of an (R, n) spin array per trial, and
 every row has its own generator seeded from its config. The generator
 draws the initial configuration and, for annealing, one uniform per
-spin per sweep; greedy draws nothing after the initial spins. A trial
-is therefore a deterministic function of (instance, config), whatever
-batch it runs in, and greedy with a longer budget only extends the
-same trajectory.
+spin per sweep, a run of sweeps' uniforms in one call (successive calls
+continue one stream, so the run length never changes a number); greedy
+draws nothing after the initial spins. A trial is therefore a
+deterministic function of (instance, config), whatever batch it runs
+in, and greedy with a longer budget only extends the same trajectory.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gsetbench.evaluate import cut_value
+from gsetbench.evaluate import cut_values
 from gsetbench.instances import ProblemInstance
 
 GREEDY = "greedy_local_search"
@@ -39,6 +40,13 @@ KINDS = (GREEDY, ANNEALING)
 
 DEFAULT_TEMP_START = 3.0
 DEFAULT_TEMP_END = 0.05
+
+# An annealing trial draws the uniforms of a run of sweeps in one call:
+# the run fits in _RUN_UNIFORMS per trial and _BATCH_UNIFORMS (2 MB) over
+# the batch, and is one sweep at least. A G72-size trial (n = 10000) thus
+# draws one sweep at a time, and a 20-spin trial up to 204 sweeps.
+_RUN_UNIFORMS = 1 << 12
+_BATCH_UNIFORMS = 1 << 18
 
 # campaign worker threads share instances; one of them builds the layout
 _LAYOUT_LOCK = threading.Lock()
@@ -98,10 +106,13 @@ def default_config(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialResult:
+    """One trial's outcome; ``best_spins`` is a read-only int8 row of
+    +-1 spins in vertex order."""
+
     best_cut: int
-    best_spins: tuple[int, ...]
+    best_spins: np.ndarray
     sweeps_executed: int
     wall_time_s: float
 
@@ -199,7 +210,7 @@ def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
     n, batch = instance.n, len(configs)
     annealing = template.kind == ANNEALING
 
-    generators = [np.random.default_rng(config.seed) for config in configs]
+    generators = [np.random.Generator(np.random.PCG64(config.seed)) for config in configs]
     # spins[r, p] is trial r's spin at position p
     spins = np.empty((batch, n), dtype=np.int64)
     for row, rng in zip(spins, generators):
@@ -214,7 +225,8 @@ def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
     current = (instance.total_weight() - twice_energy // 2) // 2
     if annealing:
         best, best_spins = current.copy(), spins.copy()
-        uniforms = np.empty((batch, n))
+        run = max(1, min(template.sweeps, _RUN_UNIFORMS // n, _BATCH_UNIFORMS // (batch * n)))
+        draws = np.empty((batch, run, n))
     sweeps_executed = np.full(batch, template.sweeps, dtype=np.int64)
     # batch rows of the trials still sweeping: a greedy trial stops
     # after a sweep without a flip, and its state is then final
@@ -225,8 +237,13 @@ def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
     for sweep in range(template.sweeps):
         if annealing:
             temp = _temperature(template, sweep)
-            for row, rng in zip(uniforms, generators):
-                rng.random(out=row)
+            step = sweep % run
+            if not step:
+                length = min(run, template.sweeps - sweep)
+                for block, rng in zip(draws, generators):
+                    rng.random(out=block[:length])
+            # uniforms[r, v]: trial r's uniform for vertex v in this sweep
+            uniforms = draws[:, step]
         flipped = np.zeros(len(live), dtype=bool)
         for lo, hi, slots in classes:
             block = spins[:, lo:hi]
@@ -259,19 +276,15 @@ def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
         final_cut[live], final_spins[live] = current, spins
     by_vertex = np.empty_like(final_spins)
     by_vertex[:, order] = final_spins
+    by_vertex.flags.writeable = False
 
-    for cut, row in zip(final_cut, by_vertex):
-        if int(cut) != cut_value(instance, row):
-            raise RuntimeError("internal cut accounting drifted from recomputation")
+    # every trial's cut, recomputed from scratch in one pass
+    if not np.array_equal(cut_values(instance, by_vertex), final_cut):
+        raise RuntimeError("internal cut accounting drifted from recomputation")
     wall = (time.perf_counter() - start) / batch
     return [
-        TrialResult(
-            best_cut=int(cut),
-            best_spins=tuple(row.tolist()),
-            sweeps_executed=int(executed),
-            wall_time_s=wall,
-        )
-        for cut, row, executed in zip(final_cut, by_vertex, sweeps_executed)
+        TrialResult(best_cut=cut, best_spins=row, sweeps_executed=executed, wall_time_s=wall)
+        for cut, row, executed in zip(final_cut.tolist(), by_vertex, sweeps_executed.tolist())
     ]
 
 

@@ -183,6 +183,27 @@ def test_run_campaign_writes_one_record_per_trial(torus, tmp_path):
     assert summarize(records).deterministic_fields() == summary.deterministic_fields()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind, include_spins", [(ANNEALING, True), (GREEDY, False)])
+def test_campaign_keeps_each_record_as_its_line_reads(torus, tmp_path, monkeypatch, workers,
+                                                      kind, include_spins):
+    kept = []
+
+    def keeping(records, targets=()):
+        kept.extend(records)
+        return summarize(records, targets)
+
+    monkeypatch.setattr(campaign, "summarize", keeping)
+    log = tmp_path / "campaign.log"
+    summary = run_campaign(torus, campaign_config(kind=kind), log_path=log, workers=workers,
+                           include_spins=include_spins)
+    lines = log.read_text().splitlines()
+    assert sorted(kept, key=lambda r: r.index) == sorted(map(parse_record, lines),
+                                                         key=lambda r: r.index)
+    assert all((r.spins_hex is not None) == include_spins for r in kept)
+    assert summary == summarize(read_log(log))
+
+
 def test_parallel_equals_serial(torus):
     config = campaign_config(num_trials=16)
     serial = run_campaign(torus, config, workers=1)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gsetbench import solvers
 from gsetbench.campaign import mix_seed, parse_record, read_log, replay_record, summarize
 from gsetbench.cli import CliError, human_time, main, resolve_instance
 from gsetbench.codec import encode_hex
@@ -198,6 +199,18 @@ def test_solve_prints_replayable_record(torus, capsys):
     assert record.solver.kind == "simulated_annealing"
     assert record.spins_hex is not None
     replay_record(torus, record)
+
+
+def test_solve_refuses_an_unloggable_instance_name_before_the_trial(tmp_path, monkeypatch,
+                                                                   capsys):
+    # a file's stem names its instance, and a stem may hold a space
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-torus", "4", "4", "--seed", "1", "-o", "t44.txt"]) == 0
+    Path("my t44.txt").write_text(Path("t44.txt").read_text())
+    capsys.readouterr()
+    monkeypatch.setattr(solvers, "run_trials", lambda *a: pytest.fail("a trial ran"))
+    assert main(["solve", "my t44.txt", "--sweeps", "3", "--seed", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: instance name 'my t44' not loggable\n")
 
 
 PLAIN_CONFIG = (

@@ -13,6 +13,7 @@ from gsetbench.codec import global_flip
 from gsetbench.evaluate import (
     EvaluationReport,
     cut_value,
+    cut_values,
     evaluate_solution,
     format_quality_percent,
     ising_energy,
@@ -50,6 +51,17 @@ def test_agrees_with_naive_double_loop():
         spins = random_config(rng, inst.n)
         assert cut_value(inst, spins) == naive_cut(inst, spins)
         assert ising_energy(inst, spins) == naive_energy(inst, spins)
+
+
+def test_batched_cuts_agree_with_naive_double_loop():
+    # the solvers' integrity guard: one int8 row per trial
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        inst = random_instance(rng, int(rng.integers(2, 14)))
+        rows = [random_config(rng, inst.n) for _ in range(4)]
+        cuts = cut_values(inst, np.array(rows, dtype=np.int8))
+        assert cuts.dtype == np.int64
+        assert cuts.tolist() == [naive_cut(inst, spins) for spins in rows]
 
 
 def test_global_flip_leaves_cut_and_energy_unchanged():

@@ -18,6 +18,8 @@ from gsetbench.solvers import (
     ANNEALING,
     GREEDY,
     KINDS,
+    _BATCH_UNIFORMS,
+    _RUN_UNIFORMS,
     SolverConfig,
     _sweep_layout,
     _temperature,
@@ -65,7 +67,7 @@ def test_trials_are_deterministic():
         a = run_trial(inst, config)
         b = run_trial(inst, config)
         assert a.best_cut == b.best_cut
-        assert a.best_spins == b.best_spins
+        assert np.array_equal(a.best_spins, b.best_spins)
         assert a.sweeps_executed == b.sweeps_executed
 
 
@@ -181,12 +183,19 @@ def outcome(result):
     return result.best_cut, result.best_spins, result.sweeps_executed
 
 
+def assert_same_outcome(got, expected):
+    """Equal best cuts and sweeps executed, and best spins equal as arrays."""
+    (cut, spins, sweeps), (expected_cut, expected_spins, expected_sweeps) = got, expected
+    assert (cut, sweeps) == (expected_cut, expected_sweeps)
+    assert np.array_equal(spins, expected_spins)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_matches_spin_by_spin_reference(kind):
     for inst in kernel_instances():
         for seed in range(4):
             config = default_config(kind, 12, seed=seed)
-            assert outcome(run_trial(inst, config)) == reference_trial(inst, config)
+            assert_same_outcome(outcome(run_trial(inst, config)), reference_trial(inst, config))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -201,7 +210,48 @@ def test_batched_trials_equal_single_trials(kind, sweeps):
                 for i in range(0, len(configs), size)
                 for result in run_trials(inst, configs[i : i + size])
             ]
-            assert [outcome(r) for r in batched] == single
+            assert len(batched) == len(single)
+            for result, expected in zip(batched, single):
+                assert_same_outcome(outcome(result), expected)
+
+
+def test_uniform_draw_boundaries_keep_the_streams():
+    # 200 trials of a 9x11 torus draw 13 sweeps' uniforms at a time, so
+    # 30 sweeps take three draws; one trial alone draws them in one. A
+    # hot schedule keeps late sweeps finding new best cuts.
+    inst = generate_torus(TorusSpec(9, 11, seed=5))
+    configs = [default_config(ANNEALING, 30, seed=s, temp_start=3.0, temp_end=1.5)
+               for s in range(200)]
+    sweeps = configs[0].sweeps
+    run = _BATCH_UNIFORMS // (len(configs) * inst.n)
+    assert run < sweeps // 2 and sweeps % run and sweeps <= _RUN_UNIFORMS // inst.n
+    batched = run_trials(inst, configs)
+    for result, config in zip(batched, configs):
+        assert_same_outcome(outcome(result), outcome(run_trial(inst, config)))
+    for result, config in zip(batched[:2], configs):
+        assert_same_outcome(outcome(result), reference_trial(inst, config))
+
+
+def test_best_spins_are_read_only_int8_rows():
+    inst = generate_torus(TorusSpec(4, 4, seed=2))
+    for result in run_trials(inst, [default_config(ANNEALING, 5, seed=s) for s in range(3)]):
+        assert result.best_spins.dtype == np.int8
+        assert result.best_spins.shape == (inst.n,)
+        with pytest.raises(ValueError, match="read-only"):
+            result.best_spins[0] = 1
+
+
+def test_integrity_guard_recomputes_every_trial_of_a_batch():
+    # corrupt one slot's cached weights: the kernel's incremental cuts
+    # then disagree with the cuts recomputed from the instance's edges
+    inst = generate_torus(TorusSpec(4, 4, seed=2))
+    _, classes = _sweep_layout(inst)
+    _, _, slots = classes[0]
+    _, _, weights = slots[0]
+    weights *= 3
+    configs = [default_config(ANNEALING, 5, seed=s) for s in range(6)]
+    with pytest.raises(RuntimeError, match="internal cut accounting drifted from recomputation"):
+        run_trials(inst, configs)
 
 
 def test_batch_rejects_mixed_configs():
