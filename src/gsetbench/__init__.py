@@ -13,7 +13,7 @@ The package covers the full loop of working with these benchmarks:
 """
 
 from gsetbench.instances import ProblemInstance, TorusSpec, generate_torus, parse_gset
-from gsetbench.codec import decode_hex, encode_hex, global_flip
+from gsetbench.codec import decode_hex, encode_hex
 from gsetbench.evaluate import cut_value, ising_energy, solution_quality
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "parse_gset",
     "decode_hex",
     "encode_hex",
-    "global_flip",
     "cut_value",
     "ising_energy",
     "solution_quality",

@@ -397,9 +397,13 @@ def _run_batch(
     indices: list[int],
     include_spins: bool,
 ) -> list[TrialRecord]:
-    solvers = [
-        replace(config.solver, seed=mix_seed(config.master_seed, i)) for i in indices
-    ]
+    # the template passed SolverConfig's checks and a mix_seed value fits
+    # 64 bits, so a trial's config is the template's fields under its own
+    # seed, built without checking them again
+    template = vars(config.solver)
+    solvers = [object.__new__(SolverConfig) for _ in indices]
+    for solver, i in zip(solvers, indices):
+        solver.__dict__.update(template, seed=mix_seed(config.master_seed, i))
     results = run_trials(instance, solvers)
     return [
         trial_record(i, instance.name, solver, result, include_spins)

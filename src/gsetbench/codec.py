@@ -74,11 +74,6 @@ def encode_hex(spins) -> str:
     return np.packbits(up).tobytes().hex()[: (len(spins) + 3) // 4]
 
 
-def global_flip(spins) -> tuple[int, ...]:
-    """Negate every spin. Cut value and Ising energy are invariant."""
-    return tuple(-s for s in spins)
-
-
 def strip_solution_text(text: str) -> str:
     """Drop ``#`` comment lines, returning the raw hex payload."""
     payload_lines = [

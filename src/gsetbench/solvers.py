@@ -135,8 +135,11 @@ def _sweep_layout(instance: ProblemInstance):
     neighbour of its first ``count`` vertices (those with degree above
     k) and the edge weights. Summing the slots gives every local field
     with no padding, so the work per class is its number of edge ends.
-    The layout is built once and cached on the instance; only the
-    solvers build it.
+    Every slot's weights have one dtype: the narrowest of int8, int16,
+    int32 and int64 that holds the instance's largest per-vertex sum of
+    |w|, which bounds every partial field sum and every flip delta. The
+    layout is built once and cached on the instance; only the solvers
+    build it.
     """
     with _LAYOUT_LOCK:
         if instance._sweep_layout is None:
@@ -154,18 +157,27 @@ def _build_layout(instance: ProblemInstance):
     degree = np.bincount(src, minlength=n)
     # CSR rows: v's neighbours are dst[indptr[v]:indptr[v + 1]]
     indptr = np.concatenate(([0], np.cumsum(degree)))
+    # the absolute weights sum below 2^62, so twice that fits in int64
+    running = np.concatenate(([0], np.cumsum(np.abs(weight))))
+    largest = int((running[indptr[1:]] - running[indptr[:-1]]).max())
+    field = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if largest <= np.iinfo(t).max)
+    weight = weight.astype(field)
 
     # greedy colouring in vertex order: each vertex takes the smallest
-    # colour that no lower-numbered neighbour has
-    neighbours, rows = dst.tolist(), indptr.tolist()
-    colour = [0] * n
-    for v in range(n):
-        used = {colour[u] for u in neighbours[rows[v] : rows[v + 1]] if u < v}
-        c = 0
-        while c in used:
-            c += 1
-        colour[v] = c
-    colour = np.array(colour)
+    # colour that no lower-numbered neighbour has, kept as the bit
+    # 1 << colour; Python ints stay exact past 64 colours. A row's
+    # entries from the second half of src, after the others, are its
+    # lower-numbered neighbours.
+    lower = dst[by_src >= instance.m].tolist()
+    ends = np.cumsum(np.bincount(instance.ev, minlength=n)).tolist()
+    bit = []
+    for start, end in zip([0] + ends, ends):
+        used = 0
+        for u in lower[start:end]:
+            used |= bit[u]
+        bit.append(~used & (used + 1))  # the lowest clear bit of used
+    colour = np.fromiter(map(int.bit_length, bit), np.int64, n) - 1
 
     order = np.lexsort((-degree, colour))
     position = np.empty(n, dtype=np.int64)
@@ -185,8 +197,10 @@ def _build_layout(instance: ProblemInstance):
 
 
 def _local_fields(spins: np.ndarray, lo: int, hi: int, slots) -> np.ndarray:
-    """(R, hi - lo) array of sum_j w_vj * s_j at positions lo:hi."""
-    fields = np.zeros((spins.shape[0], hi - lo), dtype=np.int64)
+    """(R, hi - lo) array of sum_j w_vj * s_j at positions lo:hi, in the
+    slot weights' dtype (int8 for a class with no edges)."""
+    dtype = slots[0][2].dtype if slots else np.int8
+    fields = np.zeros((spins.shape[0], hi - lo), dtype=dtype)
     for count, neighbours, weights in slots:
         fields[:, :count] += np.take(spins, neighbours, axis=1) * weights
     return fields
@@ -212,12 +226,13 @@ def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
 
     generators = [np.random.Generator(np.random.PCG64(config.seed)) for config in configs]
     # spins[r, p] is trial r's spin at position p
-    spins = np.empty((batch, n), dtype=np.int64)
+    spins = np.empty((batch, n), dtype=np.int8)
     for row, rng in zip(spins, generators):
         row[:] = rng.integers(0, 2, size=n)[order]
     spins *= 2
     spins -= 1
-    # sum_v s_v * field_v counts every edge's w s_u s_v once from each end
+    # sum_v s_v * field_v counts every edge's w s_u s_v once from each
+    # end; numpy sums narrow integers in int64
     twice_energy = sum(
         (spins[:, lo:hi] * _local_fields(spins, lo, hi, slots)).sum(axis=1)
         for lo, hi, slots in classes

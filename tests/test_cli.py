@@ -653,6 +653,33 @@ def test_a_format_2_log_reads_back_to_the_same_summary(tmp_path, capsys, name):
     assert untimed(again) == untimed(log)
 
 
+# logs written by the format-2 code while the kernel still held spins and
+# fields in int64, on graphs whose fields need int16 (|w| up to 300) and
+# int64 (|w| up to 2^40), with the configs that wrote them
+WEIGHTED_LOGS = {
+    f"weighted_{weights}_{kind}": f"instance = {DATA / f'weighted_{weights}.gset'}\n" + cfg
+    for weights, temp_start in (("300", "900.0"), ("2e40", "3e12"))
+    for kind, cfg in (
+        ("annealing", "kind = simulated_annealing\nsweeps = 30\nnum_trials = 6\n"
+                      f"master_seed = 41\ntemp_start = {temp_start}\ntemp_end = 0.5\n"
+                      "include_spins = true\n"),
+        ("greedy", "kind = greedy_local_search\nsweeps = 20\nnum_trials = 6\nmaster_seed = 42\n"),
+    )
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_LOGS))
+def test_weighted_logs_are_written_again_unchanged(tmp_path, name):
+    cfg, again = tmp_path / "camp.cfg", tmp_path / "again.log"
+    cfg.write_text(WEIGHTED_LOGS[name])
+    assert main(["campaign", str(cfg), "--log", str(again)]) == 0
+
+    def untimed(path):
+        return re.sub(r"wall_time_s=\S+", "", path.read_text())
+
+    assert untimed(again) == untimed(DATA / f"{name}.log")
+
+
 def test_project_known_values(capsys):
     assert main(["project", "234000"]) == 0
     assert capsys.readouterr().out.strip() == "0.468 ms"

@@ -6,7 +6,6 @@ from gsetbench.codec import (
     HexDecodeError,
     decode_hex,
     encode_hex,
-    global_flip,
     read_solution_header,
     strip_solution_text,
 )
@@ -73,14 +72,6 @@ def test_roundtrip_random_configs():
         n = int(rng.integers(1, 65))
         spins = random_config(rng, n)
         assert decode_hex(encode_hex(spins), n) == spins
-
-
-def test_global_flip_is_an_involution():
-    rng = np.random.default_rng(22)
-    spins = random_config(rng, 17)
-    flipped = global_flip(spins)
-    assert all(a == -b for a, b in zip(spins, flipped))
-    assert global_flip(flipped) == spins
 
 
 def test_strip_solution_text_drops_comment_lines():

@@ -121,9 +121,31 @@ def test_wall_time_recorded():
     assert result.wall_time_s > 0
 
 
+def hub_instance(rng, n, hub_sum):
+    """A random graph on vertices 2..n plus vertex 1 joined to all of
+    them, its absolute weights summing to ``hub_sum``: for hub_sum well
+    above 5n, no other vertex's sum of |w| comes near it."""
+    rest = random_instance(rng, n - 1)
+    share, extra = divmod(hub_sum, n - 1)
+    edges = [(1, v, int(sign) * (share + (v - 2 < extra)))
+             for v, sign in zip(range(2, n + 1), rng.choice((-1, 1), size=n - 1))]
+    edges += [(u + 1, v + 1, w) for u, v, w in rest.edges]
+    return ProblemInstance(n, edges)
+
+
+def scaled_instance(rng, n, limit):
+    """A random graph whose weights are scaled so that their absolute
+    values sum to just under ``limit``."""
+    base = random_instance(rng, n)
+    scale = (limit - 1) // sum(abs(w) for _, _, w in base.edges)
+    return ProblemInstance(n, [(u, v, w * scale) for u, v, w in base.edges])
+
+
 def kernel_instances():
-    """An even torus, the odd 4x5 torus, and random graphs, one of them
-    with isolated vertices."""
+    """An even torus, the odd 4x5 torus, random graphs, one of them with
+    isolated vertices, and weighted graphs whose local fields need int8
+    (largest sum of |w| at a vertex 127), int16 (128), int32 and int64
+    (absolute weights summing to just under 2^62)."""
     rng = np.random.default_rng(8)
     sparse = random_instance(rng, 10, edge_prob=0.25)
     return [
@@ -131,7 +153,24 @@ def kernel_instances():
         generate_torus(TorusSpec(4, 5, seed=1000)),
         ProblemInstance(sparse.n + 2, sparse.edges),
         random_instance(rng, 9),
+        hub_instance(rng, 9, 127),
+        hub_instance(rng, 9, 128),
+        scaled_instance(rng, 9, 2**31),
+        scaled_instance(rng, 9, 2**62),
     ]
+
+
+def greedy_colouring(instance):
+    """Each vertex's colour (0-based vertices): the smallest colour that
+    no lower-numbered neighbour has, found with sets."""
+    lower = [[] for _ in range(instance.n)]
+    for u, v, _ in instance.edges:
+        lower[max(u, v) - 1].append(min(u, v) - 1)
+    colour = []
+    for v in range(instance.n):
+        used = {colour[u] for u in lower[v]}
+        colour.append(min(set(range(len(used) + 1)) - used))
+    return colour
 
 
 def reference_trial(instance, config):
@@ -144,10 +183,7 @@ def reference_trial(instance, config):
     """
     n = instance.n
     neighbours = neighbour_lists(instance)
-    colour = []
-    for v in range(1, n + 1):
-        used = {colour[u - 1] for u, _ in neighbours[v] if u < v}
-        colour.append(min(set(range(len(used) + 1)) - used))
+    colour = greedy_colouring(instance)
     classes = [[v for v in range(n) if colour[v] == c] for c in range(max(colour) + 1)]
 
     rng = np.random.default_rng(config.seed)
@@ -270,7 +306,20 @@ def test_colour_classes_partition_vertices_into_independent_sets():
         (generate_torus(TorusSpec(4, 8, seed=4)), 2),
         (generate_torus(TorusSpec(4, 5, seed=1000)), 4),
     ]
-    others = [(inst, None) for inst in kernel_instances()[2:]]
+    rng = np.random.default_rng(12)
+    graph = random_instance(rng, 15, edge_prob=0.4)
+    # the same graph, its edges shuffled and some given high end first
+    shuffled = [(v, u, w) if rng.random() < 0.5 else (u, v, w)
+                for u, v, w in rng.permutation(np.array(graph.edges)).tolist()]
+    complete = [(u, v, 1) for u in range(1, 71) for v in range(u + 1, 71)]
+    others = [
+        *((inst, None) for inst in kernel_instances()),
+        (ProblemInstance(1, []), 1),
+        (graph, None),
+        (ProblemInstance(graph.n, shuffled), None),
+        # K_70 needs 70 colours, more bits than a 64-bit word holds
+        (ProblemInstance(70, complete), 70),
+    ]
     for inst, expected in tori + others:
         order, classes = _sweep_layout(inst)
         assert sorted(order.tolist()) == list(range(inst.n))
@@ -282,8 +331,24 @@ def test_colour_classes_partition_vertices_into_independent_sets():
             class_of[order[lo:hi]] = c
         for u, v, _ in inst.edges:
             assert class_of[u - 1] != class_of[v - 1]
+        assert class_of.tolist() == greedy_colouring(inst)
         if expected is not None:
             assert len(classes) == expected
+    assert _sweep_layout(ProblemInstance(graph.n, shuffled))[0].tolist() == (
+        _sweep_layout(graph)[0].tolist()
+    )
+
+
+def test_slot_weights_take_the_narrowest_field_dtype():
+    # the weighted kernel instances' largest sums of |w| at a vertex are
+    # 127, 128, about 10^9 and about 2^61
+    expected = [np.int8] * 6 + [np.int16, np.int32, np.int64]
+    instances = [generate_torus(TorusSpec(100, 100, seed=1))] + kernel_instances()
+    for inst, dtype in zip(instances, expected, strict=True):
+        _, classes = _sweep_layout(inst)
+        assert {weights.dtype for _, _, slots in classes for _, _, weights in slots} == {
+            np.dtype(dtype)
+        }
 
 
 def test_layout_is_built_once_by_the_solvers_only():
