@@ -32,7 +32,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -266,21 +266,6 @@ class CampaignSummary:
     cut_histogram: dict[int, int]
     avg_trial_time_s: float
     targets: tuple[TargetOutcome, ...]
-
-    def deterministic_fields(self) -> dict:
-        """Everything except wall-clock derived values; equal across
-        serial and parallel runs of the same campaign."""
-        return {
-            "instance": self.instance,
-            "kind": self.kind,
-            "sweeps_per_trial": self.sweeps_per_trial,
-            "num_trials": self.num_trials,
-            "highest_cut": self.highest_cut,
-            "min_cut": self.min_cut,
-            "average_cut": self.average_cut,
-            "cut_histogram": tuple(sorted(self.cut_histogram.items())),
-            "targets": tuple(replace(t, trial_time_s=None) for t in self.targets),
-        }
 
 
 def summarize(records, targets=()) -> CampaignSummary:

@@ -30,10 +30,6 @@ DEFAULT_CONFIDENCE = 0.99
 DEFAULT_HW_SWEEP_TIME_S = 2e-9
 
 
-class UnreachableTargetError(ValueError):
-    """The target was never reached, so no finite repetition count exists."""
-
-
 @dataclass(frozen=True)
 class TargetSpec:
     """A named target cut with the confidence used for r."""
@@ -49,24 +45,15 @@ class TargetSpec:
             )
 
 
-def success_probability(successes: int, trials: int) -> float:
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if not (0 <= successes <= trials):
-        raise ValueError(f"successes must be in 0..{trials}, got {successes}")
-    return successes / trials
-
-
 def repetitions_to_target(p_s: float, confidence: float = DEFAULT_CONFIDENCE) -> float:
-    """Expected repetitions to hit the target once with the given confidence."""
+    """Expected repetitions to hit the target once with the given confidence.
+
+    A target never reached (p_s = 0) has no finite count and is refused.
+    """
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if not (0.0 <= p_s <= 1.0):
-        raise ValueError(f"success probability must be in [0, 1], got {p_s}")
-    if p_s == 0.0:
-        raise UnreachableTargetError(
-            "target was never reached; repetitions to target are undefined"
-        )
+    if not (0.0 < p_s <= 1.0):
+        raise ValueError(f"success probability must be in (0, 1], got {p_s}")
     if p_s == 1.0:
         return 1.0
     return max(1.0, math.log(1.0 - confidence) / math.log(1.0 - p_s))
@@ -81,12 +68,6 @@ def project_hw_ttt(
     if sweep_time_s <= 0:
         raise ValueError(f"sweep time must be positive, got {sweep_time_s}")
     return stt_sweeps * sweep_time_s
-
-
-def speedup(reference_ttt_s: float, measured_ttt_s: float) -> float:
-    if reference_ttt_s <= 0 or measured_ttt_s <= 0:
-        raise ValueError("times must be positive")
-    return reference_ttt_s / measured_ttt_s
 
 
 @dataclass(frozen=True)
@@ -108,7 +89,10 @@ class TargetOutcome:
     trial_time_s: float | None = None
 
     def __post_init__(self) -> None:
-        success_probability(self.successes, self.trials)  # checks the counts
+        if self.trials < 1:
+            raise ValueError(f"trials must be positive, got {self.trials}")
+        if not (0 <= self.successes <= self.trials):
+            raise ValueError(f"successes must be in 0..{self.trials}, got {self.successes}")
         if self.sweeps_per_trial < 1:
             raise ValueError(
                 f"sweeps_per_trial must be positive, got {self.sweeps_per_trial}"

@@ -2,9 +2,10 @@
 
 The builtin registry covers the three large toroidal Gset instances
 G72, G77 and G81 (|V| in the tens of thousands, degree 4, +-1 weights)
-together with the best cut values reported in the literature and, for
-G81, the history of published record cuts. Users can extend or
-override entries by pointing GSETBENCH_REGISTRY at a JSON file.
+with their sizes, best known cuts and record energies, and the
+published time-to-target of the strongest classical reference. Users
+can extend or override entries by pointing GSETBENCH_REGISTRY at a
+JSON file.
 
 Record solution bitstrings for the three instances ship with the
 package under ``data/solutions``; GSETBENCH_SOLUTIONS_DIR overrides
@@ -23,19 +24,6 @@ from pathlib import Path
 
 
 @dataclass(frozen=True)
-class HistoricalCut:
-    """One published cut value for an instance."""
-
-    method: str
-    year: int
-    cut: int
-
-    @property
-    def label(self) -> str:
-        return f"{self.method} ({self.year})"
-
-
-@dataclass(frozen=True)
 class RegistryEntry:
     """Catalogue row for a named benchmark instance."""
 
@@ -44,42 +32,12 @@ class RegistryEntry:
     m: int
     best_cut: int
     best_energy: int | None = None
-    historic_cuts: tuple[HistoricalCut, ...] = ()
 
-    def __post_init__(self) -> None:
-        for h in self.historic_cuts:
-            if h.cut > self.best_cut:
-                raise ValueError(
-                    f"{self.name}: historic cut {h.cut} ({h.label}) "
-                    f"exceeds best known {self.best_cut}"
-                )
-
-
-# Published G81 cuts, best first. The 2025 record is the one whose
-# bitstring ships with this package.
-_G81_HISTORY = (
-    HistoricalCut("Cosm", 2025, 14_060),
-    HistoricalCut("GES-PR", 2017, 14_056),
-    HistoricalCut("GES-PR", 2015, 14_048),
-    HistoricalCut("PF-ESL", 2022, 14_038),
-    HistoricalCut("MOH", 2017, 14_036),
-    HistoricalCut("Breakout local search", 2013, 14_030),
-    HistoricalCut("Simulated bifurcation machine", 2021, 13_992),
-    HistoricalCut("Rank-two relaxation", 2002, 13_662),
-    HistoricalCut("SDP dual scaling", 2000, 13_448),
-)
 
 _BUILTIN = (
     RegistryEntry(name="G72", n=10_000, m=20_000, best_cut=7_008, best_energy=-14_022),
     RegistryEntry(name="G77", n=14_000, m=28_000, best_cut=9_940, best_energy=-19_672),
-    RegistryEntry(
-        name="G81",
-        n=20_000,
-        m=40_000,
-        best_cut=14_060,
-        best_energy=-28_086,
-        historic_cuts=_G81_HISTORY,
-    ),
+    RegistryEntry(name="G81", n=20_000, m=40_000, best_cut=14_060, best_energy=-28_086),
 )
 
 # Published wall-clock time-to-target of the strongest classical
@@ -94,19 +52,13 @@ def builtin_registry() -> dict[str, RegistryEntry]:
     return {e.name: e for e in _BUILTIN}
 
 
-def _historic_cut(row) -> HistoricalCut:
-    if not isinstance(row, list) or len(row) != 3:
-        raise ValueError(f"historic_cuts rows are [method, year, cut], got {row!r}")
-    return HistoricalCut(method=str(row[0]), year=int(row[1]), cut=int(row[2]))
-
-
 def load_registry() -> dict[str, RegistryEntry]:
     """Builtin registry, with GSETBENCH_REGISTRY JSON entries merged on top.
 
-    The JSON file maps instance name to an object with keys n, m and
-    best_cut, and optional best_energy and historic_cuts (rows of
-    method, year, cut). A malformed file raises one ValueError naming
-    the file and the entry.
+    The JSON file maps instance name to an object with integer keys n,
+    m and best_cut, and optionally best_energy (an integer or null). A
+    malformed file, a value that is not a JSON integer or an unknown key
+    raises one ValueError naming the file and the entry.
     """
     reg = builtin_registry()
     override = os.environ.get("GSETBENCH_REGISTRY")
@@ -115,22 +67,20 @@ def load_registry() -> dict[str, RegistryEntry]:
         if not isinstance(raw, dict) or not all(isinstance(row, dict) for row in raw.values()):
             raise ValueError(f"{override}: expected an object mapping names to objects")
         for name, row in raw.items():
-            try:
-                history = tuple(map(_historic_cut, row.get("historic_cuts", ())))
-                reg[name] = RegistryEntry(
-                    name=name,
-                    n=int(row["n"]),
-                    m=int(row["m"]),
-                    best_cut=int(row["best_cut"]),
-                    best_energy=None
-                    if row.get("best_energy") is None
-                    else int(row["best_energy"]),
-                    historic_cuts=history,
-                )
-            except KeyError as exc:
-                raise ValueError(f"{override}: entry {name!r} has no {exc.args[0]!r}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{override}: entry {name!r}: {exc}") from None
+            where = f"{override}: entry {name!r}"
+            for key in ("n", "m", "best_cut"):
+                if key not in row:
+                    raise ValueError(f"{where} has no {key!r}")
+            for key, value in row.items():
+                if key not in ("n", "m", "best_cut", "best_energy"):
+                    raise ValueError(
+                        f"{where}: {key} is not a registry key "
+                        "(expected n, m, best_cut, best_energy)"
+                    )
+                # type(), not isinstance: JSON true loads as a bool, an int subclass
+                if type(value) is not int and not (key == "best_energy" and value is None):
+                    raise ValueError(f"{where}: {key} must be an integer, got {json.dumps(value)}")
+            reg[name] = RegistryEntry(name=name, **row)
     return reg
 
 

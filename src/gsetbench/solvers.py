@@ -225,19 +225,15 @@ def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
     annealing = template.kind == ANNEALING
 
     generators = [np.random.Generator(np.random.PCG64(config.seed)) for config in configs]
-    # spins[r, p] is trial r's spin at position p
-    spins = np.empty((batch, n), dtype=np.int8)
-    for row, rng in zip(spins, generators):
-        row[:] = rng.integers(0, 2, size=n)[order]
-    spins *= 2
-    spins -= 1
-    # sum_v s_v * field_v counts every edge's w s_u s_v once from each
-    # end; numpy sums narrow integers in int64
-    twice_energy = sum(
-        (spins[:, lo:hi] * _local_fields(spins, lo, hi, slots)).sum(axis=1)
-        for lo, hi, slots in classes
-    )
-    current = (instance.total_weight() - twice_energy // 2) // 2
+    initial = np.empty((batch, n), dtype=np.int8)
+    for row, rng in zip(initial, generators):
+        row[:] = rng.integers(0, 2, size=n)
+    initial *= 2
+    initial -= 1
+    current = cut_values(instance, initial)
+    # spins[r, p] is trial r's spin at position p; np.take keeps the rows
+    # C-contiguous, where initial[:, order] would come out column-major
+    spins = np.take(initial, order, axis=1)
     if annealing:
         best, best_spins = current.copy(), spins.copy()
         run = max(1, min(template.sweeps, _RUN_UNIFORMS // n, _BATCH_UNIFORMS // (batch * n)))

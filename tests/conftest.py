@@ -6,6 +6,8 @@ no shortcuts, and the neighbour lists are built from ``edges`` here, so
 neither shares a code path with the package's edge-array code.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from gsetbench.instances import ProblemInstance
@@ -67,3 +69,13 @@ def naive_energy(instance, spins):
         for j in range(i + 1, instance.n + 1):
             total += w[i][j] * spins[i - 1] * spins[j - 1]
     return total
+
+
+def deterministic_fields(summary):
+    """A campaign summary without its wall-clock figures: equal across
+    serial, parallel, resumed and replayed runs of one campaign."""
+    return replace(
+        summary,
+        avg_trial_time_s=None,
+        targets=tuple(replace(t, trial_time_s=None) for t in summary.targets),
+    )

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import deterministic_fields
 from gsetbench import campaign
 from gsetbench.campaign import (
     CampaignConfig,
@@ -180,7 +181,7 @@ def test_run_campaign_writes_one_record_per_trial(torus, tmp_path):
     assert len(records) == 12
     assert sorted(r.index for r in records) == list(range(12))
     assert {r.solver.seed for r in records} == {mix_seed(777, i) for i in range(12)}
-    assert summarize(records).deterministic_fields() == summary.deterministic_fields()
+    assert deterministic_fields(summarize(records)) == deterministic_fields(summary)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -208,7 +209,7 @@ def test_parallel_equals_serial(torus):
     config = campaign_config(num_trials=16)
     serial = run_campaign(torus, config, workers=1)
     parallel = run_campaign(torus, config, workers=4)
-    assert serial.deterministic_fields() == parallel.deterministic_fields()
+    assert deterministic_fields(serial) == deterministic_fields(parallel)
 
 
 def test_parallel_batches_on_a_fresh_instance_equal_serial():
@@ -226,7 +227,7 @@ def test_parallel_batches_on_a_fresh_instance_equal_serial():
         parallel = run_campaign(generate_torus(TorusSpec(6, 6, seed=2)), config, workers=8)
     finally:
         sys.setswitchinterval(interval)
-    assert parallel.deterministic_fields() == serial.deterministic_fields()
+    assert deterministic_fields(parallel) == deterministic_fields(serial)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -257,7 +258,7 @@ def test_a_failed_batch_stops_the_campaign(torus, tmp_path, monkeypatch, workers
 
     monkeypatch.setattr(campaign, "run_trials", run_trials)
     resumed = run_campaign(torus, config, log_path=log, workers=workers, resume=True)
-    assert resumed.deterministic_fields() == run_campaign(torus, config).deterministic_fields()
+    assert deterministic_fields(resumed) == deterministic_fields(run_campaign(torus, config))
     assert sorted(record.index for record in read_log(log)) == list(range(12))
 
 
@@ -265,7 +266,7 @@ def test_rerun_reproduces_summary(torus):
     config = campaign_config()
     a = run_campaign(torus, config)
     b = run_campaign(torus, config)
-    assert a.deterministic_fields() == b.deterministic_fields()
+    assert deterministic_fields(a) == deterministic_fields(b)
 
 
 def test_resume_runs_only_missing_trials(torus, tmp_path):
@@ -275,7 +276,7 @@ def test_resume_runs_only_missing_trials(torus, tmp_path):
     lines = log.read_text().splitlines()
     log.write_text("\n".join(lines[:5]) + "\n")
     resumed = run_campaign(torus, config, log_path=log, resume=True)
-    assert resumed.deterministic_fields() == full.deterministic_fields()
+    assert deterministic_fields(resumed) == deterministic_fields(full)
     assert len(read_log(log)) == 12
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -8,25 +9,10 @@ import pytest
 from gsetbench.metrics import (
     TargetOutcome,
     TargetSpec,
-    UnreachableTargetError,
     project_hw_ttt,
     repetitions_to_target,
-    speedup,
-    success_probability,
     write_summary_csv,
 )
-
-
-def test_success_probability():
-    assert success_probability(66, 100) == 0.66
-    assert success_probability(0, 5) == 0.0
-    assert success_probability(5, 5) == 1.0
-    with pytest.raises(ValueError):
-        success_probability(6, 5)
-    with pytest.raises(ValueError):
-        success_probability(-1, 5)
-    with pytest.raises(ValueError):
-        success_probability(0, 0)
 
 
 def test_repetitions_basic_points():
@@ -39,7 +25,7 @@ def test_repetitions_basic_points():
 
 
 def test_repetitions_errors():
-    with pytest.raises(UnreachableTargetError):
+    with pytest.raises(ValueError, match=re.escape("must be in (0, 1], got 0.0")):
         repetitions_to_target(0.0)
     with pytest.raises(ValueError):
         repetitions_to_target(1.5)
@@ -70,12 +56,6 @@ def test_hardware_projection():
         project_hw_ttt(100, sweep_time_s=0)
 
 
-def test_speedup():
-    assert speedup(25_800, 39.4) == pytest.approx(654.82, abs=0.01)
-    with pytest.raises(ValueError):
-        speedup(0, 1)
-
-
 def test_target_spec_validation():
     assert TargetSpec("best", 100).confidence == 0.99
     with pytest.raises(ValueError):
@@ -98,9 +78,14 @@ def test_target_outcome_validation_and_probability():
     stats = outcome(successes=7, trials=100, sweeps_per_trial=50)
     # stored as integers: deriving the count back is exact
     assert round(stats.p_s * stats.trials) == stats.successes
-    with pytest.raises(ValueError):
+    assert outcome(successes=66, trials=100, sweeps_per_trial=1).p_s == 0.66
+    assert outcome(successes=0, trials=5, sweeps_per_trial=1).p_s == 0.0
+    assert outcome(successes=5, trials=5, sweeps_per_trial=1).p_s == 1.0
+    with pytest.raises(ValueError, match=re.escape("successes must be in 0..4, got 5")):
         outcome(successes=5, trials=4, sweeps_per_trial=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("successes must be in 0..5, got -1")):
+        outcome(successes=-1, trials=5, sweeps_per_trial=1)
+    with pytest.raises(ValueError, match="trials must be positive, got 0"):
         outcome(successes=0, trials=0, sweeps_per_trial=1)
     with pytest.raises(ValueError):
         outcome(successes=0, trials=1, sweeps_per_trial=0)

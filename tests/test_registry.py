@@ -5,8 +5,6 @@ import pytest
 
 from gsetbench.cli import main
 from gsetbench.registry import (
-    HistoricalCut,
-    RegistryEntry,
     builtin_registry,
     load_registry,
     locate_instance_file,
@@ -25,45 +23,36 @@ def test_builtin_rows():
     assert reg["G81"].best_energy == -28_086
 
 
-def test_history_never_exceeds_best_known():
-    reg = builtin_registry()
-    history = reg["G81"].historic_cuts
-    assert history, "G81 ships with its published cut history"
-    assert max(h.cut for h in history) == reg["G81"].best_cut
-    assert all(h.cut <= reg["G81"].best_cut for h in history)
-
-
-def test_entry_rejects_history_above_best():
-    with pytest.raises(ValueError, match="exceeds best known"):
-        RegistryEntry(
-            name="x", n=4, m=4, best_cut=10,
-            historic_cuts=(HistoricalCut("m", 2000, 11),),
-        )
-
-
 def test_registry_env_override(tmp_path, monkeypatch):
     payload = {
         "G81": {"n": 20_000, "m": 40_000, "best_cut": 14_061, "best_energy": -28_088},
-        "custom": {
-            "n": 9, "m": 18, "best_cut": 5,
-            "historic_cuts": [["mine", 2024, 5]],
-        },
+        "custom": {"n": 9, "m": 18, "best_cut": 5, "best_energy": None},
     }
     path = tmp_path / "registry.json"
     path.write_text(json.dumps(payload))
     monkeypatch.setenv("GSETBENCH_REGISTRY", str(path))
     reg = load_registry()
     assert reg["G81"].best_cut == 14_061  # override wins
-    assert reg["custom"].historic_cuts[0].label == "mine (2024)"
+    assert (reg["custom"].n, reg["custom"].m, reg["custom"].best_cut) == (9, 18, 5)
+    assert reg["custom"].best_energy is None
+    assert reg["G81"].best_energy == -28_088
     assert reg["G72"].best_cut == 7_008  # builtin rows survive
 
 
 @pytest.mark.parametrize("payload, message", [
     ({"X": {"n": 16, "best_cut": 3}}, "entry 'X' has no 'm'"),
-    ({"X": {"n": 16, "m": 32, "best_cut": 3, "historic_cuts": [["m", 2000]]}},
-     "entry 'X': historic_cuts rows are [method, year, cut], got ['m', 2000]"),
+    ({"X": {"n": 16, "m": 32, "best_cut": 3, "historic_cuts": [["m", 2000, 3]]}},
+     "entry 'X': historic_cuts is not a registry key (expected n, m, best_cut, best_energy)"),
     ([{"X": {"n": 16, "m": 32, "best_cut": 3}}],
      "expected an object mapping names to objects"),
+    ({"X": {"n": 16.9, "m": 32, "best_cut": 3}}, "entry 'X': n must be an integer, got 16.9"),
+    ({"X": {"n": 16, "m": True, "best_cut": 3}}, "entry 'X': m must be an integer, got true"),
+    ({"X": {"n": 16, "m": 32, "best_cut": "3"}},
+     "entry 'X': best_cut must be an integer, got \"3\""),
+    ({"X": {"n": 16, "m": 32, "best_cut": 3, "best_energy": 2.0}},
+     "entry 'X': best_energy must be an integer, got 2.0"),
+    ({"X": {"n": 16, "m": 32, "best_cut": 3, "best_enrgy": -10}},
+     "entry 'X': best_enrgy is not a registry key (expected n, m, best_cut, best_energy)"),
 ])
 def test_a_malformed_registry_file_is_one_clean_error(tmp_path, monkeypatch, capsys,
                                                       payload, message):
