@@ -29,7 +29,7 @@ def main():
     # probe campaigns on this instance (600 annealing trials of up to
     # 10,000 sweeps, under three cooling schedules) never exceed 46
     config = CampaignConfig(
-        solver=default_config(ANNEALING, sweeps=200, seed=0),
+        solver=default_config(ANNEALING, sweeps=200),
         num_trials=100,
         master_seed=8675309,
         targets=(TargetSpec("best_seen", 46), TargetSpec("within_two", 44)),

@@ -31,7 +31,7 @@ TRIALS = 30
 
 def run_ladder(torus, kind):
     config = CampaignConfig(
-        solver=default_config(kind, sweeps=LADDER[0], seed=0),
+        solver=default_config(kind, sweeps=LADDER[0]),
         num_trials=TRIALS,
         master_seed=1414,
     )

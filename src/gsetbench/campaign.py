@@ -39,7 +39,7 @@ from pathlib import Path
 from gsetbench.codec import encode_hex
 from gsetbench.instances import ProblemInstance
 from gsetbench.metrics import TargetOutcome, TargetSpec
-from gsetbench.solvers import SolverConfig, TrialResult, run_trial, run_trials
+from gsetbench.solvers import SolverConfig, TrialResult, check_seed, run_trial, run_trials
 
 # Version of the trial streams a log's records replay under. Format 2
 # sweeps colour classes with one uniform per spin per sweep; format 1
@@ -90,11 +90,11 @@ def master_seed_of(seed: int, index: int) -> int:
 @dataclass(frozen=True)
 class CampaignConfig:
     """What to run on the instance ``run_campaign`` is given: solver
-    template, trial count, targets.
+    config, trial count, targets.
 
-    The solver template's seed field is ignored; per-trial seeds come
-    from the master seed. A sweep ladder is one campaign per budget,
-    each with the template's sweeps replaced and the same master seed.
+    Every trial runs ``solver`` under its own seed, mixed from the
+    master seed. A sweep ladder is one campaign per budget, each with
+    the config's sweeps replaced and the same master seed.
     """
 
     solver: SolverConfig
@@ -111,18 +111,20 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One logged trial: the solver config it ran, enough to replay it
-    exactly, and what it found."""
+    """One logged trial: the solver config and seed it ran, enough to
+    replay it exactly, and what it found."""
 
     index: int
     instance: str
     solver: SolverConfig
+    seed: int
     best_cut: int
     sweeps_executed: int
     wall_time_s: float
     spins_hex: str | None = None
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if self.index < 0:
             raise ValueError(f"trial index must be non-negative, got {self.index}")
         if not (1 <= self.sweeps_executed <= self.solver.sweeps):
@@ -133,16 +135,16 @@ class TrialRecord:
 
     @property
     def campaign(self) -> tuple:
-        """(instance, schedule, master seed): one campaign's records share it."""
-        return self.instance, self.solver.schedule, master_seed_of(self.solver.seed, self.index)
+        """(instance, solver config, master seed): one campaign's records share it."""
+        return self.instance, self.solver, master_seed_of(self.seed, self.index)
 
 
 def _campaign_text(campaign: tuple) -> str:
     """A campaign identity in the log's key=value words."""
-    instance, (kind, sweeps, temp_start, temp_end), master_seed = campaign
-    words = f"instance={instance} kind={kind} sweeps={sweeps}"
-    if temp_start is not None:
-        words += f" temp_start={temp_start!r} temp_end={temp_end!r}"
+    instance, solver, master_seed = campaign
+    words = f"instance={instance} kind={solver.kind} sweeps={solver.sweeps}"
+    if solver.temp_start is not None:
+        words += f" temp_start={solver.temp_start!r} temp_end={solver.temp_end!r}"
     return f"{words} master_seed={master_seed}"
 
 
@@ -164,7 +166,7 @@ def format_record(record: TrialRecord) -> str:
         f"instance={record.instance}",
         f"kind={solver.kind}",
         f"sweeps={solver.sweeps}",
-        f"seed={solver.seed}",
+        f"seed={record.seed}",
         f"best_cut={record.best_cut}",
         f"sweeps_executed={record.sweeps_executed}",
         f"wall_time_s={record.wall_time_s:.6e}",
@@ -189,8 +191,8 @@ def parse_record(line: str) -> TrialRecord:
     """A log line as a record.
 
     A missing field, another log format and an unknown field are refused
-    in that order; then the record's SolverConfig is built, so a schedule
-    the solvers would refuse is refused when the log is read.
+    in that order; then the record is built, so a schedule or seed the
+    solvers would refuse is refused when the log is read.
     """
     fields: dict[str, str] = {}
     for tok in line.split():
@@ -219,11 +221,11 @@ def parse_record(line: str) -> TrialRecord:
         raise ValueError(f"record has unknown field {unknown[0]}")
     try:
         temps = [float(fields[k]) if k in fields else None for k in ("temp_start", "temp_end")]
-        solver = SolverConfig(fields["kind"], int(fields["sweeps"]), int(fields["seed"]), *temps)
         return TrialRecord(
             index=int(fields["index"]),
             instance=fields["instance"],
-            solver=solver,
+            solver=SolverConfig(fields["kind"], int(fields["sweeps"]), *temps),
+            seed=int(fields["seed"]),
             best_cut=int(fields["best_cut"]),
             sweeps_executed=int(fields["sweeps_executed"]),
             wall_time_s=float(fields["wall_time_s"]),
@@ -245,7 +247,7 @@ def read_log(path) -> list[TrialRecord]:
 
 def replay_record(instance: ProblemInstance, record: TrialRecord) -> TrialResult:
     """Re-run a logged trial. best_cut must reproduce exactly."""
-    result = run_trial(instance, record.solver)
+    result = run_trial(instance, record.solver, record.seed)
     if result.best_cut != record.best_cut:
         raise RuntimeError(
             f"replay of trial {record.index} produced best_cut={result.best_cut}, "
@@ -297,7 +299,7 @@ def summarize(records, targets=()) -> CampaignSummary:
     for c in cuts:
         histogram[c] = histogram.get(c, 0) + 1
     trials = len(records)
-    avg_time = sum(r.wall_time_s for r in records) / trials
+    avg_time = math.fsum(r.wall_time_s for r in records) / trials
 
     outcomes = tuple(
         TargetOutcome(
@@ -360,6 +362,7 @@ def trial_record(
     index: int,
     instance_name: str,
     solver: SolverConfig,
+    seed: int,
     result: TrialResult,
     include_spins: bool,
 ) -> TrialRecord:
@@ -369,6 +372,7 @@ def trial_record(
         index=index,
         instance=instance_name,
         solver=solver,
+        seed=seed,
         best_cut=result.best_cut,
         sweeps_executed=result.sweeps_executed,
         wall_time_s=float(f"{result.wall_time_s:.6e}"),
@@ -382,17 +386,11 @@ def _run_batch(
     indices: list[int],
     include_spins: bool,
 ) -> list[TrialRecord]:
-    # the template passed SolverConfig's checks and a mix_seed value fits
-    # 64 bits, so a trial's config is the template's fields under its own
-    # seed, built without checking them again
-    template = vars(config.solver)
-    solvers = [object.__new__(SolverConfig) for _ in indices]
-    for solver, i in zip(solvers, indices):
-        solver.__dict__.update(template, seed=mix_seed(config.master_seed, i))
-    results = run_trials(instance, solvers)
+    seeds = [mix_seed(config.master_seed, i) for i in indices]
+    results = run_trials(instance, config.solver, seeds)
     return [
-        trial_record(i, instance.name, solver, result, include_spins)
-        for i, solver, result in zip(indices, solvers, results)
+        trial_record(i, instance.name, config.solver, seed, result, include_spins)
+        for i, seed, result in zip(indices, seeds, results)
     ]
 
 
@@ -430,7 +428,7 @@ def run_campaign(
     records, log = _open_log(log_path, resume) if log_path is not None else ([], None)
     pool = None
     try:
-        campaign = (instance.name, config.solver.schedule, config.master_seed)
+        campaign = (instance.name, config.solver, config.master_seed)
         for record in records:
             if record.campaign != campaign:
                 raise ValueError(

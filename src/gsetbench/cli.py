@@ -207,12 +207,12 @@ def cmd_gen_torus(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = resolve_instance(args.instance, args.instance_dir)
-    config = default_config(args.kind, args.sweeps, args.seed,
-                            args.temp_start, args.temp_end)
+    config = default_config(args.kind, args.sweeps, args.temp_start, args.temp_end)
     # refuse a name the record cannot hold before the trial runs
     campaign_mod.check_loggable(instance.name)
-    result = run_trial(instance, config)
-    record = campaign_mod.trial_record(0, instance.name, config, result, args.include_spins)
+    result = run_trial(instance, config, args.seed)
+    record = campaign_mod.trial_record(0, instance.name, config, args.seed, result,
+                                       args.include_spins)
     print(campaign_mod.format_record(record))
     return 0
 
@@ -291,7 +291,7 @@ def _parse_campaign_config(args):
         temps = [float(values[k]) if k in values else None for k in ("temp_start", "temp_end")]
         instance_spec = need("instance")
         config = campaign_mod.CampaignConfig(
-            solver=default_config(kind, sweeps, 0, *temps),
+            solver=default_config(kind, sweeps, *temps),
             num_trials=int(need("num_trials")),
             master_seed=int(need("master_seed")),
             targets=tuple(targets),

@@ -56,14 +56,19 @@ def load_registry() -> dict[str, RegistryEntry]:
     """Builtin registry, with GSETBENCH_REGISTRY JSON entries merged on top.
 
     The JSON file maps instance name to an object with integer keys n,
-    m and best_cut, and optionally best_energy (an integer or null). A
-    malformed file, a value that is not a JSON integer or an unknown key
-    raises one ValueError naming the file and the entry.
+    m and best_cut, and optionally best_energy (an integer or null); n
+    and best_cut are at least 1 and m at least 0. A file that is not
+    JSON, a malformed one, a value that is not a JSON integer or is out
+    of range, or an unknown key raises one ValueError naming the file
+    and, for an entry's fault, the entry.
     """
     reg = builtin_registry()
     override = os.environ.get("GSETBENCH_REGISTRY")
     if override:
-        raw = json.loads(Path(override).read_text())
+        try:
+            raw = json.loads(Path(override).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{override}: not valid JSON: {exc}") from None
         if not isinstance(raw, dict) or not all(isinstance(row, dict) for row in raw.values()):
             raise ValueError(f"{override}: expected an object mapping names to objects")
         for name, row in raw.items():
@@ -80,6 +85,9 @@ def load_registry() -> dict[str, RegistryEntry]:
                 # type(), not isinstance: JSON true loads as a bool, an int subclass
                 if type(value) is not int and not (key == "best_energy" and value is None):
                     raise ValueError(f"{where}: {key} must be an integer, got {json.dumps(value)}")
+            for key, low in (("n", 1), ("m", 0), ("best_cut", 1)):
+                if row[key] < low:
+                    raise ValueError(f"{where}: {key} must be at least {low}, got {row[key]}")
             reg[name] = RegistryEntry(name=name, **row)
     return reg
 

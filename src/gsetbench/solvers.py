@@ -13,14 +13,15 @@ and worsening flips with probability exp(delta / T), cooling T on a
 geometric schedule from temp_start to temp_end across the sweep
 budget, and always consumes the whole budget.
 
-Trials run as a batch, one row of an (R, n) spin array per trial, and
-every row has its own generator seeded from its config. The generator
-draws the initial configuration and, for annealing, one uniform per
-spin per sweep, a run of sweeps' uniforms in one call (successive calls
-continue one stream, so the run length never changes a number); greedy
-draws nothing after the initial spins. A trial is therefore a
-deterministic function of (instance, config), whatever batch it runs
-in, and greedy with a longer budget only extends the same trajectory.
+Trials run as a batch of one config under many seeds, one row of an
+(R, n) spin array per trial, each row with its own generator. The
+generator draws the initial configuration and, for annealing, one
+uniform per spin per sweep, a run of sweeps' uniforms in one call
+(successive calls continue one stream, so the run length never changes
+a number); greedy draws nothing after the initial spins. A trial is
+therefore a deterministic function of (instance, config, seed), whatever
+batch it runs in, and greedy with a longer budget only extends the same
+trajectory.
 """
 
 from __future__ import annotations
@@ -54,9 +55,11 @@ _LAYOUT_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A trial's schedule, everything but its seed: trials under equal
+    configs differ only in their random streams."""
+
     kind: str
     sweeps: int
-    seed: int
     temp_start: float | None = None
     temp_end: float | None = None
 
@@ -65,8 +68,6 @@ class SolverConfig:
             raise ValueError(f"unknown solver kind {self.kind!r}, expected one of {KINDS}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be positive, got {self.sweeps}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.kind == ANNEALING:
             if self.temp_start is None or self.temp_end is None:
                 raise ValueError("simulated annealing needs temp_start and temp_end")
@@ -78,17 +79,16 @@ class SolverConfig:
         elif self.temp_start is not None or self.temp_end is not None:
             raise ValueError("greedy local search takes no temperatures")
 
-    @property
-    def schedule(self) -> tuple:
-        """Everything but the seed: trials with equal schedules differ
-        only in their random streams."""
-        return (self.kind, self.sweeps, self.temp_start, self.temp_end)
+
+def check_seed(seed: int) -> None:
+    """Refuse a trial seed that is not one 64-bit word."""
+    if not (0 <= seed < 2**64):
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
 def default_config(
     kind: str,
     sweeps: int,
-    seed: int,
     temp_start: float | None = None,
     temp_end: float | None = None,
 ) -> SolverConfig:
@@ -97,13 +97,7 @@ def default_config(
     if kind == ANNEALING:
         temp_start = DEFAULT_TEMP_START if temp_start is None else temp_start
         temp_end = DEFAULT_TEMP_END if temp_end is None else temp_end
-    return SolverConfig(
-        kind=kind,
-        sweeps=sweeps,
-        seed=seed,
-        temp_start=temp_start,
-        temp_end=temp_end,
-    )
+    return SolverConfig(kind=kind, sweeps=sweeps, temp_start=temp_start, temp_end=temp_end)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,25 +200,24 @@ def _local_fields(spins: np.ndarray, lo: int, hi: int, slots) -> np.ndarray:
     return fields
 
 
-def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
-    """Run trials that share one config apart from the seed, as one batch.
+def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[TrialResult]:
+    """Run one trial of ``config`` per seed, as one batch.
 
-    Trial i's result depends on (instance, configs[i]) alone, not on the
-    batch; each result's wall time is the batch's divided by its size.
+    Trial i's result depends on (instance, config, seeds[i]) alone, not
+    on the batch; each result's wall time is the batch's divided by its
+    size. Every seed is checked before any trial runs.
     """
     start = time.perf_counter()
-    configs = list(configs)
-    if not configs:
+    seeds = list(seeds)
+    if not seeds:
         raise ValueError("a batch needs at least one trial")
-    template = configs[0]
-    for config in configs:
-        if config.schedule != template.schedule:
-            raise ValueError("trials in one batch must share their config apart from the seed")
+    for seed in seeds:
+        check_seed(seed)
     order, classes = _sweep_layout(instance)
-    n, batch = instance.n, len(configs)
-    annealing = template.kind == ANNEALING
+    n, batch = instance.n, len(seeds)
+    annealing = config.kind == ANNEALING
 
-    generators = [np.random.Generator(np.random.PCG64(config.seed)) for config in configs]
+    generators = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     initial = np.empty((batch, n), dtype=np.int8)
     for row, rng in zip(initial, generators):
         row[:] = rng.integers(0, 2, size=n)
@@ -236,21 +229,21 @@ def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
     spins = np.take(initial, order, axis=1)
     if annealing:
         best, best_spins = current.copy(), spins.copy()
-        run = max(1, min(template.sweeps, _RUN_UNIFORMS // n, _BATCH_UNIFORMS // (batch * n)))
+        run = max(1, min(config.sweeps, _RUN_UNIFORMS // n, _BATCH_UNIFORMS // (batch * n)))
         draws = np.empty((batch, run, n))
-    sweeps_executed = np.full(batch, template.sweeps, dtype=np.int64)
+    sweeps_executed = np.full(batch, config.sweeps, dtype=np.int64)
     # batch rows of the trials still sweeping: a greedy trial stops
     # after a sweep without a flip, and its state is then final
     live = np.arange(batch)
     final_cut = np.empty(batch, dtype=np.int64)
     final_spins = np.empty((batch, n), dtype=np.int8)
 
-    for sweep in range(template.sweeps):
+    for sweep in range(config.sweeps):
         if annealing:
-            temp = _temperature(template, sweep)
+            temp = _temperature(config, sweep)
             step = sweep % run
             if not step:
-                length = min(run, template.sweeps - sweep)
+                length = min(run, config.sweeps - sweep)
                 for block, rng in zip(draws, generators):
                     rng.random(out=block[:length])
             # uniforms[r, v]: trial r's uniform for vertex v in this sweep
@@ -299,6 +292,6 @@ def run_trials(instance: ProblemInstance, configs) -> list[TrialResult]:
     ]
 
 
-def run_trial(instance: ProblemInstance, config: SolverConfig) -> TrialResult:
-    """Run one solver trial; deterministic in (instance, config)."""
-    return run_trials(instance, [config])[0]
+def run_trial(instance: ProblemInstance, config: SolverConfig, seed: int) -> TrialResult:
+    """Run one solver trial; deterministic in (instance, config, seed)."""
+    return run_trials(instance, config, [seed])[0]

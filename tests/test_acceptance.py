@@ -242,7 +242,7 @@ def test_criterion_5_property_suite():
         optimum, config = exact_max_cut(inst)
         assert cut_value(inst, config) == optimum
         for kind in (GREEDY, ANNEALING):
-            trial = run_trial(inst, default_config(kind, 30, seed=int(rng.integers(2**32))))
+            trial = run_trial(inst, default_config(kind, 30), int(rng.integers(2**32)))
             assert trial.best_cut <= optimum
 
     # (f) torus structure invariants
@@ -264,7 +264,7 @@ def test_criterion_6_desk_scale_campaign():
     torus = generate_torus(TorusSpec(4, 4, seed=1))
     optimum, _ = exact_max_cut(torus)
     config = CampaignConfig(
-        solver=default_config(ANNEALING, 50, seed=0),
+        solver=default_config(ANNEALING, 50),
         num_trials=100,
         master_seed=20250814,
         targets=(TargetSpec("optimum", optimum),),
@@ -288,7 +288,7 @@ def test_criterion_6_desk_scale_campaign():
 def test_criterion_7_sweep_ladder_shape():
     torus = generate_torus(TorusSpec(5, 5, seed=3))
     config = CampaignConfig(
-        solver=default_config(GREEDY, 10, seed=0),
+        solver=default_config(GREEDY, 10),
         num_trials=20,
         master_seed=99,
     )
@@ -311,7 +311,7 @@ def test_criterion_8_log_lines_replay_exactly(tmp_path):
         # one log per campaign: a log that holds records takes no new campaign
         log = tmp_path / f"{kind}.log"
         config = CampaignConfig(
-            solver=default_config(kind, sweeps, seed=0),
+            solver=default_config(kind, sweeps),
             num_trials=6,
             master_seed=4242,
         )

@@ -33,7 +33,8 @@ def make_record(index, cut, sweeps=50, time=0.001, **kw):
     return TrialRecord(
         index=index,
         instance="torus:4x4:1",
-        solver=SolverConfig(ANNEALING, sweeps, mix_seed(1, index), 3.0, 0.05),
+        solver=SolverConfig(ANNEALING, sweeps, 3.0, 0.05),
+        seed=mix_seed(1, index),
         best_cut=cut,
         sweeps_executed=sweeps,
         wall_time_s=time,
@@ -71,7 +72,7 @@ def test_master_seed_of_inverts_mix_seed():
 
 
 def test_campaign_config_validation():
-    solver = default_config(GREEDY, 10, seed=0)
+    solver = default_config(GREEDY, 10)
     with pytest.raises(ValueError, match="num_trials"):
         CampaignConfig(solver=solver, num_trials=0, master_seed=1)
     with pytest.raises(ValueError, match="64 bits"):
@@ -82,7 +83,7 @@ def test_record_roundtrip():
     record = make_record(3, 9, spins_hex="c318")
     assert parse_record(format_record(record)) == record
     bare = TrialRecord(
-        index=0, instance="g", solver=SolverConfig(GREEDY, 5, 7),
+        index=0, instance="g", solver=SolverConfig(GREEDY, 5), seed=7,
         best_cut=4, sweeps_executed=2, wall_time_s=0.5,
     )
     assert parse_record(format_record(bare)) == bare
@@ -120,9 +121,12 @@ def test_summarize_aggregates():
 
 def test_summarize_is_order_insensitive():
     records = [make_record(i, cut) for i, cut in enumerate((5, 8, 7, 9, 5))]
-    a = summarize(records, targets=(TargetSpec("t", 7),))
-    b = summarize(list(reversed(records)), targets=(TargetSpec("t", 7),))
-    assert a == b
+    # a plain float sum of these wall times depends on their order
+    timed = [make_record(i, 5, time=t) for i, t in enumerate((1.0, 1e-16, 1e-16))]
+    for record_set in (records, timed):
+        a = summarize(record_set, targets=(TargetSpec("t", 7),))
+        b = summarize(list(reversed(record_set)), targets=(TargetSpec("t", 7),))
+        assert a == b
 
 
 def test_summarize_unreachable_target():
@@ -155,7 +159,7 @@ def torus():
 
 def campaign_config(num_trials=12, sweeps=30, kind=ANNEALING, **kw):
     return CampaignConfig(
-        solver=default_config(kind, sweeps, seed=0),
+        solver=default_config(kind, sweeps),
         num_trials=num_trials,
         master_seed=777,
         **kw,
@@ -180,7 +184,7 @@ def test_run_campaign_writes_one_record_per_trial(torus, tmp_path):
     records = read_log(log)
     assert len(records) == 12
     assert sorted(r.index for r in records) == list(range(12))
-    assert {r.solver.seed for r in records} == {mix_seed(777, i) for i in range(12)}
+    assert {r.seed for r in records} == {mix_seed(777, i) for i in range(12)}
     assert deterministic_fields(summarize(records)) == deterministic_fields(summary)
 
 
@@ -216,7 +220,7 @@ def test_parallel_batches_on_a_fresh_instance_equal_serial():
     # more workers than cores, frequent thread switches, and a layout
     # that the first batches must build while the others wait
     config = CampaignConfig(
-        solver=default_config(ANNEALING, 10, seed=0),
+        solver=default_config(ANNEALING, 10),
         num_trials=24,
         master_seed=5,
     )
@@ -239,14 +243,14 @@ def test_a_failed_batch_stops_the_campaign(torus, tmp_path, monkeypatch, workers
     started = []
     run_trials = campaign.run_trials
 
-    def failing_at_trial_3(instance, configs):
-        (index,) = [index_of[config.seed] for config in configs]
+    def failing_at_trial_3(instance, config, seeds):
+        (index,) = [index_of[seed] for seed in seeds]
         started.append(index)
         if index == 3:
             raise RuntimeError("trial 3 failed")
         if index > 3:
             time.sleep(0.2)
-        return run_trials(instance, configs)
+        return run_trials(instance, config, seeds)
 
     monkeypatch.setattr(campaign, "run_trials", failing_at_trial_3)
     log = tmp_path / "campaign.log"
@@ -330,7 +334,7 @@ def test_replay_record_reproduces_best_cut(torus, tmp_path):
 
 def test_replay_record_detects_tampering(torus):
     record = make_record(0, 1, sweeps=30)
-    record = replace(record, solver=replace(record.solver, seed=mix_seed(777, 0)))
+    record = replace(record, seed=mix_seed(777, 0))
     with pytest.raises(RuntimeError, match="replay"):
         replay_record(torus, record)
 

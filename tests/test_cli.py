@@ -214,6 +214,13 @@ def test_solve_refuses_an_unloggable_instance_name_before_the_trial(tmp_path, mo
     assert capsys.readouterr() == ("", "error: instance name 'my t44' not loggable\n")
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_solve_refuses_a_seed_outside_64_bits_before_the_trial(monkeypatch, capsys, seed):
+    monkeypatch.setattr(solvers, "_sweep_layout", lambda *a: pytest.fail("a trial ran"))
+    assert main(["solve", "torus:4x4:1", "--sweeps", "3", "--seed", seed]) == 1
+    assert capsys.readouterr() == ("", f"error: seed must fit in 64 bits, got {seed}\n")
+
+
 PLAIN_CONFIG = (
     "instance = torus:4x4:1\n"
     "kind = simulated_annealing\n"

@@ -53,11 +53,17 @@ def test_registry_env_override(tmp_path, monkeypatch):
      "entry 'X': best_energy must be an integer, got 2.0"),
     ({"X": {"n": 16, "m": 32, "best_cut": 3, "best_enrgy": -10}},
      "entry 'X': best_enrgy is not a registry key (expected n, m, best_cut, best_energy)"),
+    ({"torus:4x5:1003": {"n": 20, "m": 40, "best_cut": 0}},
+     "entry 'torus:4x5:1003': best_cut must be at least 1, got 0"),
+    ({"X": {"n": 0, "m": -3, "best_cut": 5}}, "entry 'X': n must be at least 1, got 0"),
+    ({"X": {"n": 16, "m": -3, "best_cut": 5}}, "entry 'X': m must be at least 0, got -3"),
+    ('{"X": ', "not valid JSON: Expecting value: line 1 column 7 (char 6)"),
 ])
 def test_a_malformed_registry_file_is_one_clean_error(tmp_path, monkeypatch, capsys,
                                                       payload, message):
     path = tmp_path / "registry.json"
-    path.write_text(json.dumps(payload))
+    # a str payload is the file's text as it stands
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     monkeypatch.setenv("GSETBENCH_REGISTRY", str(path))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_registry()

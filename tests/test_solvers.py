@@ -31,41 +31,41 @@ from gsetbench.solvers import (
 
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown solver kind"):
-        SolverConfig(kind="tabu", sweeps=1, seed=0)
+        SolverConfig(kind="tabu", sweeps=1)
     with pytest.raises(ValueError, match="sweeps"):
-        SolverConfig(kind=GREEDY, sweeps=0, seed=0)
+        SolverConfig(kind=GREEDY, sweeps=0)
     with pytest.raises(ValueError, match="64 bits"):
-        SolverConfig(kind=GREEDY, sweeps=1, seed=-1)
+        run_trial(generate_torus(TorusSpec(3, 3, seed=1)), SolverConfig(kind=GREEDY, sweeps=1), -1)
     with pytest.raises(ValueError, match="temp_start"):
-        SolverConfig(kind=ANNEALING, sweeps=1, seed=0)
+        SolverConfig(kind=ANNEALING, sweeps=1)
     with pytest.raises(ValueError, match="temp_end < temp_start"):
-        SolverConfig(kind=ANNEALING, sweeps=1, seed=0, temp_start=1.0, temp_end=2.0)
+        SolverConfig(kind=ANNEALING, sweeps=1, temp_start=1.0, temp_end=2.0)
     with pytest.raises(ValueError, match="no temperatures"):
-        SolverConfig(kind=GREEDY, sweeps=1, seed=0, temp_start=1.0)
+        SolverConfig(kind=GREEDY, sweeps=1, temp_start=1.0)
 
 
 def test_default_config_fills_annealing_schedule():
-    config = default_config(ANNEALING, 50, seed=3)
+    config = default_config(ANNEALING, 50)
     assert (config.temp_start, config.temp_end) == (3.0, 0.05)
-    greedy = default_config(GREEDY, 50, seed=3)
+    greedy = default_config(GREEDY, 50)
     assert greedy.temp_start is None and greedy.temp_end is None
 
 
 def test_temperature_schedule_endpoints():
-    config = default_config(ANNEALING, 10, seed=0)
+    config = default_config(ANNEALING, 10)
     assert _temperature(config, 0) == 3.0
     assert _temperature(config, 9) == pytest.approx(0.05)
     assert _temperature(config, 4) < _temperature(config, 3)
-    one = default_config(ANNEALING, 1, seed=0)
+    one = default_config(ANNEALING, 1)
     assert _temperature(one, 0) == 3.0
 
 
 def test_trials_are_deterministic():
     inst = generate_torus(TorusSpec(5, 5, seed=7))
     for kind in (GREEDY, ANNEALING):
-        config = default_config(kind, 30, seed=123)
-        a = run_trial(inst, config)
-        b = run_trial(inst, config)
+        config = default_config(kind, 30)
+        a = run_trial(inst, config, 123)
+        b = run_trial(inst, config, 123)
         assert a.best_cut == b.best_cut
         assert np.array_equal(a.best_spins, b.best_spins)
         assert a.sweeps_executed == b.sweeps_executed
@@ -76,13 +76,13 @@ def test_best_cut_matches_reported_spins():
     for kind in (GREEDY, ANNEALING):
         for _ in range(5):
             inst = random_instance(rng, int(rng.integers(4, 16)))
-            result = run_trial(inst, default_config(kind, 20, seed=int(rng.integers(2**32))))
+            result = run_trial(inst, default_config(kind, 20), int(rng.integers(2**32)))
             assert cut_value(inst, result.best_spins) == result.best_cut
 
 
 def test_greedy_converges_to_local_optimum():
     inst = generate_torus(TorusSpec(4, 4, seed=2))
-    result = run_trial(inst, default_config(GREEDY, 10_000, seed=5))
+    result = run_trial(inst, default_config(GREEDY, 10_000), 5)
     assert result.sweeps_executed < 10_000  # stopped on a no-flip sweep
     w = weight_matrix(inst)
     deltas = [naive_flip_delta(w, result.best_spins, k) for k in range(1, inst.n + 1)]
@@ -91,7 +91,7 @@ def test_greedy_converges_to_local_optimum():
 
 def test_annealing_always_consumes_budget():
     inst = generate_torus(TorusSpec(4, 4, seed=2))
-    result = run_trial(inst, default_config(ANNEALING, 37, seed=5))
+    result = run_trial(inst, default_config(ANNEALING, 37), 5)
     assert result.sweeps_executed == 37
 
 
@@ -99,7 +99,7 @@ def test_greedy_best_cut_monotone_in_budget():
     inst = generate_torus(TorusSpec(6, 6, seed=11))
     for seed in (1, 2, 3):
         cuts = [
-            run_trial(inst, default_config(GREEDY, sweeps, seed=seed)).best_cut
+            run_trial(inst, default_config(GREEDY, sweeps), seed).best_cut
             for sweeps in (1, 2, 3, 4, 6, 8)
         ]
         assert cuts == sorted(cuts)
@@ -111,13 +111,13 @@ def test_solvers_never_beat_the_oracle():
         inst = random_instance(rng, int(rng.integers(6, 15)))
         optimum, _ = exact_max_cut(inst)
         for kind in (GREEDY, ANNEALING):
-            result = run_trial(inst, default_config(kind, 40, seed=int(rng.integers(2**32))))
+            result = run_trial(inst, default_config(kind, 40), int(rng.integers(2**32)))
             assert result.best_cut <= optimum
 
 
 def test_wall_time_recorded():
     inst = generate_torus(TorusSpec(3, 3, seed=1))
-    result = run_trial(inst, default_config(GREEDY, 5, seed=1))
+    result = run_trial(inst, default_config(GREEDY, 5), 1)
     assert result.wall_time_s > 0
 
 
@@ -173,7 +173,7 @@ def greedy_colouring(instance):
     return colour
 
 
-def reference_trial(instance, config):
+def reference_trial(instance, config, seed):
     """The kernel's sweep, spin by spin in plain Python.
 
     Colour classes from greedy colouring in vertex order, visited in
@@ -186,7 +186,7 @@ def reference_trial(instance, config):
     colour = greedy_colouring(instance)
     classes = [[v for v in range(n) if colour[v] == c] for c in range(max(colour) + 1)]
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     spins = (rng.integers(0, 2, size=n) * 2 - 1).tolist()
     current = naive_cut(instance, spins)
     best, best_spins = current, tuple(spins)
@@ -230,21 +230,23 @@ def assert_same_outcome(got, expected):
 def test_kernel_matches_spin_by_spin_reference(kind):
     for inst in kernel_instances():
         for seed in range(4):
-            config = default_config(kind, 12, seed=seed)
-            assert_same_outcome(outcome(run_trial(inst, config)), reference_trial(inst, config))
+            config = default_config(kind, 12)
+            assert_same_outcome(outcome(run_trial(inst, config, seed)),
+                                reference_trial(inst, config, seed))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("sweeps", (2, 25))
 def test_batched_trials_equal_single_trials(kind, sweeps):
     for inst in kernel_instances():
-        configs = [default_config(kind, sweeps, seed=s) for s in range(100, 107)]
-        single = [outcome(run_trial(inst, config)) for config in configs]
-        for size in (1, 3, len(configs)):
+        config = default_config(kind, sweeps)
+        seeds = range(100, 107)
+        single = [outcome(run_trial(inst, config, seed)) for seed in seeds]
+        for size in (1, 3, len(seeds)):
             batched = [
                 result
-                for i in range(0, len(configs), size)
-                for result in run_trials(inst, configs[i : i + size])
+                for i in range(0, len(seeds), size)
+                for result in run_trials(inst, config, seeds[i : i + size])
             ]
             assert len(batched) == len(single)
             for result, expected in zip(batched, single):
@@ -256,21 +258,21 @@ def test_uniform_draw_boundaries_keep_the_streams():
     # 30 sweeps take three draws; one trial alone draws them in one. A
     # hot schedule keeps late sweeps finding new best cuts.
     inst = generate_torus(TorusSpec(9, 11, seed=5))
-    configs = [default_config(ANNEALING, 30, seed=s, temp_start=3.0, temp_end=1.5)
-               for s in range(200)]
-    sweeps = configs[0].sweeps
-    run = _BATCH_UNIFORMS // (len(configs) * inst.n)
+    config = default_config(ANNEALING, 30, temp_start=3.0, temp_end=1.5)
+    seeds = range(200)
+    sweeps = config.sweeps
+    run = _BATCH_UNIFORMS // (len(seeds) * inst.n)
     assert run < sweeps // 2 and sweeps % run and sweeps <= _RUN_UNIFORMS // inst.n
-    batched = run_trials(inst, configs)
-    for result, config in zip(batched, configs):
-        assert_same_outcome(outcome(result), outcome(run_trial(inst, config)))
-    for result, config in zip(batched[:2], configs):
-        assert_same_outcome(outcome(result), reference_trial(inst, config))
+    batched = run_trials(inst, config, seeds)
+    for result, seed in zip(batched, seeds):
+        assert_same_outcome(outcome(result), outcome(run_trial(inst, config, seed)))
+    for result, seed in zip(batched[:2], seeds):
+        assert_same_outcome(outcome(result), reference_trial(inst, config, seed))
 
 
 def test_best_spins_are_read_only_int8_rows():
     inst = generate_torus(TorusSpec(4, 4, seed=2))
-    for result in run_trials(inst, [default_config(ANNEALING, 5, seed=s) for s in range(3)]):
+    for result in run_trials(inst, default_config(ANNEALING, 5), range(3)):
         assert result.best_spins.dtype == np.int8
         assert result.best_spins.shape == (inst.n,)
         with pytest.raises(ValueError, match="read-only"):
@@ -285,17 +287,14 @@ def test_integrity_guard_recomputes_every_trial_of_a_batch():
     _, _, slots = classes[0]
     _, _, weights = slots[0]
     weights *= 3
-    configs = [default_config(ANNEALING, 5, seed=s) for s in range(6)]
     with pytest.raises(RuntimeError, match="internal cut accounting drifted from recomputation"):
-        run_trials(inst, configs)
+        run_trials(inst, default_config(ANNEALING, 5), range(6))
 
 
 def test_batch_rejects_mixed_configs():
     inst = generate_torus(TorusSpec(4, 4, seed=2))
     with pytest.raises(ValueError, match="at least one"):
-        run_trials(inst, [])
-    with pytest.raises(ValueError, match="apart from the seed"):
-        run_trials(inst, [default_config(GREEDY, 5, seed=1), default_config(GREEDY, 6, seed=2)])
+        run_trials(inst, default_config(GREEDY, 5), [])
 
 
 def test_colour_classes_partition_vertices_into_independent_sets():
@@ -357,8 +356,8 @@ def test_layout_is_built_once_by_the_solvers_only():
     evaluate_solution(inst, spins)
     cut_value(inst, spins)
     assert inst._sweep_layout is None
-    run_trial(inst, default_config(GREEDY, 3, seed=1))
+    run_trial(inst, default_config(GREEDY, 3), 1)
     layout = inst._sweep_layout
     assert layout is not None
-    run_trial(inst, default_config(ANNEALING, 3, seed=1))
+    run_trial(inst, default_config(ANNEALING, 3), 1)
     assert inst._sweep_layout is layout
