@@ -37,9 +37,9 @@ from functools import partial
 from pathlib import Path
 
 from gsetbench.codec import encode_hex
-from gsetbench.instances import ProblemInstance
+from gsetbench.instances import ProblemInstance, check_seed
 from gsetbench.metrics import TargetOutcome, TargetSpec
-from gsetbench.solvers import SolverConfig, TrialResult, check_seed, run_trial, run_trials
+from gsetbench.solvers import SolverConfig, TrialResult, run_trial, run_trials
 
 # Version of the trial streams a log's records replay under. Format 2
 # sweeps colour classes with one uniform per spin per sweep; format 1
@@ -65,8 +65,7 @@ def mix_seed(master_seed: int, index: int) -> int:
     Flood's finalizer), chosen because it is tiny, portable and easy
     to reimplement bit-exactly anywhere.
     """
-    if not (0 <= master_seed < 2**64):
-        raise ValueError(f"master seed must fit in 64 bits, got {master_seed}")
+    master_seed = check_seed(master_seed, "master seed")
     if index < 0:
         raise ValueError(f"trial index must be non-negative, got {index}")
     z = (master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
@@ -105,8 +104,7 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.num_trials < 1:
             raise ValueError(f"num_trials must be positive, got {self.num_trials}")
-        if not (0 <= self.master_seed < 2**64):
-            raise ValueError(f"master seed must fit in 64 bits, got {self.master_seed}")
+        object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master seed"))
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,7 @@ class TrialRecord:
     spins_hex: str | None = None
 
     def __post_init__(self) -> None:
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.index < 0:
             raise ValueError(f"trial index must be non-negative, got {self.index}")
         if not (1 <= self.sweeps_executed <= self.solver.sweeps):

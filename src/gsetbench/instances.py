@@ -7,6 +7,7 @@ Gset layout: a header line ``n m`` followed by m lines ``u v w``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -188,6 +189,18 @@ def load_gset(path) -> ProblemInstance:
     return parse_gset(p.read_text(), name=p.stem)
 
 
+def check_seed(seed, what: str = "seed") -> int:
+    """``seed`` as an int, refused unless it is an integer of one 64-bit
+    word; ``what`` names it in the message."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {seed!r}") from None
+    if not (0 <= value < 2**64):
+        raise ValueError(f"{what} must fit in 64 bits, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class TorusSpec:
     """Parameters of a synthetic toroidal grid instance.
@@ -207,8 +220,7 @@ class TorusSpec:
             raise ValueError(
                 f"torus must be at least 3x3, got {self.rows}x{self.cols}"
             )
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     @property
     def name(self) -> str:

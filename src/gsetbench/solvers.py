@@ -14,14 +14,18 @@ geometric schedule from temp_start to temp_end across the sweep
 budget, and always consumes the whole budget.
 
 Trials run as a batch of one config under many seeds, one row of an
-(R, n) spin array per trial, each row with its own generator. The
-generator draws the initial configuration and, for annealing, one
-uniform per spin per sweep, a run of sweeps' uniforms in one call
-(successive calls continue one stream, so the run length never changes
-a number); greedy draws nothing after the initial spins. A trial is
-therefore a deterministic function of (instance, config, seed), whatever
-batch it runs in, and greedy with a longer budget only extends the same
-trajectory.
+(R, n) spin array per trial, each row with its own stream: numpy's
+PCG64 seeded as ``PCG64(seed)`` seeds it, with the four seed words
+``SeedSequence(seed).generate_state(4, np.uint64)`` (hashed for the
+whole batch at once). Initial spin i is +1 exactly when bit 31 of the
+i-th 32-bit half of the stream's raw 64-bit outputs is set, low half
+first, which is ``Generator.integers(0, 2)`` spin by spin. Annealing
+then takes one uniform per spin per sweep from ``Generator.random``, a
+run of sweeps' uniforms in one call (successive calls continue one
+stream, so the run length never changes a number); greedy draws nothing
+after the initial spins. A trial is therefore a deterministic function
+of (instance, config, seed), whatever batch it runs in, and greedy with
+a longer budget only extends the same trajectory.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gsetbench.evaluate import cut_values
-from gsetbench.instances import ProblemInstance
+from gsetbench.instances import ProblemInstance, check_seed
 
 GREEDY = "greedy_local_search"
 ANNEALING = "simulated_annealing"
@@ -80,12 +84,6 @@ class SolverConfig:
             raise ValueError("greedy local search takes no temperatures")
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a trial seed that is not one 64-bit word."""
-    if not (0 <= seed < 2**64):
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
-
-
 def default_config(
     kind: str,
     sweeps: int,
@@ -109,6 +107,100 @@ class TrialResult:
     best_spins: np.ndarray
     sweeps_executed: int
     wall_time_s: float
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(count, 1) uint32 column of init * mult**k mod 2^32, k < count."""
+    return np.array([[init * pow(mult, k, 1 << 32) % (1 << 32)] for k in range(count)],
+                    dtype=np.uint32)
+
+
+# numpy's SeedSequence hash (numpy.random.bit_generator): its pool of
+# four uint32 words is built with the running constant _HASH_A, and its
+# output state drawn with _HASH_B. Each hashmix call steps the constant
+# once, so the k-th call of either uses rows k and k + 1.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row k of ``values`` under
+    constants ``consts[k]`` and ``consts[k + 1]``."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> _XSHIFT)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """(len(seeds), 4) uint64 array whose row i is
+    ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``, the words
+    ``PCG64(seeds[i])`` seeds itself with.
+
+    A seed is the entropy of one uint32 word below 2^32 and of two from
+    there; the pool's words past the entropy hash a 0, so one word hashes
+    as two with a high word of 0.
+    """
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hashmix(pool, _HASH_A[:5])
+    # each word in turn is mixed into the three others
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        k = 4 + 3 * src
+        mixed = pool[others] * _MIX_L - _hashmix(pool[src], _HASH_A[k : k + 4]) * _MIX_R
+        pool[others] = mixed ^ (mixed >> _XSHIFT)
+    # eight uint32 words, cycling over the pool, paired low word first
+    state = _hashmix(np.concatenate((pool, pool)), _HASH_B).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
+
+
+class _SeedWords:
+    """A seed sequence holding one row of ``_seed_words``: PCG64 asks
+    its seed sequence for four uint64 words, and gets that row.
+
+    It is registered as a numpy ``ISeedSequence`` when first used, not
+    subclassed, so that importing the package does not load numpy.random,
+    which numpy 2 loads only on first use.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _trial_streams(seeds: list[int]) -> list[np.random.PCG64]:
+    """Each seed's PCG64, in the state ``PCG64(seed)`` starts in."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    words = _seed_words(np.array(seeds, dtype=np.uint64))
+    return [np.random.PCG64(_SeedWords(row)) for row in words]
+
+
+def _initial_spins(streams: list[np.random.PCG64], n: int) -> np.ndarray:
+    """(len(streams), n) int8 array of +-1 spins, one row per stream,
+    the spins ``Generator(stream).integers(0, 2, size=n) * 2 - 1`` gives.
+
+    That draws each spin by Lemire's method on a 32-bit output, taking
+    a raw 64-bit output's low half and then its high half; with a range
+    of two it never rejects, and the spin is bit 31 of the half.
+    """
+    half = (n + 1) // 2
+    raw = np.empty((len(streams), half), dtype=np.uint64)
+    for row, stream in zip(raw, streams):
+        row[:] = stream.random_raw(half)
+    # spin 2k is bit 31 of output k and spin 2k + 1 its bit 63, taken by
+    # shifts, so byte order does not matter, and written in place
+    spins = np.empty((len(streams), 2 * half), dtype=np.int8)
+    np.right_shift(raw, np.uint64(63), out=spins[:, 1::2], casting="unsafe")
+    raw >>= np.uint64(31)
+    np.bitwise_and(raw, np.uint64(1), out=spins[:, 0::2], casting="unsafe")
+    spins *= 2
+    spins -= 1
+    return np.ascontiguousarray(spins[:, :n])
 
 
 def _temperature(config: SolverConfig, sweep_index: int) -> float:
@@ -205,29 +297,25 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
 
     Trial i's result depends on (instance, config, seeds[i]) alone, not
     on the batch; each result's wall time is the batch's divided by its
-    size. Every seed is checked before any trial runs.
+    size. Every seed must be an integer of one 64-bit word, and all are
+    checked before any trial runs.
     """
     start = time.perf_counter()
-    seeds = list(seeds)
+    seeds = [check_seed(seed) for seed in seeds]
     if not seeds:
         raise ValueError("a batch needs at least one trial")
-    for seed in seeds:
-        check_seed(seed)
     order, classes = _sweep_layout(instance)
     n, batch = instance.n, len(seeds)
     annealing = config.kind == ANNEALING
 
-    generators = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    initial = np.empty((batch, n), dtype=np.int8)
-    for row, rng in zip(initial, generators):
-        row[:] = rng.integers(0, 2, size=n)
-    initial *= 2
-    initial -= 1
+    streams = _trial_streams(seeds)
+    initial = _initial_spins(streams, n)
     current = cut_values(instance, initial)
     # spins[r, p] is trial r's spin at position p; np.take keeps the rows
     # C-contiguous, where initial[:, order] would come out column-major
     spins = np.take(initial, order, axis=1)
     if annealing:
+        generators = [np.random.Generator(stream) for stream in streams]
         best, best_spins = current.copy(), spins.copy()
         run = max(1, min(config.sweeps, _RUN_UNIFORMS // n, _BATCH_UNIFORMS // (batch * n)))
         draws = np.empty((batch, run, n))

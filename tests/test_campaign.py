@@ -6,6 +6,7 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import deterministic_fields
@@ -54,8 +55,11 @@ def test_mix_seed_reference_vectors():
 def test_mix_seed_validation_and_spread():
     with pytest.raises(ValueError):
         mix_seed(-1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="master seed must fit in 64 bits, got 18446744073709551616"):
         mix_seed(2**64, 0)
+    with pytest.raises(ValueError, match="master seed must be an integer, got 1.0"):
+        mix_seed(1.0, 0)
+    assert mix_seed(np.uint64(42), 3) == mix_seed(42, 3)
     with pytest.raises(ValueError):
         mix_seed(0, -1)
     seeds = {mix_seed(42, i) for i in range(1000)}
@@ -75,8 +79,19 @@ def test_campaign_config_validation():
     solver = default_config(GREEDY, 10)
     with pytest.raises(ValueError, match="num_trials"):
         CampaignConfig(solver=solver, num_trials=0, master_seed=1)
-    with pytest.raises(ValueError, match="64 bits"):
+    with pytest.raises(ValueError, match="master seed must fit in 64 bits, got -1"):
         CampaignConfig(solver=solver, num_trials=1, master_seed=-1)
+    with pytest.raises(ValueError, match="master seed must be an integer, got 2.0"):
+        CampaignConfig(solver=solver, num_trials=1, master_seed=2.0)
+
+
+def test_seeds_of_integer_types_are_kept_as_python_ints():
+    config = CampaignConfig(solver=default_config(GREEDY, 10), num_trials=1,
+                            master_seed=np.uint64(2**64 - 1))
+    assert type(config.master_seed) is int and config.master_seed == 2**64 - 1
+    record = replace(make_record(0, 9), seed=True)
+    assert type(record.seed) is int
+    assert format_record(record) == format_record(replace(record, seed=1))
 
 
 def test_record_roundtrip():

@@ -9,6 +9,7 @@ from gsetbench.instances import (
     GsetFormatError,
     ProblemInstance,
     TorusSpec,
+    check_seed,
     generate_torus,
     load_gset,
     parse_gset,
@@ -253,6 +254,24 @@ def test_torus_spec_validation():
         TorusSpec(3, 3, seed=-1)
     with pytest.raises(ValueError, match="64 bits"):
         TorusSpec(3, 3, seed=2**64)
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        TorusSpec(3, 3, seed=1.5)
+    # an integer seed of another type names the torus as the equal int does
+    for seed in (True, np.uint64(1)):
+        spec = TorusSpec(3, 3, seed=seed)
+        assert type(spec.seed) is int and spec.name == "torus:3x3:1"
+
+
+def test_check_seed_is_the_one_64_bit_seed_rule():
+    assert check_seed(2**64 - 1) == 2**64 - 1
+    assert type(check_seed(np.uint64(5))) is int and check_seed(True) == 1
+    for seed, message in ((2**64, "seed must fit in 64 bits, got 18446744073709551616"),
+                          (np.int8(-3), "seed must fit in 64 bits, got -3"),
+                          (3.0, "seed must be an integer, got 3.0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_seed(seed)
+    with pytest.raises(ValueError, match="^master seed must fit in 64 bits, got -1$"):
+        check_seed(-1, "master seed")
 
 
 def test_torus_structure():

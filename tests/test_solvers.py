@@ -21,8 +21,11 @@ from gsetbench.solvers import (
     _BATCH_UNIFORMS,
     _RUN_UNIFORMS,
     SolverConfig,
+    _initial_spins,
+    _seed_words,
     _sweep_layout,
     _temperature,
+    _trial_streams,
     default_config,
     run_trial,
     run_trials,
@@ -42,6 +45,49 @@ def test_config_validation():
         SolverConfig(kind=ANNEALING, sweeps=1, temp_start=1.0, temp_end=2.0)
     with pytest.raises(ValueError, match="no temperatures"):
         SolverConfig(kind=GREEDY, sweeps=1, temp_start=1.0)
+
+
+def test_non_integer_seeds_are_refused_and_integer_types_run_alike():
+    inst = generate_torus(TorusSpec(3, 3, seed=1))
+    config = default_config(ANNEALING, 5)
+    for seed in (3.0, 1.5, "3", None, np.float64(2.0)):
+        with pytest.raises(ValueError, match="seed must be an integer, got"):
+            run_trial(inst, config, seed)
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.0"):
+        run_trials(inst, config, [1, 2.0])
+    for seed, same in ((np.uint64(2**64 - 1), 2**64 - 1), (np.int64(7), 7),
+                       (np.uint8(200), 200), (True, 1)):
+        assert_same_outcome(outcome(run_trial(inst, config, seed)),
+                            outcome(run_trial(inst, config, same)))
+    with pytest.raises(ValueError, match="seed must fit in 64 bits, got -1"):
+        run_trial(inst, config, np.int64(-1))
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def test_seed_words_equal_seed_sequence_state():
+    # seeds below 2^32 are one entropy word, the others two
+    seeds = STREAM_SEEDS + np.random.default_rng(14).integers(
+        2**64, size=1000, dtype=np.uint64).tolist()
+    words = _seed_words(np.array(seeds, dtype=np.uint64))
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds, words):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 20, 99, 10001))
+def test_raw_bit_initial_spins_equal_generator_integers(n):
+    streams = _trial_streams(STREAM_SEEDS)
+    for stream, seed in zip(streams, STREAM_SEEDS):
+        assert stream.state == np.random.PCG64(seed).state
+    spins = _initial_spins(streams, n)
+    assert spins.shape == (len(STREAM_SEEDS), n) and spins.dtype == np.int8
+    for row, stream, seed in zip(spins, streams, STREAM_SEEDS):
+        reference = np.random.Generator(np.random.PCG64(seed))
+        assert np.array_equal(row, reference.integers(0, 2, size=n) * 2 - 1)
+        # the stream goes on where integers() leaves it
+        assert np.random.Generator(stream).random(3).tolist() == reference.random(3).tolist()
 
 
 def test_default_config_fills_annealing_schedule():
@@ -229,7 +275,8 @@ def assert_same_outcome(got, expected):
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_matches_spin_by_spin_reference(kind):
     for inst in kernel_instances():
-        for seed in range(4):
+        # 2^32 and 2^64 - 1 are seeds of two 32-bit words
+        for seed in (0, 1, 2, 3, 2**32, 2**64 - 1):
             config = default_config(kind, 12)
             assert_same_outcome(outcome(run_trial(inst, config, seed)),
                                 reference_trial(inst, config, seed))
