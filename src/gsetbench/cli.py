@@ -104,7 +104,9 @@ def _read_text(path_arg: str) -> str:
 
 def _best_known_for(args, instance, header) -> int | None:
     """--best-known, else the best cut of the first registry entry named by
-    --name, the solution header or the instance; its n and m must match."""
+    --name, the solution header or the instance; its n and m must match,
+    and a best_energy it holds must make best_energy + 2*best_cut the
+    instance's total weight (W = E + 2C)."""
     if getattr(args, "best_known", None) is not None:
         return args.best_known
     registry = load_registry()
@@ -115,6 +117,13 @@ def _best_known_for(args, instance, header) -> int | None:
                 raise CliError(
                     f"cannot score against {candidate}: registry has n={entry.n} "
                     f"m={entry.m}, instance has n={instance.n} m={instance.m}"
+                )
+            weight = instance.total_weight()
+            if entry.best_energy is not None and entry.best_energy + 2 * entry.best_cut != weight:
+                raise CliError(
+                    f"cannot score against {candidate}: registry best_energy="
+                    f"{entry.best_energy} + 2*best_cut={entry.best_cut} is not the "
+                    f"instance's total weight {weight}"
                 )
             return entry.best_cut
     return None

@@ -94,8 +94,10 @@ def evaluate_solution(
     instance: ProblemInstance, spins, best_known: int | None = None
 ) -> EvaluationReport:
     """Evaluate spins on an instance, optionally scoring against a best known cut."""
-    cut = cut_value(instance, spins)
-    energy = ising_energy(instance, spins)
+    # one conversion for both: a tuple of n ints costs more than either sum
+    s = _spin_array(instance, spins)
+    cut = cut_value(instance, s)
+    energy = ising_energy(instance, s)
     quality = solution_quality(cut, best_known) if best_known is not None else None
     return EvaluationReport(
         instance=instance.name, n=instance.n, cut=cut, energy=energy, quality=quality

@@ -124,9 +124,63 @@ def parse_gset(text: str, name: str = "") -> ProblemInstance:
     regardless of line breaks. The first two tokens are n and m,
     followed by exactly 3*m edge tokens. Anything after ``#`` on a
     line is ignored. Every number must fit in a 64-bit integer.
+
+    Well-formed ASCII text is read in one C pass; any other text, and
+    every error, goes through the token reader.
     """
+    text = _uncommented(text)
+    values = _plain_numbers(text)
+    if values is not None and len(values) >= 2:
+        n, m = int(values[0]), int(values[1])
+        if n >= 1 and m >= 0 and len(values) == 2 + 3 * m:
+            return ProblemInstance(n, values[2:].reshape(m, 3), name=name)
+    return _read_tokens(text, name)
+
+
+def _uncommented(text: str) -> str:
+    """``text`` with everything after ``#`` on each line removed."""
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    return text
+
+
+# below this magnitude np.fromstring's clamp at the int64 bounds is never hit
+_PLAIN_LIMIT = 10**18
+
+
+def _plain_numbers(text: str) -> np.ndarray | None:
+    """Every number of ``text`` as int64, or None unless ``text`` is ASCII
+    tokens ``[+-]?[0-9]+``, each below 10^18 in magnitude, separated by C
+    whitespace (bytes 9-13 and 32; ``str.split`` also splits at bytes
+    28-31, which ``np.fromstring`` does not).
+    """
+    if not text.isascii():
+        return None
+    # padded with a space at each end, so every byte has both neighbours
+    raw = np.frombuffer(f" {text} ".encode("ascii"), dtype=np.uint8)
+    space = (raw == 32) | ((raw >= 9) & (raw <= 13))
+    digit = (raw >= 48) & (raw <= 57)
+    sign = (raw == 43) | (raw == 45)
+    signs = np.count_nonzero(sign)
+    # every byte is whitespace, a digit or a sign (three disjoint classes),
+    # and every sign starts its token and is followed by a digit
+    if (np.count_nonzero(space) + np.count_nonzero(digit) + signs != len(raw)
+            or np.count_nonzero(space[:-1] & sign[1:]) != signs
+            or np.count_nonzero(sign[:-1] & digit[1:]) != signs):
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    # one value a token, each token between two whitespace edges; this
+    # also catches whitespace-only text, which reads as [0]
+    if 2 * len(values) != np.count_nonzero(space[:-1] != space[1:]):
+        return None
+    if len(values) and not (-_PLAIN_LIMIT < values.min() and values.max() < _PLAIN_LIMIT):
+        return None
+    return values
+
+
+def _read_tokens(text: str, name: str) -> ProblemInstance:
+    """The token reader behind ``parse_gset``, on comment-free text: each
+    token is checked in order, so the first fault met raises."""
     tokens = text.split()
 
     def line_of(k: int) -> int:
@@ -158,15 +212,7 @@ def parse_gset(text: str, name: str = "") -> ProblemInstance:
     if m < 0:
         raise GsetFormatError(f"edge count must be non-negative, got {m}")
     end = 2 + 3 * m
-    try:
-        # numpy's conversion, like int(), also reads "1_0" and non-ASCII
-        # digits, which the token reader refuses; ASCII without "_" has neither
-        if not text.isascii() or "_" in text:
-            raise ValueError
-        values = np.array(tokens[2:end], dtype=np.int64).reshape(m, 3)
-    except (ValueError, OverflowError):
-        # a malformed, oversized or missing edge token: the first one raises
-        values = np.array([integer(k) for k in range(2, end)], dtype=np.int64).reshape(m, 3)
+    values = np.array([integer(k) for k in range(2, end)], dtype=np.int64).reshape(m, 3)
     if len(tokens) > end:
         raise GsetFormatError(
             f"line {line_of(end)}: trailing token {tokens[end]!r} after {m} edges"

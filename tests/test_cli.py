@@ -122,6 +122,29 @@ def test_validate_scores_against_a_matching_registry_entry(tmp_path, torus, toru
     assert "quality=100.000%" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_scoring_checks_the_registry_energy_against_the_total_weight(
+        tmp_path, torus, capsys, monkeypatch, command):
+    weight = torus.total_weight()
+    reg_path = tmp_path / "reg.json"
+    monkeypatch.setenv("GSETBENCH_REGISTRY", str(reg_path))
+    _, config = exact_max_cut(torus)
+    sol = solution_file(tmp_path, torus, config)
+    argv = [command, "torus:4x4:1", str(sol)]
+    entry = {"n": 16, "m": 32, "best_cut": 10}
+    for best_energy in (weight - 20, None):
+        reg_path.write_text(json.dumps({"torus:4x4:1": {**entry, "best_energy": best_energy}}))
+        assert main(argv) == 0
+        assert "quality=100.000%" in capsys.readouterr().out
+    reg_path.write_text(json.dumps({"torus:4x4:1": {**entry, "best_energy": weight - 18}}))
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot score against torus:4x4:1: registry best_energy={weight - 18} "
+            f"+ 2*best_cut=10 is not the instance's total weight {weight}\n")
+    # --best-known is taken as given
+    assert main(argv + ["--best-known", "10"]) == 0
+
+
 def test_validate_header_n_mismatch(tmp_path, torus, capsys):
     sol = tmp_path / "sol.txt"
     sol.write_text("# instance=other n=9\nffff\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import neighbour_lists, random_instance
+from gsetbench import instances
 from gsetbench.cli import main
 from gsetbench.instances import (
     GsetFormatError,
@@ -178,6 +179,60 @@ def test_parse_gset_rejects_numbers_beyond_int64():
         with pytest.raises(GsetFormatError) as excinfo:
             parse_gset(text)
         assert str(excinfo.value) == message
+
+
+def parse_outcome(parse):
+    """The instance ``parse()`` reads, or its error message."""
+    try:
+        return parse()
+    except GsetFormatError as exc:
+        return str(exc)
+
+
+BIG = [10**18 - 1, 10**18, 2**63 - 1, 2**63]
+# (text, whether the one-pass reader takes it); every other text, and a
+# taken one whose counts do not fit, goes through the token reader
+DIFFERENTIAL = [
+    # whitespace reads as [0] in np.fromstring, a count the tokens refute
+    ("", True), ("  ", False), ("\n", False), (" \t\n\r\v\f ", False),
+    ("3 1\n1 2 5-1\n", False), ("3 1\n1 2 -\n", False), ("3 1\n1 2 +-1\n", False),
+    ("3 1\n1 2 5+\n", False), ("5-1", False), ("-", False), ("+", False), ("3 1 1 2 -", False),
+    ("3 1\n1 2 1\x00\n", False), ("3\x001 1 2 1", False), ("3 1\n1 2 5\x00", False),
+    ("3\x1c1\x1d1\x1e2\x1f5", False), ("3 1\n1 2\x1f5\n", False),
+    ("3\v1\f1 2 5", True), ("3 1\r\n1 2 5\r\n", True), ("\r\n3 1\r\n\r\n1\t2\t-5", True),
+    ("003 001\n01 02 -0\n", True), ("3 1\n1 2 +0\n", True), ("3 1\n00001 2 -007\n", True),
+    ("+3 +1\n+1 +2 +5\n", True), ("3 1\n1 2 --5\n", False), ("3 1\n1 2 5 -\n", False),
+    *((f"2 1\n1 2 {v}\n", abs(v) < 10**18) for big in BIG for v in (big, -big)),
+    *((f"{v} 0\n", abs(v) < 10**18) for big in BIG for v in (big, -big)),
+    *((f"3 {v}\n1 2 1\n", abs(v) < 10**18) for big in BIG for v in (big, -big)),
+    ("2 1\n1 2 99999999999999999999999\n", False), ("2 1\n1 2 -18446744073709551617\n", False),
+    ("3 1\n1 2 0000000000000000000000005\n", True),
+    ("\u0663 1\n1 2 1\n", False), ("3 1\n\uff11 2 1\n", False), ("3 1\n1 2 \u0665\n", False),
+    ("3 1\n1\u00a02 5\n", False), ("3\u20031\n1 2 5\u3000", False), ("3 1\n1 2 5\u2028", False),
+    ("3 1\n1 2 1_0\n", False), ("3 1_0\n", False), ("_", False), ("3 1\n1 2 _5\n", False),
+    ("3 1\n1 2 1e5\n", False), ("3 1\n1 2 5.0\n", False), ("3 1\n0x1 2 5\n", False),
+    ("# c\n3 1 # x\n1 2 5\n", True), ("3 1\n1 2 5#7\n9", True), ("# caf\u00e9\n3 1\n1 2 5", True),
+    ("3 1 # 1 2 5\n", True), ("#", True),
+    ("3 2\n1 2 5\n", True), ("3 2\n1 2 5\n2 3\n", True), ("3 1\n1 2 5 7\n", True),
+    ("3 1\n1 2 5\n9 x 9\n", False), ("0 0\n", True), ("3 -1\n", True), ("3 0\n", True),
+    ("3 1\n1 1 5\n", True), ("3 1\n4 1 5\n", True), ("3 2\n1 2 5\n2 1 5\n", True),
+    (f"3 2\n1 2 {2**61}\n2 3 {2**61}\n", False),
+    (write_gset(generate_torus(TorusSpec(100, 200, 7))), True),
+]
+
+
+@pytest.mark.parametrize("text, plain", DIFFERENTIAL,
+                         ids=[repr(text)[:40] for text, _ in DIFFERENTIAL])
+def test_parse_gset_agrees_with_the_token_reader(text, plain):
+    """parse_gset reads each text as the token reader does: the same
+    instance and name, or the same error message."""
+    uncommented = instances._uncommented(text)
+    got = parse_outcome(lambda: parse_gset(text, name="x"))
+    want = parse_outcome(lambda: instances._read_tokens(uncommented, name="x"))
+    assert got == want
+    if isinstance(want, ProblemInstance):
+        assert got.name == want.name
+    assert (instances._plain_numbers(uncommented) is not None) == plain
 
 
 def test_absolute_weight_sum_must_stay_below_2_to_62():
