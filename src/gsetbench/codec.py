@@ -27,36 +27,39 @@ class HexDecodeError(ValueError):
         self.char = char
 
 
-def decode_hex(text: str, n: int) -> tuple[int, ...]:
-    """Decode a hex string into a configuration of n spins in {-1, +1}.
+def decode_hex(text: str, n: int) -> np.ndarray:
+    """Decode a hex string into a read-only int8 array of n spins in {-1, +1}.
 
     Whitespace is stripped before decoding. The cleaned string must
     contain exactly ceil(n/4) hex digits (case-insensitive); pad bits
     beyond variable n must be zero. Positions in error messages index
-    the cleaned string, 0-based.
+    the lowercased cleaned string, 0-based.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    cleaned = "".join(text.split()).lower()
+    cleaned = "".join(text.split())
+    try:
+        # fromhex reads both cases and refuses every other character
+        packed = bytes.fromhex(cleaned + "0" * (len(cleaned) % 2))
+    except ValueError:
+        pos, ch = next((pos, ch) for pos, ch in enumerate(cleaned.lower()) if ch not in _HEX)
+        raise HexDecodeError(
+            f"invalid hex character {ch!r} at position {pos}", position=pos, char=ch
+        ) from None
     expected = (n + 3) // 4
-    for pos, ch in enumerate(cleaned):
-        if ch not in _HEX:
-            raise HexDecodeError(
-                f"invalid hex character {ch!r} at position {pos}",
-                position=pos,
-                char=ch,
-            )
     if len(cleaned) != expected:
         raise HexDecodeError(
             f"expected {expected} hex digits for n={n}, got {len(cleaned)}"
         )
-    # unpackbits reads bytes most significant bit first, two digits a byte
-    padded = bytes.fromhex(cleaned + "0" * (expected % 2))
-    bits = np.unpackbits(np.frombuffer(padded, dtype=np.uint8))
+    # unpackbits reads bytes most significant bit first
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8)).view(np.int8)
     pad = np.flatnonzero(bits[n:])
     if len(pad):
         raise HexDecodeError(f"nonzero pad bit {pad[0] + 1} past variable {n}")
-    return tuple((bits[:n].astype(np.int64) * 2 - 1).tolist())
+    bits *= 2
+    bits -= 1
+    bits.flags.writeable = False
+    return bits[:n]
 
 
 def encode_hex(spins) -> str:

@@ -22,12 +22,16 @@ from gsetbench.instances import ProblemInstance
 
 
 def _spin_array(instance: ProblemInstance, spins) -> np.ndarray:
-    arr = np.asarray(spins, dtype=np.int64)
+    """``spins`` as an array, not copied when it is one already: n signed
+    integers, each -1 or +1."""
+    arr = np.asarray(spins)
     if arr.shape != (instance.n,):
         raise ValueError(
             f"configuration has {arr.size} spins, instance has {instance.n} variables"
         )
-    if not np.all(np.abs(arr) == 1):
+    # a signed integer dtype first, so that 1.5 or '1' is never truncated
+    # to a spin (and uint64 never turns the sums into floats)
+    if arr.dtype.kind != "i" or not np.all(np.abs(arr) == 1):
         raise ValueError("spins must be -1 or +1")
     return arr
 
@@ -94,7 +98,7 @@ def evaluate_solution(
     instance: ProblemInstance, spins, best_known: int | None = None
 ) -> EvaluationReport:
     """Evaluate spins on an instance, optionally scoring against a best known cut."""
-    # one conversion for both: a tuple of n ints costs more than either sum
+    # one check for both: a list of n ints costs more than either sum
     s = _spin_array(instance, spins)
     cut = cut_value(instance, s)
     energy = ising_energy(instance, s)

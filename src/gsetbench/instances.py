@@ -88,12 +88,7 @@ def _canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     u, v, w = np.asarray(edges, dtype=np.int64).reshape(len(edges), 3).T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     loop, out_of_range = u == v, (lo < 1) | (hi > n)
-    # a stable sort puts each repeat of a pair after its first occurrence
-    order = np.lexsort((hi, lo))
-    sorted_lo, sorted_hi = lo[order], hi[order]
-    repeat = np.zeros(len(w), dtype=bool)
-    repeat[order[1:]] = (sorted_lo[1:] == sorted_lo[:-1]) & (sorted_hi[1:] == sorted_hi[:-1])
-    failing = loop | out_of_range | repeat
+    failing = loop | out_of_range | _repeats(n, lo, hi)
     if failing.any():
         i = int(np.argmax(failing))
         if loop[i]:
@@ -111,10 +106,36 @@ def _canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         for i, total in enumerate(accumulate(size.tolist())):
             if total >= _WEIGHT_SUM_LIMIT:
                 raise GsetFormatError(f"edge {i + 1}: absolute edge weights sum to 2^62 or more")
-    arrays = (lo - 1, hi - 1, w.copy())
+    lo -= 1
+    hi -= 1
+    arrays = (lo, hi, w.copy())
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+def _repeats(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the edges whose pair (lo, hi) occurs at a lower index.
+
+    A stable sort puts each repeat of a pair after its first occurrence.
+    Below n = 2^31 it sorts one int64 key, lo*(n+1) + hi, which is
+    one-to-one on pairs within 1..n. An edge out of range may share its
+    key with another edge, but then it is marked itself or precedes the
+    edge it marks, so the first failing edge and its message stand.
+    """
+    if n < 2**31:
+        key = lo * (n + 1)
+        key += hi
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        same = key[1:] == key[:-1]
+    else:
+        order = np.lexsort((hi, lo))
+        sorted_lo, sorted_hi = lo[order], hi[order]
+        same = (sorted_lo[1:] == sorted_lo[:-1]) & (sorted_hi[1:] == sorted_hi[:-1])
+    repeat = np.zeros(len(lo), dtype=bool)
+    repeat[order[1:]] = same
+    return repeat
 
 
 def parse_gset(text: str, name: str = "") -> ProblemInstance:

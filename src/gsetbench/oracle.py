@@ -14,14 +14,17 @@ as a set bit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from gsetbench.evaluate import cut_value
 from gsetbench.instances import ProblemInstance
 
 MAX_ORACLE_N = 24
 
 
-def exact_max_cut(instance: ProblemInstance) -> tuple[int, tuple[int, ...]]:
-    """Maximum cut and one maximising configuration (spin 1 fixed at +1)."""
+def exact_max_cut(instance: ProblemInstance) -> tuple[int, np.ndarray]:
+    """Maximum cut and one maximising configuration (spin 1 fixed at +1),
+    as a read-only int8 array."""
     n = instance.n
     if n > MAX_ORACLE_N:
         raise ValueError(
@@ -53,5 +56,7 @@ def exact_max_cut(instance: ProblemInstance) -> tuple[int, tuple[int, ...]]:
         if current > best_cut or (current == best_cut and enc < best_enc):
             best_cut, best_enc = current, enc
 
-    config = tuple(1 if best_enc >> (n - i) & 1 else -1 for i in range(1, n + 1))
+    # spin i is bit n - i of the encoding, +1 a set bit
+    config = (best_enc >> np.arange(n - 1, -1, -1) & 1).astype(np.int8) * 2 - 1
+    config.flags.writeable = False
     return best_cut, config

@@ -220,7 +220,7 @@ def test_criterion_5_property_suite():
     for _ in range(1000):
         n = int(rng.integers(1, 65))
         spins = random_config(rng, n)
-        assert decode_hex(encode_hex(spins), n) == spins
+        assert np.array_equal(decode_hex(encode_hex(spins), n), spins)
 
     # (d) global-flip invariance
     for _ in range(20):

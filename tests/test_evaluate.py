@@ -9,6 +9,7 @@ from conftest import (
     random_instance,
     weight_matrix,
 )
+from gsetbench import evaluate
 from gsetbench.evaluate import (
     EvaluationReport,
     cut_value,
@@ -93,6 +94,29 @@ def test_rejects_wrong_length_or_invalid_spins():
         cut_value(inst, (1, -1, 1))
     with pytest.raises(ValueError, match="-1 or"):
         ising_energy(inst, (1, 0))
+
+
+NOT_SPINS = [
+    [1.5, -1], np.array([1.9, -1.2]), ["1", "-1"], np.array([1.0, -1.0]),
+    [True, True], np.array([1, 1], dtype=np.uint8), [1, 2**64], [1, None],
+]
+
+
+@pytest.mark.parametrize("spins", NOT_SPINS, ids=repr)
+@pytest.mark.parametrize("score", [cut_value, ising_energy, evaluate_solution])
+def test_only_integer_spins_of_plus_or_minus_one_are_scored(score, spins):
+    # each of these once truncated or cast to (1, -1) or (1, 1)
+    inst = ProblemInstance(2, [(1, 2, 1)])
+    with pytest.raises(ValueError, match="^spins must be -1 or \\+1$"):
+        score(inst, spins)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_signed_integer_arrays_are_scored_without_a_copy(dtype):
+    inst = ProblemInstance(3, [(1, 2, 2), (2, 3, -1)])
+    spins = np.array([1, -1, -1], dtype=dtype)
+    assert evaluate_solution(inst, spins) == evaluate_solution(inst, [1, -1, -1])
+    assert evaluate._spin_array(inst, spins) is spins
 
 
 def test_solution_quality():

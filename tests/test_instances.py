@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -233,6 +234,72 @@ def test_parse_gset_agrees_with_the_token_reader(text, plain):
     if isinstance(want, ProblemInstance):
         assert got.name == want.name
     assert (instances._plain_numbers(uncommented) is not None) == plain
+
+
+def lexsort_repeats(n, lo, hi):
+    """The duplicate mask as a two-key lexsort finds it."""
+    order = np.lexsort((hi, lo))
+    sorted_lo, sorted_hi = lo[order], hi[order]
+    repeat = np.zeros(len(lo), dtype=bool)
+    repeat[order[1:]] = (sorted_lo[1:] == sorted_lo[:-1]) & (sorted_hi[1:] == sorted_hi[:-1])
+    return repeat
+
+
+def random_edges(rng, n):
+    """Up to 3n random (u, v, w) rows over 1..n, so repeats in either
+    orientation and self-loops are common; now and then an endpoint is
+    out of range, some chosen to share the one-key sort's key
+    lo*(n+1) + hi with an edge in range, directly or by int64 wrap."""
+    m = int(rng.integers(1, 3 * n + 1))
+    edges = np.column_stack([rng.integers(1, n + 1, size=(m, 2)), rng.integers(-3, 4, size=m)])
+    for i in np.flatnonzero(rng.random(m) < 0.05):
+        a, b = sorted(int(x) for x in rng.integers(1, n + 1, size=2))
+        wrap = 2**64 // (n + 1) if (n + 1) & n == 0 else 0
+        edges[i, :2] = rng.choice([
+            (0, a * (n + 1) + b), (-1, (a + 1) * (n + 1) + b), (a - wrap, b),
+            (n + 1, a), (-(2**63), b), (2**63 - 1, a), (0, 0),
+        ])
+        if rng.random() < 0.5:
+            edges[i, :2] = edges[i, 1::-1]
+    return edges
+
+
+def test_one_key_duplicate_check_agrees_with_lexsort(monkeypatch):
+    rng = np.random.default_rng(13)
+    cases = [(int(n), random_edges(rng, int(n))) for n in rng.choice([2, 3, 5, 7, 12, 15, 31], 3000)]
+    one_key, one_key_repeats = [edge_outcome(n, edges) for n, edges in cases], instances._repeats
+    monkeypatch.setattr(instances, "_repeats", lexsort_repeats)
+    kinds = Counter()
+    for (n, edges), got in zip(cases, one_key):
+        assert got == edge_outcome(n, edges), (n, edges)
+        kinds[got.split(":")[1].split()[0] if isinstance(got, str) else "built"] += 1
+        # the masks agree up to the first edge out of range
+        lo, hi = np.sort(edges[:, :2], axis=1).T
+        first = np.append(np.flatnonzero((lo < 1) | (hi > n)), len(lo))[0]
+        mask, reference = one_key_repeats(n, lo, hi), lexsort_repeats(n, lo, hi)
+        assert np.array_equal(mask[:first], reference[:first])
+        kinds["keys shared out of range"] += not np.array_equal(mask, reference)
+    assert set(kinds) == {"built", "self-loop", "endpoint", "duplicate", "keys shared out of range"}
+    assert min(kinds.values()) > 20
+
+
+def edge_outcome(n, edges):
+    """The instance ``edges`` build, or its error message."""
+    return parse_outcome(lambda: ProblemInstance(n, edges))
+
+
+def test_duplicates_where_one_key_would_overflow():
+    # lo*(n+1) + hi wraps to one int64 key for these two distinct edges
+    n = 2**40
+    inst = ProblemInstance(n, [(1, n, 1), (2**24 + 1, n - 2**24, 1)])
+    assert inst.m == 2
+    with pytest.raises(GsetFormatError, match=f"^edge 3: duplicate edge \\(1, {n}\\)$"):
+        ProblemInstance(n, [(1, n, 1), (2**24 + 1, n - 2**24, 1), (n, 1, 5)])
+    # the largest n that the one key serves, and the smallest it does not
+    for n in (2**31 - 1, 2**31):
+        assert ProblemInstance(n, [(n - 1, n, 1), (n, n - 2, 1), (1, n, 1)]).m == 3
+        with pytest.raises(GsetFormatError, match=f"^edge 3: duplicate edge \\({n - 1}, {n}\\)$"):
+            ProblemInstance(n, [(n - 1, n, 1), (1, n, 1), (n, n - 1, 1)])
 
 
 def test_absolute_weight_sum_must_stay_below_2_to_62():
