@@ -23,6 +23,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from gsetbench import campaign as campaign_mod
 from gsetbench.codec import (
     HexDecodeError,
@@ -129,7 +131,7 @@ def _best_known_for(args, instance, header) -> int | None:
     return None
 
 
-def _decode_solution(args, instance) -> tuple[tuple[int, ...], dict[str, str], list[str]]:
+def _decode_solution(args, instance) -> tuple[np.ndarray, dict[str, str], list[str]]:
     """Shared by validate/evaluate: read file, apply substitutions, decode."""
     text = _read_text(args.solution)
     header = read_solution_header(text)
@@ -399,20 +401,14 @@ def cmd_project(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gsetbench",
-        description="Max-Cut / Ising benchmark toolkit for Gset-family instances",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p, fmt=True):
+    p.add_argument("--instance-dir", default=None,
+                   help="directory with instance files (default $GSET_DIR)")
+    if fmt:
+        p.add_argument("--format", choices=("kv", "csv"), default="kv")
 
-    def add_common(p, fmt=True):
-        p.add_argument("--instance-dir", default=None,
-                       help="directory with instance files (default $GSET_DIR)")
-        if fmt:
-            p.add_argument("--format", choices=("kv", "csv"), default="kv")
 
-    p = sub.add_parser("validate", help="check a solution file against expectations")
+def _validate_args(p):
     p.add_argument("instance")
     p.add_argument("solution", help="solution file path, or - for stdin")
     p.add_argument("--expect-cut", type=int, default=None)
@@ -421,30 +417,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="registry name to score quality against")
     p.add_argument("--substitute", action="append", metavar="CHAR=CHAR",
                    help="repair a character before decoding (reported loudly)")
-    add_common(p)
-    p.set_defaults(func=cmd_validate)
+    _add_common(p)
 
-    p = sub.add_parser("evaluate", help="decode and score a solution file")
+
+def _evaluate_args(p):
     p.add_argument("instance")
     p.add_argument("solution")
     p.add_argument("--best-known", type=int, default=None)
     p.add_argument("--name", default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_validate, expect_cut=None)
+    _add_common(p)
+    p.set_defaults(expect_cut=None)
 
-    p = sub.add_parser("oracle", help="exact optimum of a small instance")
+
+def _oracle_args(p):
     p.add_argument("instance")
-    add_common(p)
-    p.set_defaults(func=cmd_oracle)
+    _add_common(p)
 
-    p = sub.add_parser("gen-torus", help="write a random toroidal grid instance")
+
+def _gen_torus_args(p):
     p.add_argument("rows", type=int)
     p.add_argument("cols", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_gen_torus)
 
-    p = sub.add_parser("solve", help="run a single solver trial")
+
+def _solve_args(p):
     p.add_argument("instance")
     p.add_argument("--kind", choices=(GREEDY, ANNEALING), default=GREEDY)
     p.add_argument("--sweeps", type=int, required=True)
@@ -452,10 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temp-start", type=float, default=None)
     p.add_argument("--temp-end", type=float, default=None)
     p.add_argument("--include-spins", action="store_true")
-    add_common(p, fmt=False)
-    p.set_defaults(func=cmd_solve)
+    _add_common(p, fmt=False)
 
-    p = sub.add_parser("campaign", help="run a campaign from a config file")
+
+def _campaign_args(p):
     p.add_argument("config")
     p.add_argument("--log", default=None)
     p.add_argument("--summary-csv", default=None)
@@ -463,30 +460,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--confidence", type=float, default=None)
-    add_common(p)
+    _add_common(p)
     # None tells a given --confidence or --format from a defaulted one;
     # they default to DEFAULT_CONFIDENCE and kv where they are read
-    p.set_defaults(func=cmd_campaign, format=None)
+    p.set_defaults(format=None)
 
-    p = sub.add_parser("report", help="recompute a summary from a campaign log")
+
+def _report_args(p):
     p.add_argument("log")
     p.add_argument("--target", action="append", metavar="LABEL:CUT[:CONFIDENCE]")
     p.add_argument("--summary-csv", default=None)
     p.add_argument("--confidence", type=float, default=DEFAULT_CONFIDENCE)
     p.add_argument("--format", choices=("kv", "csv"), default="kv")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("project", help="hardware time for a sweeps-to-target figure")
+
+def _project_args(p):
     p.add_argument("stt", type=float)
     p.add_argument("--sweep-time", type=float, default=DEFAULT_HW_SWEEP_TIME_S,
                    help="seconds per sweep (default 2e-9)")
-    p.set_defaults(func=cmd_project)
 
+
+# (name, help, argument adder, handler) of each subcommand, in help order
+_COMMANDS = (
+    ("validate", "check a solution file against expectations", _validate_args, cmd_validate),
+    ("evaluate", "decode and score a solution file", _evaluate_args, cmd_validate),
+    ("oracle", "exact optimum of a small instance", _oracle_args, cmd_oracle),
+    ("gen-torus", "write a random toroidal grid instance", _gen_torus_args, cmd_gen_torus),
+    ("solve", "run a single solver trial", _solve_args, cmd_solve),
+    ("campaign", "run a campaign from a config file", _campaign_args, cmd_campaign),
+    ("report", "recompute a summary from a campaign log", _report_args, cmd_report),
+    ("project", "hardware time for a sweeps-to-target figure", _project_args, cmd_project),
+)
+_NAMES = tuple(name for name, *_ in _COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gsetbench parser with every subcommand, or with ``command``'s
+    alone. Argparse set-up costs about as much as a small command, so
+    ``main`` builds only the one it runs; the one-command parser still
+    shows every command in its usage line, so its messages are the same."""
+    parser = argparse.ArgumentParser(
+        prog="gsetbench",
+        description="Max-Cut / Ising benchmark toolkit for Gset-family instances",
+    )
+    # the metavar argparse would derive from every choice; left unset for the
+    # full parser, whose missing-command error names the dest instead
+    metavar = None if command is None else "{%s}" % ",".join(_NAMES)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments, handler in _COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

@@ -242,10 +242,10 @@ def _read_tokens(text: str, name: str) -> ProblemInstance:
 
 
 def write_gset(instance: ProblemInstance) -> str:
-    """Serialise an instance to canonical Gset text."""
-    lines = [f"{instance.n} {instance.m}"]
-    lines.extend(f"{u} {v} {w}" for u, v, w in instance.edges)
-    return "\n".join(lines) + "\n"
+    """Serialise an instance to canonical Gset text: ``n m``, then one
+    1-based ``u v w`` line per edge in input order, newline-terminated."""
+    values = np.column_stack((instance.eu + 1, instance.ev + 1, instance.ew)).ravel().tolist()
+    return f"{instance.n} {instance.m}\n" + "%d %d %d\n" * instance.m % tuple(values)
 
 
 def load_gset(path) -> ProblemInstance:

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import deterministic_fields
 from gsetbench import solvers
 from gsetbench.campaign import mix_seed, parse_record, read_log, replay_record, summarize
-from gsetbench.cli import CliError, human_time, main, resolve_instance
+from gsetbench.cli import CliError, build_parser, human_time, main, resolve_instance
 from gsetbench.codec import encode_hex
 from gsetbench.instances import TorusSpec, generate_torus, parse_gset
 from gsetbench.oracle import exact_max_cut
@@ -727,6 +728,58 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc_info:
         main([])
     assert exc_info.value.code == 2
+
+
+COMMANDS = ("validate", "evaluate", "oracle", "gen-torus", "solve", "campaign", "report",
+            "project")
+
+
+def exit_output(capsys, parse):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc_info:
+        parse()
+    return (exc_info.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [[cmd, "-h"] for cmd in COMMANDS] + [
+    ["validate"],
+    ["campaign", "c.cfg", "--workers", "x"],
+    ["solve", "torus:4x4:1", "--kind", "exhaustive"],
+    # left over by the subcommand, so reported by the top-level parser
+    ["project", "1e6", "--bogus"],
+    ["gen-torus", "4", "4", "--seed", "1", "extra"],
+])
+def test_main_says_what_the_full_parser_says(argv, monkeypatch, capsys):
+    # main builds only the invoked command's parser; its help, usage errors
+    # and exit codes must be those of the parser holding every command
+    monkeypatch.setenv("COLUMNS", "80")
+    full = exit_output(capsys, lambda: build_parser().parse_args(argv))
+    assert exit_output(capsys, lambda: main(argv)) == full
+    code, out, err = full
+    if "-h" in argv:
+        assert code == 0 and out.startswith(f"usage: gsetbench {argv[0]} ") and err == ""
+    else:
+        assert code == 2 and out == "" and "error:" in err
+
+
+def test_top_level_messages_list_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = exit_output(capsys, lambda: main(["-h"]))
+    assert code == 0
+    listed = re.findall(r"^    (\S+)\s", out, re.MULTILINE)
+    assert listed == list(COMMANDS)
+    code, _, err = exit_output(capsys, lambda: main(["no-such-command"]))
+    assert code == 2
+    assert "invalid choice: 'no-such-command' (choose from " in err
+    assert all(f"'{cmd}'" in err for cmd in COMMANDS)
+    code, _, err = exit_output(capsys, lambda: main([]))
+    assert code == 2 and "the following arguments are required: command" in err
+
+
+def test_main_without_arguments_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["gsetbench", "project", "234000"])
+    assert main() == 0
+    assert capsys.readouterr().out == "0.468 ms\n"
 
 
 def test_missing_file_is_a_clean_error(capsys):

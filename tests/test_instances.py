@@ -82,6 +82,13 @@ def test_parse_gset_basic_and_roundtrip():
     assert parse_gset(write_gset(inst)) == inst
 
 
+def test_write_gset_text_is_pinned():
+    # input order kept, endpoints 1-based with u < v, weights written in full
+    inst = ProblemInstance(4, [(3, 1, -7), (2, 4, 2**40), (1, 2, -(2**40)), (4, 3, 1)])
+    assert write_gset(inst) == "4 4\n1 3 -7\n2 4 1099511627776\n1 2 -1099511627776\n3 4 1\n"
+    assert write_gset(ProblemInstance(3, [])) == "3 0\n"
+
+
 def test_parse_gset_is_whitespace_tolerant():
     ragged = "  3\n2   1 2\n5\n\n2 3 -1  "
     assert parse_gset(ragged) == parse_gset("3 2\n1 2 5\n2 3 -1\n")
