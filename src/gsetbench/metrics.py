@@ -63,10 +63,10 @@ def project_hw_ttt(
     stt_sweeps: float, sweep_time_s: float = DEFAULT_HW_SWEEP_TIME_S
 ) -> float:
     """Wall time implied by a sweeps-to-target figure at a fixed sweep time."""
-    if stt_sweeps <= 0:
-        raise ValueError(f"sweeps to target must be positive, got {stt_sweeps}")
-    if sweep_time_s <= 0:
-        raise ValueError(f"sweep time must be positive, got {sweep_time_s}")
+    if not (0 < stt_sweeps < math.inf):
+        raise ValueError(f"sweeps to target must be positive and finite, got {stt_sweeps}")
+    if not (0 < sweep_time_s < math.inf):
+        raise ValueError(f"sweep time must be positive and finite, got {sweep_time_s}")
     return stt_sweeps * sweep_time_s
 
 

@@ -2,9 +2,8 @@
 
 With zero local fields the cut is invariant under negating all spins,
 so spin 1 can be fixed to +1 and only 2^(n-1) configurations need
-visiting. The walk is a Gray code over spins 2..n: successive
-configurations differ in one spin, so each step costs one incremental
-delta evaluation instead of a full recompute.
+scoring. They are scored in blocks, in increasing encoding order, by
+``evaluate.cut_values``, the formula ``cut_value`` uses.
 
 Ties are broken deterministically: among maximising configurations in
 the enumerated half (spin 1 = +1), the one whose bitstring encodes to
@@ -16,10 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from gsetbench.evaluate import cut_value
+from gsetbench.evaluate import cut_values
 from gsetbench.instances import ProblemInstance
 
 MAX_ORACLE_N = 24
+
+# spin and edge entries per block, n + m per configuration, which keeps
+# a block's temporaries to tens of KB (66 KB at peak on a 4x5 torus)
+_BLOCK = 1 << 13
 
 
 def exact_max_cut(instance: ProblemInstance) -> tuple[int, np.ndarray]:
@@ -31,32 +34,22 @@ def exact_max_cut(instance: ProblemInstance) -> tuple[int, np.ndarray]:
             f"exhaustive enumeration is limited to n <= {MAX_ORACLE_N}, got {n}"
         )
 
-    # (neighbour, weight) pairs of each vertex, 0-based, built once
-    neighbours = [[] for _ in range(n)]
-    for u, v, w in zip(instance.eu.tolist(), instance.ev.tolist(), instance.ew.tolist()):
-        neighbours[u].append((v, w))
-        neighbours[v].append((u, w))
+    rows = max(1, _BLOCK // (n + instance.m))
+    # spin 1 is the top bit, so the encodings run 2^(n-1)..2^n - 1 and fit int32
+    end = 1 << n
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int32)
+    # every maximum is >= 0 (all spins +1 cut nothing); argmax takes a
+    # block's first maximiser and only a strictly larger cut replaces the
+    # best, so the smallest maximising encoding wins
+    best_cut, best_enc = -1, 0
+    for start in range(end >> 1, end, rows):
+        encodings = np.arange(start, min(start + rows, end), dtype=np.int32)
+        bits = encodings[:, np.newaxis] >> shifts & 1
+        cuts = cut_values(instance, bits.astype(np.int8) * 2 - 1)
+        i = int(np.argmax(cuts))
+        if cuts[i] > best_cut:
+            best_cut, best_enc = int(cuts[i]), start + i
 
-    spins = [1] + [-1] * (n - 1)
-    current = cut_value(instance, spins)
-    enc = 1 << (n - 1)  # spin 1 is the most significant bit
-    best_cut, best_enc = current, enc
-
-    # Gray-code walk over spins 2..n: step t flips the spin at 0-based
-    # index k, the bit length of the lowest set bit of t, so every
-    # configuration of the free spins is visited exactly once.
-    for t in range(1, 1 << (n - 1)):
-        k = (t & -t).bit_length()
-        acc = 0
-        for j, w in neighbours[k]:
-            acc += w * spins[j]
-        current += spins[k] * acc
-        spins[k] = -spins[k]
-        enc ^= 1 << (n - 1 - k)
-        if current > best_cut or (current == best_cut and enc < best_enc):
-            best_cut, best_enc = current, enc
-
-    # spin i is bit n - i of the encoding, +1 a set bit
-    config = (best_enc >> np.arange(n - 1, -1, -1) & 1).astype(np.int8) * 2 - 1
+    config = (best_enc >> shifts & 1).astype(np.int8) * 2 - 1
     config.flags.writeable = False
     return best_cut, config

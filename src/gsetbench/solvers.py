@@ -75,11 +75,16 @@ class SolverConfig:
         if self.kind == ANNEALING:
             if self.temp_start is None or self.temp_end is None:
                 raise ValueError("simulated annealing needs temp_start and temp_end")
-            if not (0.0 < self.temp_end < self.temp_start):
+            # an infinite start would make every later temperature NaN,
+            # and a ratio that rounds to 0 would make them 0
+            if not (0.0 < self.temp_end < self.temp_start < np.inf):
                 raise ValueError(
-                    f"need 0 < temp_end < temp_start, got "
+                    f"need 0 < temp_end < temp_start < inf, got "
                     f"({self.temp_start}, {self.temp_end})"
                 )
+            if self.temp_end / self.temp_start == 0.0:
+                raise ValueError(f"temp_end / temp_start rounds to 0, got "
+                                 f"({self.temp_start}, {self.temp_end})")
         elif self.temp_start is not None or self.temp_end is not None:
             raise ValueError("greedy local search takes no temperatures")
 

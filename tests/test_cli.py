@@ -636,6 +636,36 @@ def test_report_refuses_a_record_with_an_invalid_schedule(tmp_path, capsys, old,
     assert report_with_second_record(tmp_path, capsys, old, new) == f"trial 1: {message}"
 
 
+# an infinite start made every later temperature NaN and a ratio that
+# rounds to 0 made them 0; solve, a campaign config and a log record
+# all refuse such a schedule
+@pytest.mark.parametrize("start, end, message", [
+    ("inf", "1", "need 0 < temp_end < temp_start < inf, got (inf, 1.0)"),
+    ("1e308", "1e-308", "temp_end / temp_start rounds to 0, got (1e+308, 1e-308)"),
+    ("nan", "1", "need 0 < temp_end < temp_start < inf, got (nan, 1.0)"),
+])
+def test_every_reader_refuses_a_degenerate_annealing_schedule(tmp_path, capsys, start, end,
+                                                              message):
+    solve = ["solve", "torus:6x6:1", "--kind", "simulated_annealing", "--sweeps", "5",
+             "--seed", "3"]
+    assert main(solve + ["--temp-start", start, "--temp-end", end]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text("instance = torus:6x6:1\nkind = simulated_annealing\nsweeps = 5\n"
+                   f"num_trials = 2\nmaster_seed = 1\ntemp_start = {start}\n"
+                   f"temp_end = {end}\n")
+    assert main(["campaign", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}: {message}\n")
+
+    assert main(solve) == 0
+    line = capsys.readouterr().out.replace("temp_start=3.0", f"temp_start={start}")
+    log = tmp_path / "run.log"
+    log.write_text(line.replace("temp_end=0.05", f"temp_end={end}"))
+    assert main(["report", str(log)]) == 1
+    assert capsys.readouterr() == ("", f"error: {log}: trial 0: {message}\n")
+
+
 # each row breaks one outcome field; a report must not average such a trial
 @pytest.mark.parametrize("old, new, message", [
     ("index=1", "index=-1", "trial -1: trial index must be non-negative, got -1"),
@@ -719,6 +749,16 @@ def test_project_known_values(capsys):
     assert capsys.readouterr().out.strip() == "78.2 ms"
     assert main(["project", "1000", "--sweep-time", "1e-6"]) == 0
     assert capsys.readouterr().out.strip() == "1 ms"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nan"], "sweeps to target must be positive and finite, got nan"),
+    (["inf"], "sweeps to target must be positive and finite, got inf"),
+    (["1000", "--sweep-time", "nan"], "sweep time must be positive and finite, got nan"),
+])
+def test_project_refuses_non_finite_input(capsys, argv, message):
+    assert main(["project"] + argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_usage_errors_exit_two():

@@ -54,6 +54,11 @@ def test_hardware_projection():
         project_hw_ttt(0)
     with pytest.raises(ValueError):
         project_hw_ttt(100, sweep_time_s=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"sweeps to target .* finite, got {bad}"):
+            project_hw_ttt(bad)
+        with pytest.raises(ValueError, match=f"sweep time .* finite, got {bad}"):
+            project_hw_ttt(100, sweep_time_s=bad)
 
 
 def test_target_spec_validation():

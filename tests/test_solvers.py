@@ -45,6 +45,17 @@ def test_config_validation():
         SolverConfig(kind=ANNEALING, sweeps=1, temp_start=1.0, temp_end=2.0)
     with pytest.raises(ValueError, match="no temperatures"):
         SolverConfig(kind=GREEDY, sweeps=1, temp_start=1.0)
+    # an infinite start made every later temperature NaN, so no flip was
+    # accepted; a ratio that rounds to 0 made the later temperatures 0
+    with pytest.raises(ValueError, match="temp_start < inf, got \\(inf, 1.0\\)"):
+        SolverConfig(kind=ANNEALING, sweeps=5, temp_start=math.inf, temp_end=1.0)
+    with pytest.raises(ValueError, match="temp_start < inf, got \\(nan, 1.0\\)"):
+        SolverConfig(kind=ANNEALING, sweeps=5, temp_start=math.nan, temp_end=1.0)
+    with pytest.raises(ValueError, match="rounds to 0, got \\(1e\\+308, 1e-308\\)"):
+        SolverConfig(kind=ANNEALING, sweeps=5, temp_start=1e308, temp_end=1e-308)
+    # the smallest ratio that stays positive is a schedule
+    config = SolverConfig(kind=ANNEALING, sweeps=5, temp_start=1.0, temp_end=5e-324)
+    assert all(_temperature(config, k) > 0 for k in range(5))
 
 
 def test_non_integer_seeds_are_refused_and_integer_types_run_alike():
