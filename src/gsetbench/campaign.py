@@ -1,16 +1,17 @@
 """Multi-trial solver campaigns with persistent, replayable logs.
 
 A campaign runs ``num_trials`` independent trials of one solver config
-on one instance. Trial i gets its own seed derived from the campaign
-master seed by a fixed SplitMix64 mix, so the set of trials is the
+on one instance. Trial i's seed is word i of the stream seeded at the
+campaign master seed, drawn by the same ``solvers.splitmix64`` that
+draws every trial's spins and uniforms, so the set of trials is the
 same regardless of worker count or execution order, campaigns are
 reproducible across runs, and any single logged trial can be re-run in
-isolation. The mix is a bijection, so a record's seed and index name
-its master seed too.
+isolation. SplitMix64's output mix is a bijection, so a record's seed
+and index name its master seed too.
 
 Trials run in batches through the solvers' batched kernel. Each
 finished trial appends one self-describing key=value line to the log,
-ending in ``format=2``, and the stream is flushed per batch, so a
+ending in ``format=3``, and the stream is flushed per batch, so a
 crashed campaign can be resumed from whatever records made it to disk;
 an unterminated last line, a record cut short by the crash, is dropped
 on resume. ``trial_record`` is
@@ -39,39 +40,37 @@ from pathlib import Path
 from gsetbench.codec import encode_hex
 from gsetbench.instances import ProblemInstance, check_seed
 from gsetbench.metrics import TargetOutcome, TargetSpec
-from gsetbench.solvers import SolverConfig, TrialResult, run_trial, run_trials
+from gsetbench.solvers import (
+    SPLITMIX_GAMMA,
+    SPLITMIX_MULTIPLIERS,
+    SolverConfig,
+    TrialResult,
+    run_trial,
+    run_trials,
+    splitmix64,
+)
 
-# Version of the trial streams a log's records replay under. Format 2
-# sweeps colour classes with one uniform per spin per sweep; format 1
-# logs came from a shuffled per-spin loop and cannot be replayed.
-LOG_FORMAT = "2"
+# Version of the trial streams a log's records replay under. Format 3
+# draws every trial's words from counter-based SplitMix64 streams;
+# format 2 logs came from per-trial numpy PCG64 streams and format 1
+# logs from a shuffled per-spin loop, and neither can be replayed.
+LOG_FORMAT = "3"
 
 # A batch holds at most this many spins (trials x n), which keeps its
 # arrays to a few MB whatever the instance size.
 _BATCH_SPINS = 1 << 18
 
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_MIX_1 = 0xBF58476D1CE4E5B9
-_MIX_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
-_UNMIX_1 = pow(_MIX_1, -1, 1 << 64)
-_UNMIX_2 = pow(_MIX_2, -1, 1 << 64)
+_UNMIX_1, _UNMIX_2 = (pow(m, -1, 1 << 64) for m in SPLITMIX_MULTIPLIERS)
 
 
 def mix_seed(master_seed: int, index: int) -> int:
-    """Seed for trial ``index``: output index+1 of a SplitMix64 stream.
-
-    This is the reference SplitMix64 generator (Steele, Lea and
-    Flood's finalizer), chosen because it is tiny, portable and easy
-    to reimplement bit-exactly anywhere.
-    """
+    """Seed for trial ``index``: word ``index`` of the master seed's
+    stream, output index+1 of SplitMix64 seeded at the master seed."""
     master_seed = check_seed(master_seed, "master seed")
     if index < 0:
         raise ValueError(f"trial index must be non-negative, got {index}")
-    z = (master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK64
-    return z ^ (z >> 31)
+    return int(splitmix64([master_seed], [index])[0, 0])
 
 
 def master_seed_of(seed: int, index: int) -> int:
@@ -83,7 +82,7 @@ def master_seed_of(seed: int, index: int) -> int:
     z = ((seed ^ (seed >> 31) ^ (seed >> 62)) * _UNMIX_2) & _MASK64
     z = ((z ^ (z >> 27) ^ (z >> 54)) * _UNMIX_1) & _MASK64
     z ^= (z >> 30) ^ (z >> 60)
-    return (z - (index + 1) * _SPLITMIX_GAMMA) & _MASK64
+    return (z - (index + 1) * SPLITMIX_GAMMA) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -384,7 +383,7 @@ def _run_batch(
     indices: list[int],
     include_spins: bool,
 ) -> list[TrialRecord]:
-    seeds = [mix_seed(config.master_seed, i) for i in indices]
+    seeds = splitmix64([config.master_seed], indices)[0].tolist()
     results = run_trials(instance, config.solver, seeds)
     return [
         trial_record(i, instance.name, config.solver, seed, result, include_spins)

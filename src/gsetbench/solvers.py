@@ -14,18 +14,25 @@ geometric schedule from temp_start to temp_end across the sweep
 budget, and always consumes the whole budget.
 
 Trials run as a batch of one config under many seeds, one row of an
-(R, n) spin array per trial, each row with its own stream: numpy's
-PCG64 seeded as ``PCG64(seed)`` seeds it, with the four seed words
-``SeedSequence(seed).generate_state(4, np.uint64)`` (hashed for the
-whole batch at once). Initial spin i is +1 exactly when bit 31 of the
-i-th 32-bit half of the stream's raw 64-bit outputs is set, low half
-first, which is ``Generator.integers(0, 2)`` spin by spin. Annealing
-then takes one uniform per spin per sweep from ``Generator.random``, a
-run of sweeps' uniforms in one call (successive calls continue one
-stream, so the run length never changes a number); greedy draws nothing
-after the initial spins. A trial is therefore a deterministic function
-of (instance, config, seed), whatever batch it runs in, and greedy with
-a longer budget only extends the same trajectory.
+(R, n) spin array per trial. A trial's randomness is counter-based:
+word c of the trial with seed s is output c + 1 of the SplitMix64
+stream seeded at s (Steele, Lea and Flood, "Fast Splittable
+Pseudorandom Number Generators", OOPSLA 2014), which ``splitmix64``
+computes for whole arrays of seeds and counters. Initial spin v
+(0-based) is +1 exactly when bit 63 of word v is set. At annealing
+sweep t (0-based), vertex v's uniform is (word (t + 1) n + v >> 11)
+2^-53, numpy's own 53-bit construction of a double in [0, 1); each
+colour class computes its own uniforms from its vertex ids. Greedy
+draws nothing after the initial spins. A trial is therefore a
+deterministic function of (instance, config, seed), whatever batch it
+runs in, and greedy with a longer budget only extends the same
+trajectory.
+
+The words of seed s are mix(s + k γ) for k = 1, 2, ..., so two trials
+share a word only if their seeds differ by a multiple of γ smaller
+than the number of words used, modulo 2^64. With T trials of C words
+each, the chance of that is about T^2 C / 2^64: about 1e-4 for 1000
+trials of G81 size (n = 20000) and 80 000 sweeps.
 """
 
 from __future__ import annotations
@@ -46,12 +53,9 @@ KINDS = (GREEDY, ANNEALING)
 DEFAULT_TEMP_START = 3.0
 DEFAULT_TEMP_END = 0.05
 
-# An annealing trial draws the uniforms of a run of sweeps in one call:
-# the run fits in _RUN_UNIFORMS per trial and _BATCH_UNIFORMS (2 MB) over
-# the batch, and is one sweep at least. A G72-size trial (n = 10000) thus
-# draws one sweep at a time, and a 20-spin trial up to 204 sweeps.
-_RUN_UNIFORMS = 1 << 12
-_BATCH_UNIFORMS = 1 << 18
+# SplitMix64's increment γ and its output mix's two multipliers
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+SPLITMIX_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 # campaign worker threads share instances; one of them builds the layout
 _LAYOUT_LOCK = threading.Lock()
@@ -114,98 +118,23 @@ class TrialResult:
     wall_time_s: float
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """(count, 1) uint32 column of init * mult**k mod 2^32, k < count."""
-    return np.array([[init * pow(mult, k, 1 << 32) % (1 << 32)] for k in range(count)],
-                    dtype=np.uint32)
+def splitmix64(seeds, counters) -> np.ndarray:
+    """(len(seeds), len(counters)) uint64 array of stream words: entry
+    (i, j) is word ``counters[j]`` of the stream seeded at ``seeds[i]``,
+    output ``counters[j] + 1`` of SplitMix64 seeded there.
 
-
-# numpy's SeedSequence hash (numpy.random.bit_generator): its pool of
-# four uint32 words is built with the running constant _HASH_A, and its
-# output state drawn with _HASH_B. Each hashmix call steps the constant
-# once, so the k-th call of either uses rows k and k + 1.
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
-_MIX_L = np.uint32(0xCA01F9DD)
-_MIX_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each row k of ``values`` under
-    constants ``consts[k]`` and ``consts[k + 1]``."""
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> _XSHIFT)
-
-
-def _seed_words(seeds: np.ndarray) -> np.ndarray:
-    """(len(seeds), 4) uint64 array whose row i is
-    ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``, the words
-    ``PCG64(seeds[i])`` seeds itself with.
-
-    A seed is the entropy of one uint32 word below 2^32 and of two from
-    there; the pool's words past the entropy hash a 0, so one word hashes
-    as two with a high word of 0.
+    Both arguments are 1-D sequences of integers in 0..2^64-1, taken as
+    uint64 arrays, whose arithmetic wraps modulo 2^64 without the warning
+    that numpy scalar arithmetic gives.
     """
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[0] = seeds & np.uint64(0xFFFFFFFF)
-    pool[1] = seeds >> np.uint64(32)
-    pool = _hashmix(pool, _HASH_A[:5])
-    # each word in turn is mixed into the three others
-    for src in range(4):
-        others = [dst for dst in range(4) if dst != src]
-        k = 4 + 3 * src
-        mixed = pool[others] * _MIX_L - _hashmix(pool[src], _HASH_A[k : k + 4]) * _MIX_R
-        pool[others] = mixed ^ (mixed >> _XSHIFT)
-    # eight uint32 words, cycling over the pool, paired low word first
-    state = _hashmix(np.concatenate((pool, pool)), _HASH_B).astype(np.uint64)
-    return np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
-
-
-class _SeedWords:
-    """A seed sequence holding one row of ``_seed_words``: PCG64 asks
-    its seed sequence for four uint64 words, and gets that row.
-
-    It is registered as a numpy ``ISeedSequence`` when first used, not
-    subclassed, so that importing the package does not load numpy.random,
-    which numpy 2 loads only on first use.
-    """
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _trial_streams(seeds: list[int]) -> list[np.random.PCG64]:
-    """Each seed's PCG64, in the state ``PCG64(seed)`` starts in."""
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    words = _seed_words(np.array(seeds, dtype=np.uint64))
-    return [np.random.PCG64(_SeedWords(row)) for row in words]
-
-
-def _initial_spins(streams: list[np.random.PCG64], n: int) -> np.ndarray:
-    """(len(streams), n) int8 array of +-1 spins, one row per stream,
-    the spins ``Generator(stream).integers(0, 2, size=n) * 2 - 1`` gives.
-
-    That draws each spin by Lemire's method on a 32-bit output, taking
-    a raw 64-bit output's low half and then its high half; with a range
-    of two it never rejects, and the spin is bit 31 of the half.
-    """
-    half = (n + 1) // 2
-    raw = np.empty((len(streams), half), dtype=np.uint64)
-    for row, stream in zip(raw, streams):
-        row[:] = stream.random_raw(half)
-    # spin 2k is bit 31 of output k and spin 2k + 1 its bit 63, taken by
-    # shifts, so byte order does not matter, and written in place
-    spins = np.empty((len(streams), 2 * half), dtype=np.int8)
-    np.right_shift(raw, np.uint64(63), out=spins[:, 1::2], casting="unsafe")
-    raw >>= np.uint64(31)
-    np.bitwise_and(raw, np.uint64(1), out=spins[:, 0::2], casting="unsafe")
-    spins *= 2
-    spins -= 1
-    return np.ascontiguousarray(spins[:, :n])
+    z = np.add.outer(np.asarray(seeds, dtype=np.uint64),
+                     (np.asarray(counters, dtype=np.uint64) + 1) * SPLITMIX_GAMMA)
+    z ^= z >> 30
+    z *= SPLITMIX_MULTIPLIERS[0]
+    z ^= z >> 27
+    z *= SPLITMIX_MULTIPLIERS[1]
+    z ^= z >> 31
+    return z
 
 
 def _temperature(config: SolverConfig, sweep_index: int) -> float:
@@ -306,24 +235,23 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
     checked before any trial runs.
     """
     start = time.perf_counter()
-    seeds = [check_seed(seed) for seed in seeds]
-    if not seeds:
+    seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
+    if not seeds.size:
         raise ValueError("a batch needs at least one trial")
     order, classes = _sweep_layout(instance)
     n, batch = instance.n, len(seeds)
     annealing = config.kind == ANNEALING
 
-    streams = _trial_streams(seeds)
-    initial = _initial_spins(streams, n)
+    # spin v starts at +1 exactly when bit 63 of word v is set
+    initial = (splitmix64(seeds, np.arange(n)) >> 63).astype(np.int8)
+    initial *= 2
+    initial -= 1
     current = cut_values(instance, initial)
     # spins[r, p] is trial r's spin at position p; np.take keeps the rows
     # C-contiguous, where initial[:, order] would come out column-major
     spins = np.take(initial, order, axis=1)
     if annealing:
-        generators = [np.random.Generator(stream) for stream in streams]
         best, best_spins = current.copy(), spins.copy()
-        run = max(1, min(config.sweeps, _RUN_UNIFORMS // n, _BATCH_UNIFORMS // (batch * n)))
-        draws = np.empty((batch, run, n))
     sweeps_executed = np.full(batch, config.sweeps, dtype=np.int64)
     # batch rows of the trials still sweeping: a greedy trial stops
     # after a sweep without a flip, and its state is then final
@@ -334,21 +262,19 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
     for sweep in range(config.sweeps):
         if annealing:
             temp = _temperature(config, sweep)
-            step = sweep % run
-            if not step:
-                length = min(run, config.sweeps - sweep)
-                for block, rng in zip(draws, generators):
-                    rng.random(out=block[:length])
-            # uniforms[r, v]: trial r's uniform for vertex v in this sweep
-            uniforms = draws[:, step]
         flipped = np.zeros(len(live), dtype=bool)
         for lo, hi, slots in classes:
             block = spins[:, lo:hi]
             delta = block * _local_fields(spins, lo, hi, slots)
             if annealing:
-                # exp(min(delta, 0) / T) is 1 for a non-worsening flip, and u < 1
-                u = np.take(uniforms, order[lo:hi], axis=1)
-                accept = u < np.exp(np.minimum(delta, 0) / temp)
+                # sweep t draws word (t + 1) n + v for vertex v, and its
+                # top 53 bits are a uniform in [0, 1)
+                u = (splitmix64(seeds, order[lo:hi] + (sweep + 1) * n) >> 11) * 2.0**-53
+                # exp(min(delta, 0) / T) is 1 for a non-worsening flip, and
+                # u < 1; at a tiny T the exponent's limit is -inf, and a
+                # worsening flip's probability then exactly 0
+                with np.errstate(over="ignore"):
+                    accept = u < np.exp(np.minimum(delta, 0) / temp)
             else:
                 accept = delta > 0
                 flipped |= accept.any(axis=1)

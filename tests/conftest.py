@@ -1,5 +1,5 @@
-"""Shared helpers: random instances, neighbour lists and deliberately
-naive evaluators.
+"""Shared helpers: random instances, neighbour lists, deliberately
+naive evaluators and a pure-Python SplitMix64.
 
 The naive evaluators iterate the full vertex-pair weight matrix, with
 no shortcuts, and the neighbour lists are built from ``edges`` here, so
@@ -69,6 +69,17 @@ def naive_energy(instance, spins):
         for j in range(i + 1, instance.n + 1):
             total += w[i][j] * spins[i - 1] * spins[j - 1]
     return total
+
+
+def reference_splitmix64(seed, counter):
+    """Output counter + 1 of SplitMix64 seeded at ``seed`` (Steele, Lea
+    and Flood, OOPSLA 2014), in Python ints: the state advances by γ per
+    output and each output is the state's mix."""
+    mask = (1 << 64) - 1
+    z = (seed + (counter + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
 
 def deterministic_fields(summary):

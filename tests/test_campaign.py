@@ -113,11 +113,13 @@ def test_parse_record_rejects_malformed_lines():
 
 def test_parse_record_refuses_other_log_formats():
     line = format_record(make_record(0, 5, spins_hex="c318"))
-    assert line.endswith(" format=2")
+    assert line.endswith(" format=3")
     with pytest.raises(ValueError, match="log format 1.*re-run the campaign"):
-        parse_record(line[: -len(" format=2")])
-    with pytest.raises(ValueError, match="log format '3'"):
-        parse_record(line[:-1] + "3")
+        parse_record(line[: -len(" format=3")])
+    with pytest.raises(ValueError, match="log format '2', this version reads format 3; re-run"):
+        parse_record(line[:-1] + "2")
+    with pytest.raises(ValueError, match="log format '4'"):
+        parse_record(line[:-1] + "4")
 
 
 def test_summarize_aggregates():
@@ -454,9 +456,9 @@ def test_new_campaign_refuses_a_log_that_holds_records(torus, tmp_path):
 def test_parse_record_rejects_unknown_fields():
     line = format_record(make_record(0, 5))
     with pytest.raises(ValueError, match="record has unknown field bogus"):
-        parse_record(line.replace(" format=2", " bogus=7 format=2"))
+        parse_record(line.replace(" format=3", " bogus=7 format=3"))
     # a record from another log format gets the format message first
-    with pytest.raises(ValueError, match="log format '3'"):
-        parse_record(line.replace(" format=2", " bogus=7 format=3"))
+    with pytest.raises(ValueError, match="log format '2'"):
+        parse_record(line.replace(" format=3", " bogus=7 format=2"))
     with pytest.raises(ValueError, match="log format 1"):
-        parse_record(line.replace(" format=2", " bogus=7"))
+        parse_record(line.replace(" format=3", " bogus=7"))

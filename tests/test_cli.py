@@ -7,7 +7,14 @@ import pytest
 
 from conftest import deterministic_fields
 from gsetbench import solvers
-from gsetbench.campaign import mix_seed, parse_record, read_log, replay_record, summarize
+from gsetbench.campaign import (
+    LOG_FORMAT,
+    mix_seed,
+    parse_record,
+    read_log,
+    replay_record,
+    summarize,
+)
 from gsetbench.cli import CliError, build_parser, human_time, main, resolve_instance
 from gsetbench.codec import encode_hex
 from gsetbench.instances import TorusSpec, generate_torus, parse_gset
@@ -392,7 +399,7 @@ def test_report_refuses_a_record_with_an_unknown_field(tmp_path, capsys):
     log = tmp_path / "run.log"
     assert main(["campaign", str(cfg), "--log", str(log)]) == 0
     capsys.readouterr()
-    log.write_text(log.read_text().replace(" format=2", " bogus=7 format=2", 1))
+    log.write_text(log.read_text().replace(" format=", " bogus=7 format=", 1))
     assert main(["report", str(log)]) == 1
     assert "record has unknown field bogus" in capsys.readouterr().err
 
@@ -604,7 +611,7 @@ def test_report_refuses_a_log_that_mixes_master_seeds(tmp_path, capsys):
 
 
 GREEDY_LINE = ("index=1 instance=torus:4x4:1 kind=greedy_local_search sweeps=10 seed=7 "
-               "best_cut=12 sweeps_executed=3 wall_time_s=1.0e-04 format=2")
+               f"best_cut=12 sweeps_executed=3 wall_time_s=1.0e-04 format={LOG_FORMAT}")
 
 
 def report_with_second_record(tmp_path, capsys, old, new):
@@ -627,13 +634,23 @@ def report_with_second_record(tmp_path, capsys, old, new):
      "('greedy_local_search', 'simulated_annealing')"),
     ("kind=greedy_local_search", "kind=simulated_annealing",
      "simulated annealing needs temp_start and temp_end"),
-    (" format=2", " temp_start=2.5 format=2", "greedy local search takes no temperatures"),
+    (" best_cut=12", " temp_start=2.5 best_cut=12", "greedy local search takes no temperatures"),
     ("sweeps=10", "sweeps=-4", "sweeps must be positive, got -4"),
     ("seed=7", "seed=18446744073709551616",
      "seed must fit in 64 bits, got 18446744073709551616"),
 ])
 def test_report_refuses_a_record_with_an_invalid_schedule(tmp_path, capsys, old, new, message):
     assert report_with_second_record(tmp_path, capsys, old, new) == f"trial 1: {message}"
+
+
+def test_solve_at_a_tiny_temperature_rejects_every_worsening_flip(capsys):
+    # |delta| / 1e-310 overflows a double: the exponent's limit is -inf,
+    # so a worsening flip's probability is 0, with no overflow warning
+    assert main(["solve", "torus:6x6:1", "--kind", "simulated_annealing", "--sweeps", "5",
+                 "--seed", "3", "--temp-start", "1", "--temp-end", "1e-310"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("index=0 instance=torus:6x6:1 ")
+    assert f" format={LOG_FORMAT}\n" in out
 
 
 # an infinite start made every later temperature NaN and a ratio that
@@ -686,19 +703,24 @@ def test_report_refuses_a_record_with_an_invalid_outcome(tmp_path, capsys, old, 
 
 DATA = Path(__file__).resolve().parent / "data"
 
-# logs written by the format-2 code before a record held its SolverConfig,
-# with their `report` output in kv and csv, and the configs that wrote them
-FORMAT2_LOGS = {
-    "format2_annealing": "instance = torus:5x5:2\nkind = simulated_annealing\nsweeps = 4\n"
+# logs written by the format-3 code, with their `report` output in kv and
+# csv, and the configs that wrote them; the format2_*.log files are the
+# logs the same configs wrote under per-trial PCG64 streams
+FORMAT3_LOGS = {
+    "format3_annealing": "instance = torus:5x5:2\nkind = simulated_annealing\nsweeps = 4\n"
                          "num_trials = 5\nmaster_seed = 31\ntemp_start = 2.5\n"
                          "include_spins = true\n",
-    "format2_greedy": "instance = torus:5x5:2\nkind = greedy_local_search\nsweeps = 10\n"
+    "format3_greedy": "instance = torus:5x5:2\nkind = greedy_local_search\nsweeps = 10\n"
                       "num_trials = 3\nmaster_seed = 32\n",
 }
 
 
-@pytest.mark.parametrize("name", sorted(FORMAT2_LOGS))
-def test_a_format_2_log_reads_back_to_the_same_summary(tmp_path, capsys, name):
+def untimed(path):
+    return re.sub(r"wall_time_s=\S+", "", path.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT3_LOGS))
+def test_a_format_3_log_reads_back_to_the_same_summary(tmp_path, capsys, name):
     log = DATA / f"{name}.log"
     for fmt in ("kv", "csv"):
         assert main(["report", str(log), "--target", "top:18", "--target", "near:16:0.9",
@@ -706,18 +728,29 @@ def test_a_format_2_log_reads_back_to_the_same_summary(tmp_path, capsys, name):
         assert capsys.readouterr() == ((DATA / f"{name}.{fmt}").read_bytes().decode(), "")
     # its config writes the same log again, apart from the wall times
     cfg, again = tmp_path / "camp.cfg", tmp_path / "again.log"
-    cfg.write_text(FORMAT2_LOGS[name])
+    cfg.write_text(FORMAT3_LOGS[name])
     assert main(["campaign", str(cfg), "--log", str(again)]) == 0
-
-    def untimed(path):
-        return re.sub(r"wall_time_s=\S+", "", path.read_text())
-
     assert untimed(again) == untimed(log)
 
 
-# logs written by the format-2 code while the kernel still held spins and
-# fields in int64, on graphs whose fields need int16 (|w| up to 300) and
-# int64 (|w| up to 2^40), with the configs that wrote them
+@pytest.mark.parametrize("kind", ("annealing", "greedy"))
+def test_a_format_2_log_is_refused(tmp_path, capsys, kind):
+    old = DATA / f"format2_{kind}.log"
+    assert main(["report", str(old)]) == 1
+    message = "record has log format '2', this version reads format 3; re-run the campaign"
+    assert capsys.readouterr() == ("", f"error: {old}: {message}\n")
+    # resuming it runs nothing and leaves it as it was
+    cfg, log = tmp_path / "camp.cfg", tmp_path / "old.log"
+    cfg.write_text(FORMAT3_LOGS[f"format3_{kind}"])
+    log.write_bytes(old.read_bytes())
+    assert main(["campaign", str(cfg), "--log", str(log), "--resume"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert log.read_bytes() == old.read_bytes()
+
+
+# logs written by the format-3 code on graphs whose fields need int16
+# (|w| up to 300) and int64 (|w| up to 2^40), with the configs that wrote
+# them; test_solvers checks them against the spin-by-spin reference
 WEIGHTED_LOGS = {
     f"weighted_{weights}_{kind}": f"instance = {DATA / f'weighted_{weights}.gset'}\n" + cfg
     for weights, temp_start in (("300", "900.0"), ("2e40", "3e12"))
@@ -735,10 +768,6 @@ def test_weighted_logs_are_written_again_unchanged(tmp_path, name):
     cfg, again = tmp_path / "camp.cfg", tmp_path / "again.log"
     cfg.write_text(WEIGHTED_LOGS[name])
     assert main(["campaign", str(cfg), "--log", str(again)]) == 0
-
-    def untimed(path):
-        return re.sub(r"wall_time_s=\S+", "", path.read_text())
-
     assert untimed(again) == untimed(DATA / f"{name}.log")
 
 

@@ -1,6 +1,10 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gsetbench
 
@@ -24,3 +28,29 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
             stray += [f"{path.name}:{node.lineno}: {m}" for m in modules
                       if m.partition(".")[0] not in ALLOWED]
     assert not stray
+
+
+def test_trials_load_no_numpy_random_generator():
+    # a trial's stream is the package's own SplitMix64, so running one
+    # must not load numpy.random, whose generators' internals may change
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from gsetbench.instances import ProblemInstance\n"
+        "from gsetbench.solvers import default_config, run_trials\n"
+        "inst = ProblemInstance(4, [(1, 2, 1), (2, 3, -1), (3, 4, 2), (4, 1, 1)])\n"
+        "for kind in ('greedy_local_search', 'simulated_annealing'):\n"
+        "    assert len(run_trials(inst, default_config(kind, 5), [1, 2, 3])) == 3\n"
+        "print(eager, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(gsetbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    eager, loaded = run.stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert loaded == "False"

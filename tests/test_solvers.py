@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,26 +10,25 @@ from conftest import (
     neighbour_lists,
     random_config,
     random_instance,
+    reference_splitmix64,
     weight_matrix,
 )
+from gsetbench.campaign import read_log
+from gsetbench.codec import decode_hex
 from gsetbench.evaluate import cut_value, evaluate_solution
-from gsetbench.instances import ProblemInstance, TorusSpec, generate_torus
+from gsetbench.instances import ProblemInstance, TorusSpec, generate_torus, load_gset
 from gsetbench.oracle import exact_max_cut
 from gsetbench.solvers import (
     ANNEALING,
     GREEDY,
     KINDS,
-    _BATCH_UNIFORMS,
-    _RUN_UNIFORMS,
     SolverConfig,
-    _initial_spins,
-    _seed_words,
     _sweep_layout,
     _temperature,
-    _trial_streams,
     default_config,
     run_trial,
     run_trials,
+    splitmix64,
 )
 
 
@@ -77,28 +77,14 @@ def test_non_integer_seeds_are_refused_and_integer_types_run_alike():
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
-def test_seed_words_equal_seed_sequence_state():
-    # seeds below 2^32 are one entropy word, the others two
+def test_stream_words_equal_python_splitmix64():
     seeds = STREAM_SEEDS + np.random.default_rng(14).integers(
         2**64, size=1000, dtype=np.uint64).tolist()
-    words = _seed_words(np.array(seeds, dtype=np.uint64))
-    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
-    for seed, row in zip(seeds, words):
-        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
-
-
-@pytest.mark.parametrize("n", (1, 2, 3, 20, 99, 10001))
-def test_raw_bit_initial_spins_equal_generator_integers(n):
-    streams = _trial_streams(STREAM_SEEDS)
-    for stream, seed in zip(streams, STREAM_SEEDS):
-        assert stream.state == np.random.PCG64(seed).state
-    spins = _initial_spins(streams, n)
-    assert spins.shape == (len(STREAM_SEEDS), n) and spins.dtype == np.int8
-    for row, stream, seed in zip(spins, streams, STREAM_SEEDS):
-        reference = np.random.Generator(np.random.PCG64(seed))
-        assert np.array_equal(row, reference.integers(0, 2, size=n) * 2 - 1)
-        # the stream goes on where integers() leaves it
-        assert np.random.Generator(stream).random(3).tolist() == reference.random(3).tolist()
+    counters = list(range(70)) + [2**32 - 1, 2**32, 2**40 - 1, 2**40, 2**40 + 1,
+                                  3 * 2**41 + 5, 2**63, 2**64 - 1]
+    words = splitmix64(np.array(seeds, dtype=np.uint64), np.array(counters, dtype=np.uint64))
+    assert words.shape == (len(seeds), len(counters)) and words.dtype == np.uint64
+    assert words.tolist() == [[reference_splitmix64(s, c) for c in counters] for s in seeds]
 
 
 def test_default_config_fills_annealing_schedule():
@@ -234,17 +220,18 @@ def reference_trial(instance, config, seed):
     """The kernel's sweep, spin by spin in plain Python.
 
     Colour classes from greedy colouring in vertex order, visited in
-    colour order; one uniform per vertex per annealing sweep, indexed by
-    vertex; best cut checked after each class. Neighbours, cuts and the
-    cooling schedule are computed here, sharing no code with the package.
+    colour order; best cut checked after each class. Spin v starts at +1
+    when bit 63 of word v of the seed's stream is set, and at annealing
+    sweep t vertex v's uniform is word (t + 1) n + v shifted to 53 bits.
+    Neighbours, cuts, stream words and the cooling schedule are computed
+    here, sharing no code with the package.
     """
     n = instance.n
     neighbours = neighbour_lists(instance)
     colour = greedy_colouring(instance)
     classes = [[v for v in range(n) if colour[v] == c] for c in range(max(colour) + 1)]
 
-    rng = np.random.default_rng(seed)
-    spins = (rng.integers(0, 2, size=n) * 2 - 1).tolist()
+    spins = [1 if reference_splitmix64(seed, v) >> 63 else -1 for v in range(n)]
     current = naive_cut(instance, spins)
     best, best_spins = current, tuple(spins)
     annealing = config.kind == ANNEALING
@@ -252,7 +239,8 @@ def reference_trial(instance, config, seed):
         if annealing:
             frac = sweep / (config.sweeps - 1) if config.sweeps > 1 else 0.0
             temp = config.temp_start * (config.temp_end / config.temp_start) ** frac
-            uniforms = rng.random(n)
+            uniforms = [(reference_splitmix64(seed, (sweep + 1) * n + v) >> 11) * 2.0**-53
+                        for v in range(n)]
         flipped = False
         for members in classes:
             for v in members:
@@ -286,19 +274,41 @@ def assert_same_outcome(got, expected):
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_matches_spin_by_spin_reference(kind):
     for inst in kernel_instances():
-        # 2^32 and 2^64 - 1 are seeds of two 32-bit words
+        # seed 2^64 - 1's stream state wraps past 2^64 at its first word
         for seed in (0, 1, 2, 3, 2**32, 2**64 - 1):
             config = default_config(kind, 12)
             assert_same_outcome(outcome(run_trial(inst, config, seed)),
                                 reference_trial(inst, config, seed))
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("kind", ("annealing", "greedy"))
+@pytest.mark.parametrize("weights", ("300", "2e40"))
+def test_weighted_logs_match_the_spin_by_spin_reference(kind, weights):
+    # fields in int16 (|w| up to 300) and int64 (|w| up to 2^40): each
+    # logged trial's schedule and seed, run by the kernel and by the
+    # reference, give the logged outcome
+    inst = load_gset(DATA / f"weighted_{weights}.gset")
+    records = read_log(DATA / f"weighted_{weights}_{kind}.log")
+    assert len(records) == 6
+    for record in records:
+        expected = reference_trial(inst, record.solver, record.seed)
+        assert_same_outcome(outcome(run_trial(inst, record.solver, record.seed)), expected)
+        assert (record.best_cut, record.sweeps_executed) == (expected[0], expected[2])
+        if record.spins_hex is not None:
+            assert np.array_equal(decode_hex(record.spins_hex, inst.n), expected[1])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("sweeps", (2, 25))
 def test_batched_trials_equal_single_trials(kind, sweeps):
-    for inst in kernel_instances():
+    # each kernel instance under 7 seeds, and 200 trials of a 9x11 torus
+    inputs = [(inst, range(100, 107)) for inst in kernel_instances()]
+    inputs.append((generate_torus(TorusSpec(9, 11, seed=5)), range(200)))
+    for inst, seeds in inputs:
         config = default_config(kind, sweeps)
-        seeds = range(100, 107)
         single = [outcome(run_trial(inst, config, seed)) for seed in seeds]
         for size in (1, 3, len(seeds)):
             batched = [
@@ -309,23 +319,6 @@ def test_batched_trials_equal_single_trials(kind, sweeps):
             assert len(batched) == len(single)
             for result, expected in zip(batched, single):
                 assert_same_outcome(outcome(result), expected)
-
-
-def test_uniform_draw_boundaries_keep_the_streams():
-    # 200 trials of a 9x11 torus draw 13 sweeps' uniforms at a time, so
-    # 30 sweeps take three draws; one trial alone draws them in one. A
-    # hot schedule keeps late sweeps finding new best cuts.
-    inst = generate_torus(TorusSpec(9, 11, seed=5))
-    config = default_config(ANNEALING, 30, temp_start=3.0, temp_end=1.5)
-    seeds = range(200)
-    sweeps = config.sweeps
-    run = _BATCH_UNIFORMS // (len(seeds) * inst.n)
-    assert run < sweeps // 2 and sweeps % run and sweeps <= _RUN_UNIFORMS // inst.n
-    batched = run_trials(inst, config, seeds)
-    for result, seed in zip(batched, seeds):
-        assert_same_outcome(outcome(result), outcome(run_trial(inst, config, seed)))
-    for result, seed in zip(batched[:2], seeds):
-        assert_same_outcome(outcome(result), reference_trial(inst, config, seed))
 
 
 def test_best_spins_are_read_only_int8_rows():
