@@ -304,11 +304,9 @@ def test_weighted_logs_match_the_spin_by_spin_reference(kind, weights):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("sweeps", (2, 25))
 def test_batched_trials_equal_single_trials(kind, sweeps):
-    # each kernel instance under 7 seeds, and 200 trials of a 9x11 torus
-    inputs = [(inst, range(100, 107)) for inst in kernel_instances()]
-    inputs.append((generate_torus(TorusSpec(9, 11, seed=5)), range(200)))
-    for inst, seeds in inputs:
+    for inst in kernel_instances():
         config = default_config(kind, sweeps)
+        seeds = range(100, 107)
         single = [outcome(run_trial(inst, config, seed)) for seed in seeds]
         for size in (1, 3, len(seeds)):
             batched = [
@@ -319,6 +317,21 @@ def test_batched_trials_equal_single_trials(kind, sweeps):
             assert len(batched) == len(single)
             for result, expected in zip(batched, single):
                 assert_same_outcome(outcome(result), expected)
+
+
+def test_uniform_draw_boundaries_keep_the_streams():
+    # 200 annealing trials of a 9x11 torus, 30 sweeps: sweep t of every
+    # trial draws words (t+1)n .. (t+2)n-1 of its own stream, whether the
+    # trial runs in the batch or alone. A hot schedule keeps late sweeps
+    # finding new best cuts.
+    inst = generate_torus(TorusSpec(9, 11, seed=5))
+    config = default_config(ANNEALING, 30, temp_start=3.0, temp_end=1.5)
+    seeds = range(200)
+    batched = run_trials(inst, config, seeds)
+    for result, seed in zip(batched, seeds):
+        assert_same_outcome(outcome(result), outcome(run_trial(inst, config, seed)))
+    for result, seed in zip(batched[:2], seeds):
+        assert_same_outcome(outcome(result), reference_trial(inst, config, seed))
 
 
 def test_best_spins_are_read_only_int8_rows():
