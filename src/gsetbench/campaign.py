@@ -13,16 +13,15 @@ Trials run in batches through the solvers' batched kernel. Each
 finished trial appends one self-describing key=value line to the log,
 ending in ``format=3``, and the stream is flushed per batch, so a
 crashed campaign can be resumed from whatever records made it to disk;
-an unterminated last line, a record cut short by the crash, is dropped
-on resume. ``trial_record`` is
-the one place a record is made from a finished trial, for campaigns
-and single ``solve`` runs alike, and it rounds the wall time to the
-value its line holds, so a record reads back from its line unchanged
-and a campaign summarizes the records it wrote, as a later report of
-the log does. Summaries aggregate only order-insensitive quantities
-over the record set, which is what makes parallel output identical to
-serial output; their per-target figures are ``metrics.TargetOutcome``
-objects.
+only a newline-terminated line is a record, so a resume and a report
+drop a last line cut short. ``trial_record`` is the one place a record
+is made from a finished trial, for campaigns and single ``solve`` runs
+alike, and it rounds the wall time to the value its line holds, so a
+record reads back from its line unchanged and a campaign summarizes the
+records it wrote, as a later report of the log does. Summaries aggregate
+only order-insensitive quantities over the record set, which is what
+makes parallel output identical to serial output; their per-target
+figures are ``metrics.TargetOutcome`` objects.
 """
 
 from __future__ import annotations
@@ -237,9 +236,24 @@ def _record_lines(text: str) -> list[str]:
     return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
+def _parse_lines(path, lines: list[str]) -> list[TrialRecord]:
+    """The records of log ``path``'s record lines; a refusal names the log."""
+    try:
+        return [parse_record(line) for line in lines]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_log(path) -> list[TrialRecord]:
-    """Parse all records from a log file, skipping blank and # lines."""
-    return [parse_record(line) for line in _record_lines(Path(path).read_text())]
+    """Parse all records from a log file, skipping blank and # lines. An
+    unterminated last line, torn by a crash or still being written, is no
+    record: it is left out with a note on stderr, as a resume drops it."""
+    data = Path(path).read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
+        print(f"{path}: left out an unterminated last line ({len(data) - keep} bytes)",
+              file=sys.stderr)
+    return _parse_lines(path, _record_lines(data[:keep].decode()))
 
 
 def replay_record(instance: ProblemInstance, record: TrialRecord) -> TrialResult:
@@ -341,7 +355,7 @@ def _open_log(path, resume: bool):
             f"log {path} already holds records; pass --resume to finish "
             "that campaign, or choose another log path"
         )
-    records = [parse_record(line) for line in lines]
+    records = _parse_lines(path, lines)
     if keep < len(data):
         os.truncate(path, keep)
         print(

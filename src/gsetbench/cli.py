@@ -2,8 +2,7 @@
 
 Subcommands:
 
-* ``validate``  decode a solution file and check it against expectations
-* ``evaluate``  decode and score a solution file
+* ``validate``  decode and score a solution file, and check --expect-cut
 * ``oracle``    exact optimum of a small instance
 * ``gen-torus`` write a random toroidal grid instance
 * ``solve``     run a single solver trial
@@ -12,7 +11,7 @@ Subcommands:
 * ``project``   hardware time implied by a sweeps-to-target figure
 
 Instances are named by file path, by ``torus:ROWSxCOLS:SEED``, or by a
-registry name such as G81 (searched in --instance-dir or $GSET_DIR).
+registry name such as G81 (searched in $GSET_DIR).
 All failures exit nonzero with a one-line diagnostic on stderr.
 """
 
@@ -44,7 +43,6 @@ from gsetbench.instances import (
     write_gset,
 )
 from gsetbench.metrics import (
-    DEFAULT_CONFIDENCE,
     DEFAULT_HW_SWEEP_TIME_S,
     TargetSpec,
     project_hw_ttt,
@@ -73,7 +71,7 @@ def human_time(seconds: float) -> str:
     return f"{seconds / 1e-9:.3g} ns"
 
 
-def resolve_instance(spec: str, search_dir=None) -> ProblemInstance:
+def resolve_instance(spec: str) -> ProblemInstance:
     """Instance from a path, a torus:RxC:SEED label, or a registry name."""
     path, entry = Path(spec), None
     if not path.exists():
@@ -85,7 +83,7 @@ def resolve_instance(spec: str, search_dir=None) -> ProblemInstance:
                 f"cannot resolve instance {spec!r}: not a file, not torus:RxC:SEED, "
                 "not a registered name"
             )
-        path = locate_instance_file(spec, search_dir)
+        path = locate_instance_file(spec)
     try:
         instance = load_gset(path)
     except GsetFormatError as exc:
@@ -109,10 +107,10 @@ def _best_known_for(args, instance, header) -> int | None:
     --name, the solution header or the instance; its n and m must match,
     and a best_energy it holds must make best_energy + 2*best_cut the
     instance's total weight (W = E + 2C)."""
-    if getattr(args, "best_known", None) is not None:
+    if args.best_known is not None:
         return args.best_known
     registry = load_registry()
-    for candidate in (getattr(args, "name", None), header.get("instance"), instance.name):
+    for candidate in (args.name, header.get("instance"), instance.name):
         if candidate and candidate in registry:
             entry = registry[candidate]
             if entry.n != instance.n or entry.m != instance.m:
@@ -132,7 +130,7 @@ def _best_known_for(args, instance, header) -> int | None:
 
 
 def _decode_solution(args, instance) -> tuple[np.ndarray, dict[str, str], list[str]]:
-    """Shared by validate/evaluate: read file, apply substitutions, decode."""
+    """Read the solution file, apply substitutions, decode."""
     text = _read_text(args.solution)
     header = read_solution_header(text)
     if "n" in header:
@@ -146,19 +144,19 @@ def _decode_solution(args, instance) -> tuple[np.ndarray, dict[str, str], list[s
             )
     payload = "".join(strip_solution_text(text).split())
     notes: list[str] = []
-    for sub in getattr(args, "substitute", None) or ():
-        if len(sub) != 3 or sub[1] != "=" :
+    for sub in args.substitute or ():
+        if len(sub) != 3 or sub[1] != "=":
             raise CliError(f"--substitute expects CHAR=CHAR, got {sub!r}")
         old, new = sub[0], sub[2]
-        positions = [i for i, c in enumerate(payload) if c == old]
-        payload = payload.replace(old, new)
-        if positions:
+        count = payload.count(old)
+        if count:
             notes.append(
-                f"substitute {old}={new}: {len(positions)} replacement(s), "
-                f"first at position {positions[0]}"
+                f"substitute {old}={new}: {count} replacement(s), "
+                f"first at position {payload.find(old)}"
             )
         else:
             notes.append(f"substitute {old}={new}: no occurrences")
+        payload = payload.replace(old, new)
     try:
         spins = decode_hex(payload, instance.n)
     except HexDecodeError as exc:
@@ -176,9 +174,7 @@ def _print_report(report, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    """The validate and evaluate subcommands; evaluate takes no
-    --substitute or --expect-cut."""
-    instance = resolve_instance(args.instance, args.instance_dir)
+    instance = resolve_instance(args.instance)
     spins, header, notes = _decode_solution(args, instance)
     best_known = _best_known_for(args, instance, header)
     for note in notes:
@@ -195,7 +191,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    instance = resolve_instance(args.instance, args.instance_dir)
+    instance = resolve_instance(args.instance)
     cut, config = exact_max_cut(instance)
     hexstr = encode_hex(config)
     if args.format == "csv":
@@ -217,7 +213,7 @@ def cmd_gen_torus(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = resolve_instance(args.instance, args.instance_dir)
+    instance = resolve_instance(args.instance)
     config = default_config(args.kind, args.sweeps, args.temp_start, args.temp_end)
     # refuse a name the record cannot hold before the trial runs
     campaign_mod.check_loggable(instance.name)
@@ -228,8 +224,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _add_target(targets: list[TargetSpec], fields, default_confidence: float,
-                usage: str, where: str) -> None:
+def _add_target(targets: list[TargetSpec], fields, usage: str, where: str) -> None:
     """Append the target of LABEL CUT [CONFIDENCE] ``fields`` to ``targets``,
     for a config's target lines and report's --target flags alike; a wrong
     field count reads ``usage``, a bad value or a label already in
@@ -237,9 +232,7 @@ def _add_target(targets: list[TargetSpec], fields, default_confidence: float,
     if len(fields) not in (2, 3):
         raise CliError(usage)
     try:
-        cut = int(fields[1])
-        conf = float(fields[2]) if len(fields) == 3 else default_confidence
-        target = TargetSpec(label=fields[0], cut=cut, confidence=conf)
+        target = TargetSpec(fields[0], int(fields[1]), *map(float, fields[2:]))
     except ValueError as exc:
         raise CliError(f"{where}: {exc}") from exc
     if any(t.label == target.label for t in targets):
@@ -261,7 +254,6 @@ def _parse_campaign_config(args):
     None for a plain campaign and replaces ``sweeps`` in a scan.
     """
     path = args.config
-    confidence = DEFAULT_CONFIDENCE if args.confidence is None else args.confidence
     values: dict[str, str] = {}
     targets: list[TargetSpec] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -273,7 +265,7 @@ def _parse_campaign_config(args):
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "target":
             where = f"{path}:{lineno}"
-            _add_target(targets, value.split(), confidence,
+            _add_target(targets, value.split(),
                         f"{where}: target wants LABEL CUT [CONFIDENCE]", where)
         elif key not in _CONFIG_KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
@@ -316,22 +308,18 @@ def _parse_campaign_config(args):
 
     if ladder:
         # a scan writes one CSV row per rung and keeps no log or targets
-        for unused, given in (("--log", args.log), ("--summary-csv", args.summary_csv),
-                              ("--resume", args.resume), ("a target line", targets),
-                              ("include_spins", include_spins), ("sweeps", "sweeps" in values),
-                              ("--confidence", args.confidence is not None),
+        for unused, given in (("--log", args.log), ("--resume", args.resume),
+                              ("a target line", targets), ("include_spins", include_spins),
+                              ("sweeps", "sweeps" in values),
                               ("--format", args.format is not None)):
             if given:
                 raise CliError(f"{unused} does not apply to a sweep_scan config")
-    elif args.scan_csv:
-        raise CliError("--scan-csv needs a sweep_scan config")
-    return resolve_instance(instance_spec, args.instance_dir), config, include_spins, ladder
+    return resolve_instance(instance_spec), config, include_spins, ladder
 
 
-def _print_summary(summary, args) -> None:
-    """The summary of campaign and report: stdout in --format, then the
-    --summary-csv file if asked."""
-    if args.format == "csv":
+def _print_summary(summary, fmt: str | None) -> None:
+    """The summary of campaign and report on stdout, in ``fmt``."""
+    if fmt == "csv":
         write_summary_csv(summary.targets, sys.stdout)
     else:
         print(
@@ -353,9 +341,6 @@ def _print_summary(summary, args) -> None:
                 f"target={t.label} cut={t.cut} confidence={t.confidence:.10g} "
                 f"successes={t.successes} trials={t.trials} p_s={t.p_s:.10g} {tail}"
             )
-    if args.summary_csv:
-        with open(args.summary_csv, "w", newline="") as fh:
-            write_summary_csv(summary.targets, fh)
 
 
 def cmd_campaign(args) -> int:
@@ -365,11 +350,7 @@ def cmd_campaign(args) -> int:
         # rung k's trial i is rung k-1's trial i with a longer budget
         rungs = [replace(config, solver=replace(config.solver, sweeps=s)) for s in ladder]
         summaries = [campaign_mod.run_campaign(instance, c, workers=args.workers) for c in rungs]
-        if args.scan_csv:
-            with open(args.scan_csv, "w", newline="") as fh:
-                campaign_mod.write_scan_csv(summaries, fh)
-        else:
-            campaign_mod.write_scan_csv(summaries, sys.stdout)
+        campaign_mod.write_scan_csv(summaries, sys.stdout)
         return 0
     summary = campaign_mod.run_campaign(
         instance,
@@ -379,33 +360,26 @@ def cmd_campaign(args) -> int:
         resume=args.resume,
         include_spins=include_spins,
     )
-    _print_summary(summary, args)
+    _print_summary(summary, args.format)
     return 0
 
 
 def cmd_report(args) -> int:
     try:
         records = campaign_mod.read_log(args.log)
-    except (OSError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"{args.log}: {exc}") from exc
     targets: list[TargetSpec] = []
     for raw in args.target or ():
-        _add_target(targets, raw.split(":"), args.confidence,
-                    f"--target wants LABEL:CUT[:CONFIDENCE], got {raw!r}", f"bad --target {raw!r}")
-    _print_summary(campaign_mod.summarize(records, targets), args)
+        _add_target(targets, raw.split(":"), f"--target wants LABEL:CUT[:CONFIDENCE], got {raw!r}",
+                    f"bad --target {raw!r}")
+    _print_summary(campaign_mod.summarize(records, targets), args.format)
     return 0
 
 
 def cmd_project(args) -> int:
     print(human_time(project_hw_ttt(args.stt, args.sweep_time)))
     return 0
-
-
-def _add_common(p, fmt=True):
-    p.add_argument("--instance-dir", default=None,
-                   help="directory with instance files (default $GSET_DIR)")
-    if fmt:
-        p.add_argument("--format", choices=("kv", "csv"), default="kv")
 
 
 def _validate_args(p):
@@ -417,21 +391,12 @@ def _validate_args(p):
                    help="registry name to score quality against")
     p.add_argument("--substitute", action="append", metavar="CHAR=CHAR",
                    help="repair a character before decoding (reported loudly)")
-    _add_common(p)
-
-
-def _evaluate_args(p):
-    p.add_argument("instance")
-    p.add_argument("solution")
-    p.add_argument("--best-known", type=int, default=None)
-    p.add_argument("--name", default=None)
-    _add_common(p)
-    p.set_defaults(expect_cut=None)
+    p.add_argument("--format", choices=("kv", "csv"), default="kv")
 
 
 def _oracle_args(p):
     p.add_argument("instance")
-    _add_common(p)
+    p.add_argument("--format", choices=("kv", "csv"), default="kv")
 
 
 def _gen_torus_args(p):
@@ -449,28 +414,20 @@ def _solve_args(p):
     p.add_argument("--temp-start", type=float, default=None)
     p.add_argument("--temp-end", type=float, default=None)
     p.add_argument("--include-spins", action="store_true")
-    _add_common(p, fmt=False)
 
 
 def _campaign_args(p):
     p.add_argument("config")
     p.add_argument("--log", default=None)
-    p.add_argument("--summary-csv", default=None)
-    p.add_argument("--scan-csv", default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--confidence", type=float, default=None)
-    _add_common(p)
-    # None tells a given --confidence or --format from a defaulted one;
-    # they default to DEFAULT_CONFIDENCE and kv where they are read
-    p.set_defaults(format=None)
+    # None tells a given --format, which a scan refuses, from the default kv
+    p.add_argument("--format", choices=("kv", "csv"), default=None)
 
 
 def _report_args(p):
     p.add_argument("log")
     p.add_argument("--target", action="append", metavar="LABEL:CUT[:CONFIDENCE]")
-    p.add_argument("--summary-csv", default=None)
-    p.add_argument("--confidence", type=float, default=DEFAULT_CONFIDENCE)
     p.add_argument("--format", choices=("kv", "csv"), default="kv")
 
 
@@ -483,7 +440,6 @@ def _project_args(p):
 # (name, help, argument adder, handler) of each subcommand, in help order
 _COMMANDS = (
     ("validate", "check a solution file against expectations", _validate_args, cmd_validate),
-    ("evaluate", "decode and score a solution file", _evaluate_args, cmd_validate),
     ("oracle", "exact optimum of a small instance", _oracle_args, cmd_oracle),
     ("gen-torus", "write a random toroidal grid instance", _gen_torus_args, cmd_gen_torus),
     ("solve", "run a single solver trial", _solve_args, cmd_solve),

@@ -10,8 +10,8 @@ JSON file.
 Record solution bitstrings for the three instances ship with the
 package under ``data/solutions``; GSETBENCH_SOLUTIONS_DIR overrides
 the lookup directory. Instance files themselves are large and are not
-bundled; ``locate_instance_file`` searches a directory given
-explicitly or via GSET_DIR.
+bundled; ``locate_instance_file`` searches the directory GSET_DIR
+names.
 """
 
 from __future__ import annotations
@@ -109,17 +109,16 @@ def solution_text(name: str) -> str:
     return ref.read_text()
 
 
-def locate_instance_file(name: str, search_dir=None) -> Path:
+def locate_instance_file(name: str) -> Path:
     """Find the Gset file for a named instance.
 
     Tries ``<dir>/<name>`` then ``<dir>/<name>.txt`` where dir is the
-    argument or the GSET_DIR environment variable.
+    GSET_DIR environment variable.
     """
-    base = search_dir or os.environ.get("GSET_DIR")
+    base = os.environ.get("GSET_DIR")
     if not base:
         raise FileNotFoundError(
-            f"no directory to search for instance {name!r}; "
-            "pass a directory or set GSET_DIR"
+            f"no directory to search for instance {name!r}; set GSET_DIR"
         )
     for candidate in (Path(base) / name, Path(base) / f"{name}.txt"):
         if candidate.exists():

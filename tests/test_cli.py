@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import sys
@@ -59,18 +60,19 @@ def test_resolve_instance_forms(torus, torus_file, tmp_path, monkeypatch):
     assert resolve_instance("torus:4x4:1") == torus
     with pytest.raises(CliError, match="cannot resolve"):
         resolve_instance("no-such-thing")
-    # registry names resolve through the search directory
+    # registry names resolve through $GSET_DIR
     reg = {"tiny": {"n": 16, "m": 32, "best_cut": 10}}
     reg_path = tmp_path / "reg.json"
     reg_path.write_text(json.dumps(reg))
     monkeypatch.setenv("GSETBENCH_REGISTRY", str(reg_path))
+    monkeypatch.setenv("GSET_DIR", str(tmp_path))
     (tmp_path / "tiny.txt").write_text(torus_file.read_text())
-    assert resolve_instance("tiny", tmp_path).n == 16
+    assert resolve_instance("tiny").n == 16
     # registered shape must match the file
     bad = {"tiny": {"n": 9, "m": 18, "best_cut": 10}}
     reg_path.write_text(json.dumps(bad))
     with pytest.raises(CliError, match="expected n=9"):
-        resolve_instance("tiny", tmp_path)
+        resolve_instance("tiny")
 
 
 def test_validate_pass(tmp_path, torus, capsys):
@@ -130,15 +132,14 @@ def test_validate_scores_against_a_matching_registry_entry(tmp_path, torus, toru
     assert "quality=100.000%" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["validate", "evaluate"])
 def test_scoring_checks_the_registry_energy_against_the_total_weight(
-        tmp_path, torus, capsys, monkeypatch, command):
+        tmp_path, torus, capsys, monkeypatch):
     weight = torus.total_weight()
     reg_path = tmp_path / "reg.json"
     monkeypatch.setenv("GSETBENCH_REGISTRY", str(reg_path))
     _, config = exact_max_cut(torus)
     sol = solution_file(tmp_path, torus, config)
-    argv = [command, "torus:4x4:1", str(sol)]
+    argv = ["validate", "torus:4x4:1", str(sol)]
     entry = {"n": 16, "m": 32, "best_cut": 10}
     for best_energy in (weight - 20, None):
         reg_path.write_text(json.dumps({"torus:4x4:1": {**entry, "best_energy": best_energy}}))
@@ -186,10 +187,10 @@ def test_validate_substitute_is_loud(tmp_path, torus, capsys):
     assert "PASS" in out
 
 
-def test_evaluate_csv_format(tmp_path, torus, capsys):
+def test_validate_csv_format(tmp_path, torus, capsys):
     _, config = exact_max_cut(torus)
     sol = solution_file(tmp_path, torus, config)
-    code = main(["evaluate", "torus:4x4:1", str(sol), "--format", "csv"])
+    code = main(["validate", "torus:4x4:1", str(sol), "--format", "csv"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0] == "instance,n,cut,energy,quality"
@@ -362,6 +363,27 @@ def test_resume_drops_a_record_torn_by_a_crash(tmp_path, capsys, torn_in):
     assert main(["report", str(log)]) == 0
 
 
+@pytest.mark.parametrize("torn_in", ["index", "spins", "before format"])
+def test_report_leaves_out_a_torn_last_record(tmp_path, capsys, torn_in):
+    # a crash, or a live campaign caught mid-write, leaves the last line
+    # unterminated; report reads the records before it, as a resume keeps
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text("instance = torus:6x6:1\nkind = greedy_local_search\nsweeps = 10\n"
+                   "num_trials = 5\nmaster_seed = 777\ninclude_spins = true\n")
+    log, kept_log = tmp_path / "run.log", tmp_path / "kept.log"
+    assert main(["campaign", str(cfg), "--log", str(log)]) == 0
+    *kept, last = log.read_text().splitlines(keepends=True)
+    kept_log.write_text("".join(kept))
+    cut = last.index(" format=") if torn_in == "before format" else last.index(f"{torn_in}=") + 9
+    log.write_text("".join(kept) + last[:cut])
+    capsys.readouterr()
+    assert main(["report", str(kept_log), "--target", "t:20"]) == 0
+    whole_records = capsys.readouterr().out
+    assert main(["report", str(log), "--target", "t:20"]) == 0
+    assert capsys.readouterr() == (
+        whole_records, f"{log}: left out an unterminated last line ({cut} bytes)\n")
+
+
 def test_campaign_resume_flag(tmp_path, capsys):
     cfg = campaign_config_file(tmp_path)
     log = tmp_path / "run.log"
@@ -405,13 +427,17 @@ def test_report_refuses_a_record_with_an_unknown_field(tmp_path, capsys):
 
 
 def test_campaign_summary_csv(tmp_path, capsys):
+    # the summary table is campaign's --format csv stdout, and report's
     cfg = campaign_config_file(tmp_path)
-    out_csv = tmp_path / "summary.csv"
-    assert main(["campaign", str(cfg), "--summary-csv", str(out_csv)]) == 0
-    capsys.readouterr()
-    lines = out_csv.read_text().splitlines()
+    log = tmp_path / "run.log"
+    assert main(["campaign", str(cfg), "--log", str(log), "--format", "csv"]) == 0
+    campaign_out = capsys.readouterr().out
+    assert main(["report", str(log), "--format", "csv", "--target", "optimum:10"]) == 0
+    assert capsys.readouterr() == (campaign_out, "")
+    lines = campaign_out.splitlines()
     assert lines[0].startswith("target,")
     assert lines[1].startswith("optimum,10,")
+    assert len(lines) == 2
 
 
 def test_campaign_scan_csv(tmp_path, capsys):
@@ -427,14 +453,21 @@ SCAN_BASE = "instance = torus:4x4:1\nkind = greedy_local_search\nnum_trials = 6\
 SCAN_CONFIG = SCAN_BASE + "sweep_scan = 2, 4, 8\n"
 
 
+def scan_refusal(extra, flags, message, row):
+    """A row of test_scan_refuses_what_it_would_ignore under the id pytest
+    gave it as row ``row`` of the seven-row list, so that a row's id stays
+    when a row before it goes."""
+    return pytest.param(extra, flags, message, id=f"{extra}-flags{row}-{message}")
+
+
 @pytest.mark.parametrize("extra, flags, message", [
-    ("", ["--log", "run.log"], "--log does not apply to a sweep_scan config"),
-    ("", ["--summary-csv", "s.csv"], "--summary-csv does not apply to a sweep_scan config"),
-    ("", ["--resume"], "--resume does not apply to a sweep_scan config"),
-    ("target = opt 10\n", [], "a target line does not apply to a sweep_scan config"),
-    ("include_spins = true\n", [], "include_spins does not apply to a sweep_scan config"),
-    ("", ["--confidence", "0.5"], "--confidence does not apply to a sweep_scan config"),
-    ("", ["--format", "kv"], "--format does not apply to a sweep_scan config"),
+    scan_refusal("", ["--log", "run.log"], "--log does not apply to a sweep_scan config", 0),
+    scan_refusal("", ["--resume"], "--resume does not apply to a sweep_scan config", 2),
+    scan_refusal("target = opt 10\n", [], "a target line does not apply to a sweep_scan config",
+                 3),
+    scan_refusal("include_spins = true\n", [],
+                 "include_spins does not apply to a sweep_scan config", 4),
+    scan_refusal("", ["--format", "kv"], "--format does not apply to a sweep_scan config", 6),
 ])
 def test_scan_refuses_what_it_would_ignore(tmp_path, monkeypatch, capsys, extra, flags, message):
     monkeypatch.chdir(tmp_path)
@@ -442,14 +475,6 @@ def test_scan_refuses_what_it_would_ignore(tmp_path, monkeypatch, capsys, extra,
     assert main(["campaign", "scan.cfg"] + flags) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.cfg"]
-
-
-def test_scan_csv_needs_a_ladder(tmp_path, capsys):
-    cfg = campaign_config_file(tmp_path)
-    scan = tmp_path / "scan.csv"
-    assert main(["campaign", str(cfg), "--scan-csv", str(scan)]) == 1
-    assert capsys.readouterr() == ("", "error: --scan-csv needs a sweep_scan config\n")
-    assert not scan.exists()
 
 
 # (config text, flags, message with {cfg} for the config path)
@@ -744,7 +769,7 @@ def test_a_format_2_log_is_refused(tmp_path, capsys, kind):
     cfg.write_text(FORMAT3_LOGS[f"format3_{kind}"])
     log.write_bytes(old.read_bytes())
     assert main(["campaign", str(cfg), "--log", str(log), "--resume"]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {log}: {message}\n")
     assert log.read_bytes() == old.read_bytes()
 
 
@@ -799,8 +824,7 @@ def test_usage_errors_exit_two():
     assert exc_info.value.code == 2
 
 
-COMMANDS = ("validate", "evaluate", "oracle", "gen-torus", "solve", "campaign", "report",
-            "project")
+COMMANDS = ("validate", "oracle", "gen-torus", "solve", "campaign", "report", "project")
 
 
 def exit_output(capsys, parse):
@@ -817,6 +841,8 @@ def exit_output(capsys, parse):
     # left over by the subcommand, so reported by the top-level parser
     ["project", "1e6", "--bogus"],
     ["gen-torus", "4", "4", "--seed", "1", "extra"],
+    # a removed command, unknown to both
+    ["evaluate", "torus:4x4:1", "sol.txt"],
 ])
 def test_main_says_what_the_full_parser_says(argv, monkeypatch, capsys):
     # main builds only the invoked command's parser; its help, usage errors
@@ -843,6 +869,58 @@ def test_top_level_messages_list_every_command(monkeypatch, capsys):
     assert all(f"'{cmd}'" in err for cmd in COMMANDS)
     code, _, err = exit_output(capsys, lambda: main([]))
     assert code == 2 and "the following arguments are required: command" in err
+
+
+# each subcommand's option strings, in the order its parser adds them
+OPTIONS = {
+    "validate": ["--expect-cut", "--best-known", "--name", "--substitute", "--format"],
+    "oracle": ["--format"],
+    "gen-torus": ["--seed", "-o", "--output"],
+    "solve": ["--kind", "--sweeps", "--seed", "--temp-start", "--temp-end", "--include-spins"],
+    "campaign": ["--log", "--workers", "--resume", "--format"],
+    "report": ["--target", "--format"],
+    "project": ["--sweep-time"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_takes_exactly_its_options(command):
+    (subparsers,) = (action for action in build_parser(command)._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    parser = subparsers.choices[command]
+    assert [s for action in parser._actions for s in action.option_strings] == (
+        ["-h", "--help"] + OPTIONS[command])
+
+
+# each asks for a result that another path gives: validate scores a
+# solution, stdout redirected is a CSV file, a target line carries its
+# confidence and $GSET_DIR names the instance directory
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "torus:4x4:1", "sol.txt"],
+    ["campaign", "camp.cfg", "--summary-csv", "s.csv"],
+    ["report", "run.log", "--summary-csv", "s.csv"],
+    ["campaign", "scan.cfg", "--scan-csv", "s.csv"],
+    ["campaign", "camp.cfg", "--confidence", "0.5"],
+    ["report", "run.log", "--target", "optimum:10", "--confidence", "0.5"],
+    ["validate", "torus:4x4:1", "sol.txt", "--instance-dir", "."],
+    ["oracle", "torus:4x4:1", "--instance-dir", "."],
+    ["solve", "torus:4x4:1", "--sweeps", "3", "--seed", "1", "--instance-dir", "."],
+    ["campaign", "camp.cfg", "--instance-dir", "."],
+])
+def test_a_removed_command_or_option_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("camp.cfg").write_text(PLAIN_CONFIG)
+    Path("scan.cfg").write_text(SCAN_CONFIG)
+    assert main(["campaign", "camp.cfg", "--log", "run.log"]) == 0
+    assert main(["solve", "torus:4x4:1", "--sweeps", "3", "--seed", "1"]) == 0
+    Path("sol.txt").write_text("c318\n")
+    capsys.readouterr()
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    code, out, err = exit_output(capsys, lambda: main(argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: gsetbench ") and (
+        "invalid choice: 'evaluate'" in err or "unrecognized arguments: --" in err)
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_main_without_arguments_reads_sys_argv(monkeypatch, capsys):

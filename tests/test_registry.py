@@ -112,10 +112,10 @@ def test_solution_text_unknown_name():
 
 def test_locate_instance_file(tmp_path, monkeypatch):
     monkeypatch.delenv("GSET_DIR", raising=False)
-    with pytest.raises(FileNotFoundError, match="GSET_DIR"):
+    with pytest.raises(FileNotFoundError,
+                       match="^no directory to search for instance 'G72'; set GSET_DIR$"):
         locate_instance_file("G72")
     (tmp_path / "G72").write_text("2 1\n1 2 1\n")
-    assert locate_instance_file("G72", tmp_path) == tmp_path / "G72"
     monkeypatch.setenv("GSET_DIR", str(tmp_path))
     assert locate_instance_file("G72") == tmp_path / "G72"
     (tmp_path / "G77.txt").write_text("2 1\n1 2 1\n")
