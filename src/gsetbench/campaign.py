@@ -448,11 +448,10 @@ def run_campaign(
                     f"this campaign runs {_campaign_text(campaign)})"
                 )
             if record.index in done:
-                raise ValueError(f"log has duplicate trial index {record.index}")
+                raise ValueError(f"log {log_path} has duplicate trial index {record.index}")
             if record.index >= config.num_trials:
-                raise ValueError(
-                    f"log trial index {record.index} outside 0..{config.num_trials - 1}"
-                )
+                raise ValueError(f"log {log_path} has trial index {record.index} outside "
+                                 f"0..{config.num_trials - 1}")
             done[record.index] = record
 
         pending = [i for i in range(config.num_trials) if i not in done]

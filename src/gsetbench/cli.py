@@ -373,7 +373,11 @@ def cmd_report(args) -> int:
     for raw in args.target or ():
         _add_target(targets, raw.split(":"), f"--target wants LABEL:CUT[:CONFIDENCE], got {raw!r}",
                     f"bad --target {raw!r}")
-    _print_summary(campaign_mod.summarize(records, targets), args.format)
+    try:
+        summary = campaign_mod.summarize(records, targets)
+    except ValueError as exc:
+        raise CliError(f"{args.log}: {exc}") from exc
+    _print_summary(summary, args.format)
     return 0
 
 

@@ -20,13 +20,25 @@ stream seeded at s (Steele, Lea and Flood, "Fast Splittable
 Pseudorandom Number Generators", OOPSLA 2014), which ``splitmix64``
 computes for whole arrays of seeds and counters. Initial spin v
 (0-based) is +1 exactly when bit 63 of word v is set. At annealing
-sweep t (0-based), vertex v's uniform is (word (t + 1) n + v >> 11)
-2^-53, numpy's own 53-bit construction of a double in [0, 1); each
-colour class computes its own uniforms from its vertex ids. Greedy
-draws nothing after the initial spins. A trial is therefore a
+sweep t (0-based), vertex v's uniform is x 2^-53 with x = word
+(t + 1) n + v >> 11, numpy's own 53-bit construction of a double in
+[0, 1), and the flip is accepted when x 2^-53 < e = exp(min(delta,
+0) / T); each colour class computes its own words from its vertex ids.
+Greedy draws nothing after the initial spins. A trial is therefore a
 deterministic function of (instance, config, seed), whatever batch it
 runs in, and greedy with a longer budget only extends the same
 trajectory.
+
+With int8 fields (no vertex's sum of |w| above 127, as on every +-1
+torus) a delta takes at most 255 values, so each sweep computes e once
+per delta instead of once per flip: a 256-entry table, indexed by the
+delta's byte, holds k = ceil(e 2^53), and the flip is accepted when
+x < k. That is the same rule: x 2^-53 is exact and e 2^53 only shifts
+e's exponent, so x 2^-53 < e exactly when the integer x is below e
+2^53, that is below k. A non-worsening flip has k = 2^53 and is always
+accepted; at a T so small that delta / T overflows, the exponent takes
+its limit -inf and k = 0, so a worsening flip never is. Int16 and
+wider fields keep the float compare.
 
 The words of seed s are mix(s + k γ) for k = 1, 2, ..., so two trials
 share a word only if their seeds differ by a multiple of γ smaller
@@ -216,6 +228,33 @@ def _build_layout(instance: ProblemInstance):
     return order, tuple(classes)
 
 
+def _acceptance_thresholds(temp: float) -> np.ndarray:
+    """The 256 uint64 acceptance thresholds at temperature ``temp``: entry
+    b is ceil(exp(min(d, 0) / temp) 2^53), where d is byte b read as
+    int8, and a flip of delta d is accepted when its 53-bit integer is
+    below it (see the module docstring)."""
+    d = np.arange(256, dtype=np.uint8).view(np.int8)
+    # d / temp overflows at a tiny temp; the exponent then takes its
+    # limit -inf, and the entry is 0
+    with np.errstate(over="ignore"):
+        e = np.exp(np.minimum(d, 0) / temp)
+    return np.ceil(e * 2.0**53).astype(np.uint64)
+
+
+def _accepted(x: np.ndarray, delta: np.ndarray, temp: float, thresholds) -> np.ndarray:
+    """Which flips annealing accepts at temperature ``temp``, given each
+    flip's 53-bit integer ``x`` and its ``delta``: by the sweep's table
+    ``thresholds`` for int8 deltas, by the float compare without one."""
+    if thresholds is not None:
+        # the byte, not the signed delta, is the cheap index
+        return x < np.take(thresholds, delta.view(np.uint8))
+    # exp(min(delta, 0) / T) is 1 for a non-worsening flip, and x 2^-53 <
+    # 1; at a tiny T the exponent's limit is -inf, and a worsening flip's
+    # probability exactly 0
+    with np.errstate(over="ignore"):
+        return x * 2.0**-53 < np.exp(np.minimum(delta, 0) / temp)
+
+
 def _local_fields(spins: np.ndarray, lo: int, hi: int, slots) -> np.ndarray:
     """(R, hi - lo) array of sum_j w_vj * s_j at positions lo:hi, in the
     slot weights' dtype (int8 for a class with no edges)."""
@@ -241,6 +280,8 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
     order, classes = _sweep_layout(instance)
     n, batch = instance.n, len(seeds)
     annealing = config.kind == ANNEALING
+    # int8 fields bound |delta| by 127, so a delta's byte indexes a table
+    byte_deltas = all(slots[0][2].dtype == np.int8 for _, _, slots in classes if slots)
 
     # spin v starts at +1 exactly when bit 63 of word v is set
     initial = (splitmix64(seeds, np.arange(n)) >> 63).astype(np.int8)
@@ -262,19 +303,17 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
     for sweep in range(config.sweeps):
         if annealing:
             temp = _temperature(config, sweep)
+            thresholds = _acceptance_thresholds(temp) if byte_deltas else None
         flipped = np.zeros(len(live), dtype=bool)
         for lo, hi, slots in classes:
             block = spins[:, lo:hi]
             delta = block * _local_fields(spins, lo, hi, slots)
             if annealing:
                 # sweep t draws word (t + 1) n + v for vertex v, and its
-                # top 53 bits are a uniform in [0, 1)
-                u = (splitmix64(seeds, order[lo:hi] + (sweep + 1) * n) >> 11) * 2.0**-53
-                # exp(min(delta, 0) / T) is 1 for a non-worsening flip, and
-                # u < 1; at a tiny T the exponent's limit is -inf, and a
-                # worsening flip's probability then exactly 0
-                with np.errstate(over="ignore"):
-                    accept = u < np.exp(np.minimum(delta, 0) / temp)
+                # top 53 bits x make the uniform x 2^-53 in [0, 1)
+                x = splitmix64(seeds, order[lo:hi] + (sweep + 1) * n)
+                x >>= 11
+                accept = _accepted(x, delta, temp, thresholds)
             else:
                 accept = delta > 0
                 flipped |= accept.any(axis=1)

@@ -416,6 +416,40 @@ def test_campaign_without_resume_refuses_a_log_with_records(tmp_path, capsys):
     assert len(read_log(empty)) == 10
 
 
+GREEDY_CAMPAIGN = ("instance = torus:4x4:1\nkind = greedy_local_search\nsweeps = 10\n"
+                   "master_seed = 5\nnum_trials = {}\n")
+
+
+def greedy_log(tmp_path, capsys):
+    """The config file of a 3-trial greedy campaign and its log."""
+    cfg, log = tmp_path / "greedy.cfg", tmp_path / "greedy.log"
+    cfg.write_text(GREEDY_CAMPAIGN.format(3))
+    assert main(["campaign", str(cfg), "--log", str(log)]) == 0
+    capsys.readouterr()
+    return cfg, log
+
+
+def test_refusals_of_a_log_with_a_duplicate_trial_name_the_log(tmp_path, capsys):
+    cfg, log = greedy_log(tmp_path, capsys)
+    log.write_text(log.read_text() + log.read_text().splitlines()[0] + "\n")
+    before = log.read_bytes()
+    assert main(["campaign", str(cfg), "--log", str(log), "--resume"]) == 1
+    assert capsys.readouterr() == ("", f"error: log {log} has duplicate trial index 0\n")
+    assert main(["report", str(log)]) == 1
+    assert capsys.readouterr() == ("", f"error: {log}: duplicate trial index 0\n")
+    assert log.read_bytes() == before
+
+
+def test_resume_refuses_a_log_with_a_trial_past_num_trials_and_names_it(tmp_path, capsys):
+    _, log = greedy_log(tmp_path, capsys)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(GREEDY_CAMPAIGN.format(2))
+    before = log.read_bytes()
+    assert main(["campaign", str(cfg), "--log", str(log), "--resume"]) == 1
+    assert capsys.readouterr() == ("", f"error: log {log} has trial index 2 outside 0..1\n")
+    assert log.read_bytes() == before
+
+
 def test_report_refuses_a_record_with_an_unknown_field(tmp_path, capsys):
     cfg = campaign_config_file(tmp_path)
     log = tmp_path / "run.log"
@@ -621,8 +655,8 @@ def test_report_refuses_a_log_that_mixes_schedules(tmp_path, capsys):
     assert main(["report", str(mixed)]) == 1
     schedule = "instance=torus:4x4:1 kind=simulated_annealing sweeps=30 temp_start=3.0"
     assert capsys.readouterr() == ("", (
-        f"error: records mix campaigns: trial 3 ran {schedule} temp_end=0.1 master_seed=778, "
-        f"trial 0 ran {schedule} temp_end=0.05 master_seed=777\n"))
+        f"error: {mixed}: records mix campaigns: trial 3 ran {schedule} temp_end=0.1 "
+        f"master_seed=778, trial 0 ran {schedule} temp_end=0.05 master_seed=777\n"))
 
 
 def test_report_refuses_a_log_that_mixes_master_seeds(tmp_path, capsys):
@@ -631,7 +665,7 @@ def test_report_refuses_a_log_that_mixes_master_seeds(tmp_path, capsys):
     schedule = ("instance=torus:4x4:1 kind=simulated_annealing sweeps=30 temp_start=3.0 "
                 "temp_end=0.05")
     assert capsys.readouterr() == ("", (
-        f"error: records mix campaigns: trial 3 ran {schedule} master_seed=778, "
+        f"error: {mixed}: records mix campaigns: trial 3 ran {schedule} master_seed=778, "
         f"trial 0 ran {schedule} master_seed=777\n"))
 
 

@@ -23,6 +23,8 @@ from gsetbench.solvers import (
     GREEDY,
     KINDS,
     SolverConfig,
+    _acceptance_thresholds,
+    _accepted,
     _sweep_layout,
     _temperature,
     default_config,
@@ -101,6 +103,34 @@ def test_temperature_schedule_endpoints():
     assert _temperature(config, 4) < _temperature(config, 3)
     one = default_config(ANNEALING, 1)
     assert _temperature(one, 0) == 3.0
+
+
+@pytest.mark.parametrize("temp", (1e-310, 1e-300, 0.05, 1.0, 3.0, 1e300))
+def test_acceptance_table_equals_the_float_rule(temp):
+    # every int8 delta; entry k of the table must split the 53-bit
+    # integers x exactly where x 2^-53 < e = exp(min(delta, 0) / T) does
+    deltas = np.arange(-128, 128, dtype=np.int8)
+    with np.errstate(over="ignore"):
+        exponent = np.minimum(deltas, 0) / temp
+    table = _acceptance_thresholds(temp)
+    assert table.dtype == np.uint64 and table.shape == (256,)
+    k = table[deltas.view(np.uint8)]
+    assert (k[deltas >= 0] == 2**53).all()
+    assert (k[exponent == -np.inf] == 0).all()
+    for threshold, e in zip(k.tolist(), np.exp(exponent)):
+        assert threshold == 0 or (threshold - 1) * 2.0**-53 < e
+        assert threshold == 2**53 or not threshold * 2.0**-53 < e
+    # per delta, the words (k << 11) - 1, k << 11 and (k << 11) + 2047,
+    # kept to 64 bits, then random words: the kernel's table and float
+    # paths accept the same flips
+    edges = [[min(max(int(t) * 2**11 + offset, 0), 2**64 - 1) for t in k]
+             for offset in (-1, 0, 2047)]
+    words = np.vstack((np.array(edges, dtype=np.uint64),
+                       np.random.default_rng(21).integers(0, 2**64, (200, 256), dtype=np.uint64)))
+    x, delta = words >> 11, np.tile(deltas, (len(words), 1))
+    by_table = _accepted(x, delta, temp, table)
+    assert np.array_equal(by_table, _accepted(x, delta, temp, None))
+    assert by_table[:, deltas >= 0].all()
 
 
 def test_trials_are_deterministic():
