@@ -2,12 +2,13 @@
 
 A campaign runs ``num_trials`` independent trials of one solver config
 on one instance. Trial i's seed is word i of the stream seeded at the
-campaign master seed, drawn by the same ``solvers.splitmix64`` that
-draws every trial's spins and uniforms, so the set of trials is the
-same regardless of worker count or execution order, campaigns are
-reproducible across runs, and any single logged trial can be re-run in
-isolation. SplitMix64's output mix is a bijection, so a record's seed
-and index name its master seed too.
+campaign master seed: each batch takes its trials' seeds from one
+``solvers.splitmix64`` call, the function that draws every trial's
+spins and uniforms, so the set of trials is the same regardless of
+worker count or execution order, campaigns are reproducible across
+runs, and any single logged trial can be re-run in isolation.
+SplitMix64's output mix is a bijection, so ``master_seed_of`` recovers
+a record's master seed from its seed and index.
 
 Trials run in batches through the solvers' batched kernel. Each
 finished trial appends one self-describing key=value line to the log,
@@ -29,7 +30,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,8 +37,8 @@ from functools import partial
 from pathlib import Path
 
 from gsetbench.codec import encode_hex
-from gsetbench.instances import ProblemInstance, check_seed
-from gsetbench.metrics import TargetOutcome, TargetSpec
+from gsetbench.instances import ProblemInstance, _ascii_float, _decimal, check_seed
+from gsetbench.metrics import _UNLOGGABLE, TargetOutcome, TargetSpec
 from gsetbench.solvers import (
     SPLITMIX_GAMMA,
     SPLITMIX_MULTIPLIERS,
@@ -63,20 +63,12 @@ _MASK64 = (1 << 64) - 1
 _UNMIX_1, _UNMIX_2 = (pow(m, -1, 1 << 64) for m in SPLITMIX_MULTIPLIERS)
 
 
-def mix_seed(master_seed: int, index: int) -> int:
-    """Seed for trial ``index``: word ``index`` of the master seed's
-    stream, output index+1 of SplitMix64 seeded at the master seed."""
-    master_seed = check_seed(master_seed, "master seed")
-    if index < 0:
-        raise ValueError(f"trial index must be non-negative, got {index}")
-    return int(splitmix64([master_seed], [index])[0, 0])
-
-
 def master_seed_of(seed: int, index: int) -> int:
-    """The master seed whose trial ``index`` gets ``seed``: the exact
-    inverse of ``mix_seed``, whose steps (an addition, xorshifts,
-    products with odd constants) are bijections of 64-bit words. A right
-    xorshift by s >= 22 is undone by xoring in the word shifted by s and 2s.
+    """The master seed whose trial ``index`` gets ``seed``, the master
+    seed m with ``splitmix64([m], [index])`` equal to ``seed``: it undoes
+    that word's steps (an addition, xorshifts, products with odd
+    constants), each a bijection of 64-bit words. A right xorshift by
+    s >= 22 is undone by xoring in the word shifted by s and 2s.
     """
     z = ((seed ^ (seed >> 31) ^ (seed >> 62)) * _UNMIX_2) & _MASK64
     z = ((z ^ (z >> 27) ^ (z >> 54)) * _UNMIX_1) & _MASK64
@@ -142,10 +134,6 @@ def _campaign_text(campaign: tuple) -> str:
     if solver.temp_start is not None:
         words += f" temp_start={solver.temp_start!r} temp_end={solver.temp_end!r}"
     return f"{words} master_seed={master_seed}"
-
-
-# \s matches exactly the characters str.isspace() calls whitespace
-_UNLOGGABLE = re.compile(r"[\s=]")
 
 
 def check_loggable(instance_name: str) -> None:
@@ -216,15 +204,16 @@ def parse_record(line: str) -> TrialRecord:
     if unknown:
         raise ValueError(f"record has unknown field {unknown[0]}")
     try:
-        temps = [float(fields[k]) if k in fields else None for k in ("temp_start", "temp_end")]
+        temps = [_ascii_float(fields[k]) if k in fields else None
+                 for k in ("temp_start", "temp_end")]
         return TrialRecord(
-            index=int(fields["index"]),
+            index=_decimal(fields["index"]),
             instance=fields["instance"],
-            solver=SolverConfig(fields["kind"], int(fields["sweeps"]), *temps),
-            seed=int(fields["seed"]),
-            best_cut=int(fields["best_cut"]),
-            sweeps_executed=int(fields["sweeps_executed"]),
-            wall_time_s=float(fields["wall_time_s"]),
+            solver=SolverConfig(fields["kind"], _decimal(fields["sweeps"]), *temps),
+            seed=_decimal(fields["seed"]),
+            best_cut=_decimal(fields["best_cut"]),
+            sweeps_executed=_decimal(fields["sweeps_executed"]),
+            wall_time_s=_ascii_float(fields["wall_time_s"]),
             spins_hex=fields.get("spins"),
         )
     except ValueError as exc:

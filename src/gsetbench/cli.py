@@ -37,6 +37,8 @@ from gsetbench.instances import (
     GsetFormatError,
     ProblemInstance,
     TorusSpec,
+    _ascii_float,
+    _decimal,
     generate_torus,
     load_gset,
     parse_torus_name,
@@ -232,7 +234,7 @@ def _add_target(targets: list[TargetSpec], fields, usage: str, where: str) -> No
     if len(fields) not in (2, 3):
         raise CliError(usage)
     try:
-        target = TargetSpec(fields[0], int(fields[1]), *map(float, fields[2:]))
+        target = TargetSpec(fields[0], _decimal(fields[1]), *map(_ascii_float, fields[2:]))
     except ValueError as exc:
         raise CliError(f"{where}: {exc}") from exc
     if any(t.label == target.label for t in targets):
@@ -283,20 +285,21 @@ def _parse_campaign_config(args):
         kind = need("kind")
         ladder = None
         if "sweep_scan" in values:
-            ladder = tuple(int(tok) for tok in values["sweep_scan"].replace(",", " ").split())
+            ladder = tuple(map(_decimal, values["sweep_scan"].replace(",", " ").split()))
             if not ladder:
                 raise ValueError("sweep_scan must be nonempty when given")
             if any(s < 1 for s in ladder):
                 raise ValueError("sweep_scan entries must be positive")
             if any(b <= a for a, b in zip(ladder, ladder[1:])):
                 raise ValueError("sweep_scan entries must be strictly increasing")
-        sweeps = ladder[0] if ladder else int(need("sweeps"))
-        temps = [float(values[k]) if k in values else None for k in ("temp_start", "temp_end")]
+        sweeps = ladder[0] if ladder else _decimal(need("sweeps"))
+        temps = [_ascii_float(values[k]) if k in values else None
+                 for k in ("temp_start", "temp_end")]
         instance_spec = need("instance")
         config = campaign_mod.CampaignConfig(
             solver=default_config(kind, sweeps, *temps),
-            num_trials=int(need("num_trials")),
-            master_seed=int(need("master_seed")),
+            num_trials=_decimal(need("num_trials")),
+            master_seed=_decimal(need("master_seed")),
             targets=tuple(targets),
         )
     except ValueError as exc:

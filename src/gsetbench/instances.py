@@ -23,8 +23,25 @@ class GsetFormatError(ValueError):
 # weights of one instance must sum to less than this.
 _WEIGHT_SUM_LIMIT = 2**62
 
-# A Gset number: optionally signed ASCII decimal digits.
+# A Gset number, and every integer of a campaign log or config:
+# optionally signed ASCII decimal digits.
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """``int(text)`` if ``_DECIMAL`` spells ``text``: ``int`` alone also
+    reads ``1_0`` and non-ASCII digits."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _ascii_float(text: str) -> float:
+    """``float(text)`` if ``text`` is ASCII without ``_``; ``nan`` and
+    ``inf`` pass, to be refused where out of range."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -24,21 +24,31 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 DEFAULT_CONFIDENCE = 0.99
 DEFAULT_HW_SWEEP_TIME_S = 2e-9
 
+# what a word of key=value output cannot hold; \s matches exactly the
+# characters str.isspace() calls whitespace
+_UNLOGGABLE = re.compile(r"[\s=]")
+
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """A named target cut with the confidence used for r."""
+    """A named target cut with the confidence used for r. The label is
+    one word of a summary's key=value output: nonempty, with no
+    whitespace and no ``=``."""
 
     label: str
     cut: int
     confidence: float = DEFAULT_CONFIDENCE
 
     def __post_init__(self) -> None:
+        if not self.label or _UNLOGGABLE.search(self.label):
+            raise ValueError(f"target label must be nonempty, without whitespace "
+                             f"or '=', got {self.label!r}")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError(
                 f"confidence must be in (0, 1), got {self.confidence}"
@@ -67,7 +77,13 @@ def project_hw_ttt(
         raise ValueError(f"sweeps to target must be positive and finite, got {stt_sweeps}")
     if not (0 < sweep_time_s < math.inf):
         raise ValueError(f"sweep time must be positive and finite, got {sweep_time_s}")
-    return stt_sweeps * sweep_time_s
+    seconds = stt_sweeps * sweep_time_s
+    # the product of two positive finite doubles can still overflow to inf
+    # or underflow to 0
+    if not (0 < seconds < math.inf):
+        raise ValueError(f"projected time {stt_sweeps:g} sweeps x {sweep_time_s:g} s "
+                         "is outside the range of a double")
+    return seconds
 
 
 @dataclass(frozen=True)

@@ -22,23 +22,22 @@ computes for whole arrays of seeds and counters. Initial spin v
 (0-based) is +1 exactly when bit 63 of word v is set. At annealing
 sweep t (0-based), vertex v's uniform is x 2^-53 with x = word
 (t + 1) n + v >> 11, numpy's own 53-bit construction of a double in
-[0, 1), and the flip is accepted when x 2^-53 < e = exp(min(delta,
-0) / T); each colour class computes its own words from its vertex ids.
+[0, 1); each colour class computes its own words from its vertex ids.
 Greedy draws nothing after the initial spins. A trial is therefore a
 deterministic function of (instance, config, seed), whatever batch it
 runs in, and greedy with a longer budget only extends the same
 trajectory.
 
-With int8 fields (no vertex's sum of |w| above 127, as on every +-1
-torus) a delta takes at most 255 values, so each sweep computes e once
-per delta instead of once per flip: a 256-entry table, indexed by the
-delta's byte, holds k = ceil(e 2^53), and the flip is accepted when
-x < k. That is the same rule: x 2^-53 is exact and e 2^53 only shifts
-e's exponent, so x 2^-53 < e exactly when the integer x is below e
-2^53, that is below k. A non-worsening flip has k = 2^53 and is always
-accepted; at a T so small that delta / T overflows, the exponent takes
-its limit -inf and k = 0, so a worsening flip never is. Int16 and
-wider fields keep the float compare.
+A flip of delta d at temperature T is accepted when x < k = ceil(e
+2^53), e = exp(min(d, 0) / T). That is the rule x 2^-53 < e for every
+e in [0, 1]: x 2^-53 is exact and e 2^53 only shifts e's exponent, so
+the integer x is below e 2^53 exactly when it is below k. A
+non-worsening flip has k = 2^53 and is always accepted; at a T so small
+that d / T overflows, the exponent takes its limit -inf and k = 0, so a
+worsening flip never is. With int8 fields (no vertex's sum of |w| above
+127, as on every +-1 torus) a delta takes at most 255 values, so each
+sweep computes k once per delta, into a 256-entry table indexed by the
+delta's byte; wider fields compute k per flip.
 
 The words of seed s are mix(s + k γ) for k = 1, 2, ..., so two trials
 share a word only if their seeds differ by a multiple of γ smaller
@@ -71,6 +70,9 @@ SPLITMIX_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 # campaign worker threads share instances; one of them builds the layout
 _LAYOUT_LOCK = threading.Lock()
+
+# every int8 delta, at the index of its byte
+_BYTE_DELTAS = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
 @dataclass(frozen=True)
@@ -159,19 +161,19 @@ def _temperature(config: SolverConfig, sweep_index: int) -> float:
 def _sweep_layout(instance: ProblemInstance):
     """The instance's colour classes as runs of renumbered positions.
 
-    Returns ``(order, classes)``. ``order[p]`` is the vertex (0-based)
-    at position p: the colour classes in turn, each by falling degree,
-    so that a class's spins are one contiguous slice. Each class is
-    ``(lo, hi, slots)``: it holds positions ``lo:hi``, and its slot k is
-    ``(count, neighbours, weights)``, the positions of the k-th
+    Returns ``(order, classes, field)``. ``order[p]`` is the vertex
+    (0-based) at position p: the colour classes in turn, each by falling
+    degree, so that a class's spins are one contiguous slice. Each class
+    is ``(lo, hi, slots)``: it holds positions ``lo:hi``, and its slot k
+    is ``(count, neighbours, weights)``, the positions of the k-th
     neighbour of its first ``count`` vertices (those with degree above
     k) and the edge weights. Summing the slots gives every local field
     with no padding, so the work per class is its number of edge ends.
-    Every slot's weights have one dtype: the narrowest of int8, int16,
-    int32 and int64 that holds the instance's largest per-vertex sum of
-    |w|, which bounds every partial field sum and every flip delta. The
-    layout is built once and cached on the instance; only the solvers
-    build it.
+    Every slot's weights have the dtype ``field``: the narrowest of
+    int8, int16, int32 and int64 that holds the instance's largest
+    per-vertex sum of |w|, which bounds every partial field sum and
+    every flip delta. The layout is built once and cached on the
+    instance; only the solvers build it.
     """
     with _LAYOUT_LOCK:
         if instance._sweep_layout is None:
@@ -225,41 +227,25 @@ def _build_layout(instance: ProblemInstance):
             at = indptr[vertices[:count]] + k
             slots.append((count, position[dst[at]], weight[at]))
         classes.append((lo, hi, tuple(slots)))
-    return order, tuple(classes)
+    return order, tuple(classes), field
 
 
-def _acceptance_thresholds(temp: float) -> np.ndarray:
-    """The 256 uint64 acceptance thresholds at temperature ``temp``: entry
-    b is ceil(exp(min(d, 0) / temp) 2^53), where d is byte b read as
-    int8, and a flip of delta d is accepted when its 53-bit integer is
-    below it (see the module docstring)."""
-    d = np.arange(256, dtype=np.uint8).view(np.int8)
+def _thresholds(delta: np.ndarray, temp: float) -> np.ndarray:
+    """The uint64 acceptance thresholds k = ceil(exp(min(d, 0) / temp)
+    2^53) of the deltas d: annealing accepts a flip when its 53-bit
+    integer is below its k (see the module docstring)."""
     # d / temp overflows at a tiny temp; the exponent then takes its
-    # limit -inf, and the entry is 0
+    # limit -inf, and k is 0
     with np.errstate(over="ignore"):
-        e = np.exp(np.minimum(d, 0) / temp)
-    return np.ceil(e * 2.0**53).astype(np.uint64)
+        k = np.exp(np.minimum(delta, 0) / temp)
+    k *= 2.0**53
+    return np.ceil(k, out=k).astype(np.uint64)
 
 
-def _accepted(x: np.ndarray, delta: np.ndarray, temp: float, thresholds) -> np.ndarray:
-    """Which flips annealing accepts at temperature ``temp``, given each
-    flip's 53-bit integer ``x`` and its ``delta``: by the sweep's table
-    ``thresholds`` for int8 deltas, by the float compare without one."""
-    if thresholds is not None:
-        # the byte, not the signed delta, is the cheap index
-        return x < np.take(thresholds, delta.view(np.uint8))
-    # exp(min(delta, 0) / T) is 1 for a non-worsening flip, and x 2^-53 <
-    # 1; at a tiny T the exponent's limit is -inf, and a worsening flip's
-    # probability exactly 0
-    with np.errstate(over="ignore"):
-        return x * 2.0**-53 < np.exp(np.minimum(delta, 0) / temp)
-
-
-def _local_fields(spins: np.ndarray, lo: int, hi: int, slots) -> np.ndarray:
-    """(R, hi - lo) array of sum_j w_vj * s_j at positions lo:hi, in the
-    slot weights' dtype (int8 for a class with no edges)."""
-    dtype = slots[0][2].dtype if slots else np.int8
-    fields = np.zeros((spins.shape[0], hi - lo), dtype=dtype)
+def _local_fields(spins: np.ndarray, lo: int, hi: int, slots, field) -> np.ndarray:
+    """(R, hi - lo) array of sum_j w_vj * s_j at positions lo:hi, of
+    dtype ``field``."""
+    fields = np.zeros((spins.shape[0], hi - lo), dtype=field)
     for count, neighbours, weights in slots:
         fields[:, :count] += np.take(spins, neighbours, axis=1) * weights
     return fields
@@ -277,11 +263,11 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
     seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
     if not seeds.size:
         raise ValueError("a batch needs at least one trial")
-    order, classes = _sweep_layout(instance)
+    order, classes, field = _sweep_layout(instance)
     n, batch = instance.n, len(seeds)
     annealing = config.kind == ANNEALING
     # int8 fields bound |delta| by 127, so a delta's byte indexes a table
-    byte_deltas = all(slots[0][2].dtype == np.int8 for _, _, slots in classes if slots)
+    byte_deltas = field == np.int8
 
     # spin v starts at +1 exactly when bit 63 of word v is set
     initial = (splitmix64(seeds, np.arange(n)) >> 63).astype(np.int8)
@@ -303,17 +289,20 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
     for sweep in range(config.sweeps):
         if annealing:
             temp = _temperature(config, sweep)
-            thresholds = _acceptance_thresholds(temp) if byte_deltas else None
+            if byte_deltas:
+                table = _thresholds(_BYTE_DELTAS, temp)
         flipped = np.zeros(len(live), dtype=bool)
         for lo, hi, slots in classes:
             block = spins[:, lo:hi]
-            delta = block * _local_fields(spins, lo, hi, slots)
+            delta = block * _local_fields(spins, lo, hi, slots, field)
             if annealing:
                 # sweep t draws word (t + 1) n + v for vertex v, and its
                 # top 53 bits x make the uniform x 2^-53 in [0, 1)
                 x = splitmix64(seeds, order[lo:hi] + (sweep + 1) * n)
                 x >>= 11
-                accept = _accepted(x, delta, temp, thresholds)
+                # the byte, not the signed delta, is the cheap index
+                accept = x < (np.take(table, delta.view(np.uint8)) if byte_deltas
+                              else _thresholds(delta, temp))
             else:
                 accept = delta > 0
                 flipped |= accept.any(axis=1)

@@ -16,7 +16,6 @@ from gsetbench.campaign import (
     TrialRecord,
     format_record,
     master_seed_of,
-    mix_seed,
     parse_record,
     read_log,
     replay_record,
@@ -27,7 +26,7 @@ from gsetbench.campaign import (
 from gsetbench.codec import decode_hex
 from gsetbench.instances import ProblemInstance, TorusSpec, generate_torus
 from gsetbench.metrics import TargetSpec, write_summary_csv
-from gsetbench.solvers import ANNEALING, GREEDY, SolverConfig, default_config
+from gsetbench.solvers import ANNEALING, GREEDY, SolverConfig, default_config, splitmix64
 
 
 def make_record(index, cut, sweeps=50, time=0.001, **kw):
@@ -35,7 +34,7 @@ def make_record(index, cut, sweeps=50, time=0.001, **kw):
         index=index,
         instance="torus:4x4:1",
         solver=SolverConfig(ANNEALING, sweeps, 3.0, 0.05),
-        seed=mix_seed(1, index),
+        seed=int(splitmix64([1], [index])[0, 0]),
         best_cut=cut,
         sweeps_executed=sweeps,
         wall_time_s=time,
@@ -43,36 +42,12 @@ def make_record(index, cut, sweeps=50, time=0.001, **kw):
     )
 
 
-def test_mix_seed_reference_vectors():
-    # first three outputs of the reference SplitMix64 stream from 1234567
-    assert [mix_seed(1234567, i) for i in range(3)] == [
-        6457827717110365317,
-        3203168211198807973,
-        9817491932198370423,
-    ]
-
-
-def test_mix_seed_validation_and_spread():
-    with pytest.raises(ValueError):
-        mix_seed(-1, 0)
-    with pytest.raises(ValueError, match="master seed must fit in 64 bits, got 18446744073709551616"):
-        mix_seed(2**64, 0)
-    with pytest.raises(ValueError, match="master seed must be an integer, got 1.0"):
-        mix_seed(1.0, 0)
-    assert mix_seed(np.uint64(42), 3) == mix_seed(42, 3)
-    with pytest.raises(ValueError):
-        mix_seed(0, -1)
-    seeds = {mix_seed(42, i) for i in range(1000)}
-    assert len(seeds) == 1000
-    assert all(0 <= s < 2**64 for s in seeds)
-
-
-def test_master_seed_of_inverts_mix_seed():
+def test_master_seed_of_inverts_splitmix64():
     rng = random.Random(2014)
     pairs = [(m, i) for m in (0, 2**64 - 1) for i in (0, 2**40 + 3)]
     pairs += [(rng.getrandbits(64), rng.randrange(2**32)) for _ in range(2000)]
     for master, index in pairs:
-        assert master_seed_of(mix_seed(master, index), index) == master
+        assert master_seed_of(int(splitmix64([master], [index])[0, 0]), index) == master
 
 
 def test_campaign_config_validation():
@@ -201,7 +176,7 @@ def test_run_campaign_writes_one_record_per_trial(torus, tmp_path):
     records = read_log(log)
     assert len(records) == 12
     assert sorted(r.index for r in records) == list(range(12))
-    assert {r.seed for r in records} == {mix_seed(777, i) for i in range(12)}
+    assert {r.seed for r in records} == set(splitmix64([777], range(12))[0].tolist())
     assert deterministic_fields(summarize(records)) == deterministic_fields(summary)
 
 
@@ -256,7 +231,7 @@ def test_a_failed_batch_stops_the_campaign(torus, tmp_path, monkeypatch, workers
     # one trial per batch; trial 3 fails and the batches after it are
     # slow, so the pool cannot start more than one per worker meanwhile
     monkeypatch.setattr(campaign, "_BATCH_SPINS", torus.n)
-    index_of = {mix_seed(777, i): i for i in range(12)}
+    index_of = {seed: i for i, seed in enumerate(splitmix64([777], range(12))[0].tolist())}
     started = []
     run_trials = campaign.run_trials
 
@@ -351,7 +326,7 @@ def test_replay_record_reproduces_best_cut(torus, tmp_path):
 
 def test_replay_record_detects_tampering(torus):
     record = make_record(0, 1, sweeps=30)
-    record = replace(record, seed=mix_seed(777, 0))
+    record = replace(record, seed=int(splitmix64([777], [0])[0, 0]))
     with pytest.raises(RuntimeError, match="replay"):
         replay_record(torus, record)
 

@@ -10,7 +10,6 @@ from conftest import deterministic_fields
 from gsetbench import solvers
 from gsetbench.campaign import (
     LOG_FORMAT,
-    mix_seed,
     parse_record,
     read_log,
     replay_record,
@@ -319,7 +318,7 @@ def test_solve_prints_the_campaign_log_line(tmp_path, monkeypatch, capsys, spell
     index = 3
     spins = ["--include-spins"] if include_spins else []
     assert main(["solve", spelling, "--kind", kind, "--sweeps", "30",
-                 "--seed", str(mix_seed(777, index))] + temps + spins) == 0
+                 "--seed", str(solvers.splitmix64([777], [index])[0, 0])] + temps + spins) == 0
     solved = capsys.readouterr().out.split()
     logged = Path("run.log").read_text().splitlines()[index].split()
     assert solved[0] == "index=0"
@@ -577,6 +576,18 @@ TARGET_ERRORS = [
      "bad --target 'opt:10:1': confidence must be in (0, 1), got 1.0"),
     (["opt", "10", "high"], "could not convert string to float: 'high'",
      "bad --target 'opt:10:high': could not convert string to float: 'high'"),
+    # int() and float() alone read 1_0 as 10 and Arabic-Indic digits too
+    (["opt", "1_0"], "invalid literal for int() with base 10: '1_0'",
+     "bad --target 'opt:1_0': invalid literal for int() with base 10: '1_0'"),
+    (["opt", "\u0661\u0660"], "invalid literal for int() with base 10: '\u0661\u0660'",
+     "bad --target 'opt:\u0661\u0660': invalid literal for int() with base 10: "
+     "'\u0661\u0660'"),
+    (["opt", "10", "0.9_9"], "could not convert string to float: '0.9_9'",
+     "bad --target 'opt:10:0.9_9': could not convert string to float: '0.9_9'"),
+    # a label is one word of the summary's key=value output
+    (["x=y", "3"], "target label must be nonempty, without whitespace or '=', got 'x=y'",
+     "bad --target 'x=y:3': target label must be nonempty, without whitespace or '=', "
+     "got 'x=y'"),
 ]
 
 
@@ -592,6 +603,39 @@ def test_bad_targets_exit_one_with_their_message(tmp_path, capsys, fields,
     capsys.readouterr()
     assert main(["report", str(log), "--target", ":".join(fields)]) == 1
     assert capsys.readouterr() == ("", f"error: {flag_message}\n")
+
+
+@pytest.mark.parametrize("label", ["a b", "", "x=y", "a\tb", "a\u00a0b"])
+def test_report_refuses_a_target_label_that_breaks_the_summary(tmp_path, capsys, label):
+    # the summary line target=a b ... would no longer split into key=value words
+    log = tmp_path / "run.log"
+    assert main(["campaign", str(campaign_config_file(tmp_path)), "--log", str(log)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(log), "--target", f"{label}:5"]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: bad --target {label + ':5'!r}: target label must be nonempty, without "
+        f"whitespace or '=', got {label!r}\n"))
+
+
+# a config's integers and floats are read only as ASCII text: int() and
+# float() alone read 1_0 as 10 and Arabic-Indic digits as digits
+@pytest.mark.parametrize("old, new, message", [
+    ("num_trials = 10", "num_trials = 1_0", "invalid literal for int() with base 10: '1_0'"),
+    ("master_seed = 777", "master_seed = \u0661\u0662",
+     "invalid literal for int() with base 10: '\u0661\u0662'"),
+    ("sweeps = 30", "sweeps = 3\u0660", "invalid literal for int() with base 10: '3\u0660'"),
+    ("sweeps = 30", "sweep_scan = 10 2_0",
+     "invalid literal for int() with base 10: '2_0'"),
+    ("sweeps = 30", "sweeps = 30\ntemp_start = 2_5",
+     "could not convert string to float: '2_5'"),
+    ("sweeps = 30", "sweeps = 30\ntemp_end = 0.\u0660\u0665",
+     "could not convert string to float: '0.\u0660\u0665'"),
+])
+def test_campaign_config_numbers_are_ascii(tmp_path, capsys, old, new, message):
+    cfg = tmp_path / "camp.cfg"
+    cfg.write_text(PLAIN_CONFIG.replace(old, new).replace("target = optimum 10\n", ""))
+    assert main(["campaign", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}: {message}\n")
 
 
 @pytest.mark.parametrize("source", ["config", "report"])
@@ -742,6 +786,23 @@ def test_every_reader_refuses_a_degenerate_annealing_schedule(tmp_path, capsys, 
     assert capsys.readouterr() == ("", f"error: {log}: trial 0: {message}\n")
 
 
+# a record's numbers are read only as the ASCII text a log holds
+@pytest.mark.parametrize("old, new, message", [
+    ("best_cut=12", "best_cut=1_2", "invalid literal for int() with base 10: '1_2'"),
+    ("best_cut=12", "best_cut=+\u0661\u0662",
+     "invalid literal for int() with base 10: '+\u0661\u0662'"),
+    ("sweeps=10", "sweeps=1\u0660", "invalid literal for int() with base 10: '1\u0660'"),
+    ("seed=7", "seed=0_7", "invalid literal for int() with base 10: '0_7'"),
+    ("sweeps_executed=3", "sweeps_executed=\uff13",
+     "invalid literal for int() with base 10: '\uff13'"),
+    ("wall_time_s=1.0e-04", "wall_time_s=1_0.5", "could not convert string to float: '1_0.5'"),
+    ("wall_time_s=1.0e-04", "wall_time_s=\u0661.0",
+     "could not convert string to float: '\u0661.0'"),
+])
+def test_report_reads_record_numbers_as_ascii(tmp_path, capsys, old, new, message):
+    assert report_with_second_record(tmp_path, capsys, old, new) == f"trial 1: {message}"
+
+
 # each row breaks one outcome field; a report must not average such a trial
 @pytest.mark.parametrize("old, new, message", [
     ("index=1", "index=-1", "trial -1: trial index must be non-negative, got -1"),
@@ -847,6 +908,15 @@ def test_project_known_values(capsys):
 def test_project_refuses_non_finite_input(capsys, argv, message):
     assert main(["project"] + argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("stt, sweep_time", [("1e308", "1e10"), ("1e-300", "1e-300")])
+def test_project_refuses_a_product_outside_a_double(capsys, stt, sweep_time):
+    # each factor is positive and finite; their product is inf, or 0
+    assert main(["project", stt, "--sweep-time", sweep_time]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: projected time {float(stt):g} sweeps x {float(sweep_time):g} s is outside "
+        "the range of a double\n"))
 
 
 def test_usage_errors_exit_two():

@@ -54,6 +54,10 @@ def test_hardware_projection():
         project_hw_ttt(0)
     with pytest.raises(ValueError):
         project_hw_ttt(100, sweep_time_s=0)
+    for stt, sweep_time in ((1e308, 10.0), (1e-300, 1e-300)):
+        with pytest.raises(ValueError, match="projected time .* outside the range of a double"):
+            project_hw_ttt(stt, sweep_time_s=sweep_time)
+    assert project_hw_ttt(1e300, sweep_time_s=1e8) == 1e308
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"sweeps to target .* finite, got {bad}"):
             project_hw_ttt(bad)
@@ -65,6 +69,11 @@ def test_target_spec_validation():
     assert TargetSpec("best", 100).confidence == 0.99
     with pytest.raises(ValueError):
         TargetSpec("bad", 100, confidence=1.0)
+    # a label is one word of key=value output, as an instance name is
+    for label in ("", "a b", "x=y", "a\nb", "a\u2003b"):
+        with pytest.raises(ValueError, match="target label must be nonempty"):
+            TargetSpec(label, 100)
+    assert TargetSpec("99.9%:x", 100).label == "99.9%:x"
 
 
 def outcome(successes, trials, sweeps_per_trial, trial_time_s=None, **kw):

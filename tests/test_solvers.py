@@ -23,10 +23,10 @@ from gsetbench.solvers import (
     GREEDY,
     KINDS,
     SolverConfig,
-    _acceptance_thresholds,
-    _accepted,
+    _BYTE_DELTAS,
     _sweep_layout,
     _temperature,
+    _thresholds,
     default_config,
     run_trial,
     run_trials,
@@ -89,6 +89,17 @@ def test_stream_words_equal_python_splitmix64():
     assert words.tolist() == [[reference_splitmix64(s, c) for c in counters] for s in seeds]
 
 
+def test_splitmix64_reference_vectors():
+    # first three outputs of the reference SplitMix64 stream from 1234567,
+    # and distinct words along one stream
+    assert splitmix64([1234567], range(3))[0].tolist() == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+    ]
+    assert len(set(splitmix64([42], range(1000))[0].tolist())) == 1000
+
+
 def test_default_config_fills_annealing_schedule():
     config = default_config(ANNEALING, 50)
     assert (config.temp_start, config.temp_end) == (3.0, 0.05)
@@ -105,32 +116,52 @@ def test_temperature_schedule_endpoints():
     assert _temperature(one, 0) == 3.0
 
 
+def float_rule(x, delta, temp):
+    """The Metropolis rule as the spin-by-spin reference states it: a
+    flip is accepted when its uniform x 2^-53 is below exp(min(d, 0) / T)."""
+    # at a tiny T the exponent's limit is -inf, and the probability 0
+    with np.errstate(over="ignore"):
+        return x * 2.0**-53 < np.exp(np.minimum(delta, 0) / temp)
+
+
+# int16, int32 and int64 deltas reaching each width's extremes; the
+# test adds all 256 int8 deltas
+WIDE_DELTAS = {
+    np.int16: [0, 1, -1, -2, 127, -128, 128, -129, 2**15 - 1, -(2**15 - 1), -(2**15)],
+    np.int32: [0, -1, -300, 2**15 - 1, -(2**15 - 1), 2**31 - 1, -(2**31 - 1)],
+    np.int64: [0, -1, -(2**15 - 1), 2**40, -(2**40), -(2**40) - 1, 2**62 - 1, -(2**62 - 1)],
+}
+
+
 @pytest.mark.parametrize("temp", (1e-310, 1e-300, 0.05, 1.0, 3.0, 1e300))
 def test_acceptance_table_equals_the_float_rule(temp):
-    # every int8 delta; entry k of the table must split the 53-bit
-    # integers x exactly where x 2^-53 < e = exp(min(delta, 0) / T) does
-    deltas = np.arange(-128, 128, dtype=np.int8)
-    with np.errstate(over="ignore"):
-        exponent = np.minimum(deltas, 0) / temp
-    table = _acceptance_thresholds(temp)
+    # the int8 table entries and per-flip thresholds of wider deltas,
+    # against the float rule at the words (k << 11) - 1, k << 11 and
+    # (k << 11) + 2047, kept to 64 bits, and 200 random words per delta
+    rng = np.random.default_rng(21)
+    table = _thresholds(_BYTE_DELTAS, temp)
     assert table.dtype == np.uint64 and table.shape == (256,)
-    k = table[deltas.view(np.uint8)]
-    assert (k[deltas >= 0] == 2**53).all()
-    assert (k[exponent == -np.inf] == 0).all()
-    for threshold, e in zip(k.tolist(), np.exp(exponent)):
-        assert threshold == 0 or (threshold - 1) * 2.0**-53 < e
-        assert threshold == 2**53 or not threshold * 2.0**-53 < e
-    # per delta, the words (k << 11) - 1, k << 11 and (k << 11) + 2047,
-    # kept to 64 bits, then random words: the kernel's table and float
-    # paths accept the same flips
-    edges = [[min(max(int(t) * 2**11 + offset, 0), 2**64 - 1) for t in k]
-             for offset in (-1, 0, 2047)]
-    words = np.vstack((np.array(edges, dtype=np.uint64),
-                       np.random.default_rng(21).integers(0, 2**64, (200, 256), dtype=np.uint64)))
-    x, delta = words >> 11, np.tile(deltas, (len(words), 1))
-    by_table = _accepted(x, delta, temp, table)
-    assert np.array_equal(by_table, _accepted(x, delta, temp, None))
-    assert by_table[:, deltas >= 0].all()
+    int8 = np.arange(-128, 128, dtype=np.int8)
+    cases = [(int8, table[int8.view(np.uint8)])]
+    for dtype, values in WIDE_DELTAS.items():
+        delta = np.array(values, dtype=dtype)
+        cases.append((delta, _thresholds(delta, temp)))
+    for delta, k in cases:
+        assert k.dtype == np.uint64
+        assert (k[delta >= 0] == 2**53).all() and (k <= 2**53).all()
+        edges = [[min(max(int(t) * 2**11 + offset, 0), 2**64 - 1) for t in k]
+                 for offset in (-1, 0, 2047)]
+        words = np.vstack((np.array(edges, dtype=np.uint64),
+                           rng.integers(0, 2**64, (200, len(delta)), dtype=np.uint64)))
+        x = words >> 11
+        accept = x < k
+        assert np.array_equal(accept, float_rule(x, np.tile(delta, (len(words), 1)), temp))
+        # x = k - 1 is accepted and x = k is not, and k = 0 accepts nothing
+        assert accept[0, k > 0].all() and not accept[1, k < 2**53].any()
+        assert not accept[:, k == 0].any()
+    if temp < 1e-290:
+        # exp(d / T) is 0, or d / T overflows to -inf: no worsening flip
+        assert all((k[delta < 0] == 0).all() for delta, k in cases)
 
 
 def test_trials_are_deterministic():
@@ -377,7 +408,7 @@ def test_integrity_guard_recomputes_every_trial_of_a_batch():
     # corrupt one slot's cached weights: the kernel's incremental cuts
     # then disagree with the cuts recomputed from the instance's edges
     inst = generate_torus(TorusSpec(4, 4, seed=2))
-    _, classes = _sweep_layout(inst)
+    _, classes, _ = _sweep_layout(inst)
     _, _, slots = classes[0]
     _, _, weights = slots[0]
     weights *= 3
@@ -414,7 +445,7 @@ def test_colour_classes_partition_vertices_into_independent_sets():
         (ProblemInstance(70, complete), 70),
     ]
     for inst, expected in tori + others:
-        order, classes = _sweep_layout(inst)
+        order, classes, _ = _sweep_layout(inst)
         assert sorted(order.tolist()) == list(range(inst.n))
         bounds = [lo for lo, _, _ in classes] + [inst.n]
         assert bounds[0] == 0 and all(a < b for a, b in zip(bounds, bounds[1:]))
@@ -438,7 +469,8 @@ def test_slot_weights_take_the_narrowest_field_dtype():
     expected = [np.int8] * 6 + [np.int16, np.int32, np.int64]
     instances = [generate_torus(TorusSpec(100, 100, seed=1))] + kernel_instances()
     for inst, dtype in zip(instances, expected, strict=True):
-        _, classes = _sweep_layout(inst)
+        _, classes, field = _sweep_layout(inst)
+        assert field == dtype
         assert {weights.dtype for _, _, slots in classes for _, _, weights in slots} == {
             np.dtype(dtype)
         }
