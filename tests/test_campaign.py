@@ -42,6 +42,37 @@ def make_record(index, cut, sweeps=50, time=0.001, **kw):
     )
 
 
+def logged_seeds(instance, log, master_seed, num_trials):
+    """The seeds a one-sweep greedy campaign logs, in trial order."""
+    config = CampaignConfig(solver=default_config(GREEDY, 1), num_trials=num_trials,
+                            master_seed=master_seed)
+    run_campaign(instance, config, log_path=log)
+    return [r.seed for r in sorted(read_log(log), key=lambda r: r.index)]
+
+
+def test_mix_seed_reference_vectors(torus, tmp_path):
+    # a campaign mixes master seed and trial index into the trial seed:
+    # trials 0..2 of master seed 1234567 get the first three outputs of
+    # the reference SplitMix64 stream from 1234567
+    assert logged_seeds(torus, tmp_path / "c.log", 1234567, 3) == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+    ]
+
+
+def test_mix_seed_validation_and_spread(torus, tmp_path):
+    solver = default_config(GREEDY, 1)
+    with pytest.raises(ValueError, match="master seed must fit in 64 bits, got 18446744073709551616"):
+        CampaignConfig(solver=solver, num_trials=1, master_seed=2**64)
+    with pytest.raises(ValueError, match="master seed must be an integer, got 1.0"):
+        CampaignConfig(solver=solver, num_trials=1, master_seed=1.0)
+    seeds = logged_seeds(torus, tmp_path / "a.log", 42, 1000)
+    assert logged_seeds(torus, tmp_path / "b.log", np.uint64(42), 1000) == seeds
+    assert len(set(seeds)) == 1000
+    assert all(0 <= s < 2**64 for s in seeds)
+
+
 def test_master_seed_of_inverts_splitmix64():
     rng = random.Random(2014)
     pairs = [(m, i) for m in (0, 2**64 - 1) for i in (0, 2**40 + 3)]
