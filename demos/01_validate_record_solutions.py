@@ -14,13 +14,7 @@ Run:
 
 import os
 
-from gsetbench.codec import (
-    HexDecodeError,
-    decode_hex,
-    encode_hex,
-    read_solution_header,
-    strip_solution_text,
-)
+from gsetbench.codec import HexDecodeError, decode_hex, encode_hex, read_solution
 from gsetbench.evaluate import evaluate_solution
 from gsetbench.instances import TorusSpec, generate_torus, load_gset
 from gsetbench.oracle import exact_max_cut
@@ -54,9 +48,7 @@ except HexDecodeError as err:
 print("\n== bundled record bitstrings ==")
 registry = builtin_registry()
 for name, entry in registry.items():
-    text = solution_text(name)
-    header = read_solution_header(text)
-    payload = "".join(strip_solution_text(text).split())
+    header, payload = read_solution(solution_text(name))
     expected_digits = (entry.n + 3) // 4
     print(f"{name}: header={header} payload {len(payload)}/{expected_digits} hex digits")
 

@@ -37,7 +37,7 @@ from functools import partial
 from pathlib import Path
 
 from gsetbench.codec import encode_hex
-from gsetbench.instances import ProblemInstance, _ascii_float, _decimal, check_seed
+from gsetbench.instances import ProblemInstance, _ascii_float, _decimal, _read_utf8, check_seed
 from gsetbench.metrics import _UNLOGGABLE, TargetOutcome, TargetSpec
 from gsetbench.solvers import (
     SPLITMIX_GAMMA,
@@ -242,7 +242,7 @@ def read_log(path) -> list[TrialRecord]:
     if keep < len(data):
         print(f"{path}: left out an unterminated last line ({len(data) - keep} bytes)",
               file=sys.stderr)
-    return _parse_lines(path, _record_lines(data[:keep].decode()))
+    return _parse_lines(path, _record_lines(_read_utf8(path, data[:keep])))
 
 
 def replay_record(instance: ProblemInstance, record: TrialRecord) -> TrialResult:
@@ -338,7 +338,7 @@ def _open_log(path, resume: bool):
     path = Path(path)
     data = path.read_bytes() if path.exists() else b""
     keep = data.rfind(b"\n") + 1 if resume else len(data)
-    lines = _record_lines(data[:keep].decode())
+    lines = _record_lines(_read_utf8(path, data[:keep]))
     if lines and not resume:
         raise ValueError(
             f"log {path} already holds records; pass --resume to finish "

@@ -25,13 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from gsetbench import campaign as campaign_mod
-from gsetbench.codec import (
-    HexDecodeError,
-    decode_hex,
-    encode_hex,
-    read_solution_header,
-    strip_solution_text,
-)
+from gsetbench.codec import HexDecodeError, decode_hex, encode_hex, read_solution
 from gsetbench.evaluate import evaluate_solution
 from gsetbench.instances import (
     GsetFormatError,
@@ -39,6 +33,7 @@ from gsetbench.instances import (
     TorusSpec,
     _ascii_float,
     _decimal,
+    _read_utf8,
     generate_torus,
     load_gset,
     parse_torus_name,
@@ -99,9 +94,7 @@ def resolve_instance(spec: str) -> ProblemInstance:
 
 
 def _read_text(path_arg: str) -> str:
-    if path_arg == "-":
-        return sys.stdin.read()
-    return Path(path_arg).read_text()
+    return _read_utf8(path_arg, sys.stdin.buffer.read() if path_arg == "-" else None)
 
 
 def _best_known_for(args, instance, header) -> int | None:
@@ -133,18 +126,16 @@ def _best_known_for(args, instance, header) -> int | None:
 
 def _decode_solution(args, instance) -> tuple[np.ndarray, dict[str, str], list[str]]:
     """Read the solution file, apply substitutions, decode."""
-    text = _read_text(args.solution)
-    header = read_solution_header(text)
+    header, payload = read_solution(_read_text(args.solution))
     if "n" in header:
         try:
-            declared = int(header["n"])
+            declared = _decimal(header["n"])
         except ValueError:
             raise CliError(f"solution header has non-integer n={header['n']!r}")
         if declared != instance.n:
             raise CliError(
                 f"solution header says n={declared}, instance has n={instance.n}"
             )
-    payload = "".join(strip_solution_text(text).split())
     notes: list[str] = []
     for sub in args.substitute or ():
         if len(sub) != 3 or sub[1] != "=":
@@ -258,7 +249,7 @@ def _parse_campaign_config(args):
     path = args.config
     values: dict[str, str] = {}
     targets: list[TargetSpec] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -368,10 +359,7 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        records = campaign_mod.read_log(args.log)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"{args.log}: {exc}") from exc
+    records = campaign_mod.read_log(args.log)
     targets: list[TargetSpec] = []
     for raw in args.target or ():
         _add_target(targets, raw.split(":"), f"--target wants LABEL:CUT[:CONFIDENCE], got {raw!r}",
@@ -392,8 +380,8 @@ def cmd_project(args) -> int:
 def _validate_args(p):
     p.add_argument("instance")
     p.add_argument("solution", help="solution file path, or - for stdin")
-    p.add_argument("--expect-cut", type=int, default=None)
-    p.add_argument("--best-known", type=int, default=None)
+    p.add_argument("--expect-cut", type=_decimal, default=None)
+    p.add_argument("--best-known", type=_decimal, default=None)
     p.add_argument("--name", default=None,
                    help="registry name to score quality against")
     p.add_argument("--substitute", action="append", metavar="CHAR=CHAR",
@@ -407,26 +395,26 @@ def _oracle_args(p):
 
 
 def _gen_torus_args(p):
-    p.add_argument("rows", type=int)
-    p.add_argument("cols", type=int)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("rows", type=_decimal)
+    p.add_argument("cols", type=_decimal)
+    p.add_argument("--seed", type=_decimal, required=True)
     p.add_argument("-o", "--output", default=None)
 
 
 def _solve_args(p):
     p.add_argument("instance")
     p.add_argument("--kind", choices=(GREEDY, ANNEALING), default=GREEDY)
-    p.add_argument("--sweeps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--temp-start", type=float, default=None)
-    p.add_argument("--temp-end", type=float, default=None)
+    p.add_argument("--sweeps", type=_decimal, required=True)
+    p.add_argument("--seed", type=_decimal, required=True)
+    p.add_argument("--temp-start", type=_ascii_float, default=None)
+    p.add_argument("--temp-end", type=_ascii_float, default=None)
     p.add_argument("--include-spins", action="store_true")
 
 
 def _campaign_args(p):
     p.add_argument("config")
     p.add_argument("--log", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_decimal, default=1)
     p.add_argument("--resume", action="store_true")
     # None tells a given --format, which a scan refuses, from the default kv
     p.add_argument("--format", choices=("kv", "csv"), default=None)
@@ -439,8 +427,8 @@ def _report_args(p):
 
 
 def _project_args(p):
-    p.add_argument("stt", type=float)
-    p.add_argument("--sweep-time", type=float, default=DEFAULT_HW_SWEEP_TIME_S,
+    p.add_argument("stt", type=_ascii_float)
+    p.add_argument("--sweep-time", type=_ascii_float, default=DEFAULT_HW_SWEEP_TIME_S,
                    help="seconds per sweep (default 2e-9)")
 
 

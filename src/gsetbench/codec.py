@@ -6,9 +6,9 @@ first; bit i (0-based, reading the string left to right) belongs to
 variable i+1. A 0 bit is spin -1, a 1 bit is spin +1. When n is not a
 multiple of 4 the trailing pad bits of the last digit must be zero.
 
-Solution files may carry ``#`` comment lines (conventionally
-``# instance=<name> n=<n>``) before the hex payload; whitespace inside
-the payload is ignored.
+A solution file holds the hex payload and ``#`` header lines
+(conventionally ``# instance=<name> n=<n>``) anywhere among its lines;
+whitespace inside the payload is ignored.
 """
 
 from __future__ import annotations
@@ -77,23 +77,19 @@ def encode_hex(spins) -> str:
     return np.packbits(up).tobytes().hex()[: (len(spins) + 3) // 4]
 
 
-def strip_solution_text(text: str) -> str:
-    """Drop ``#`` comment lines, returning the raw hex payload."""
-    payload_lines = [
-        line for line in text.splitlines() if not line.lstrip().startswith("#")
-    ]
-    return "\n".join(payload_lines)
+def read_solution(text: str) -> tuple[dict[str, str], str]:
+    """Solution file text as (header, payload).
 
-
-def read_solution_header(text: str) -> dict[str, str]:
-    """Parse ``key=value`` pairs out of leading ``#`` comment lines."""
-    meta: dict[str, str] = {}
+    Every line whose first non-blank character is ``#`` is a header line;
+    its ``key=value`` tokens make the header, a later key winning. The
+    payload is every other line with its whitespace removed.
+    """
+    header: dict[str, str] = {}
+    payload: list[str] = []
     for line in text.splitlines():
         stripped = line.lstrip()
-        if not stripped.startswith("#"):
-            break
-        for tok in stripped[1:].split():
-            if "=" in tok:
-                k, v = tok.split("=", 1)
-                meta[k] = v
-    return meta
+        if stripped.startswith("#"):
+            header.update(tok.split("=", 1) for tok in stripped[1:].split() if "=" in tok)
+        else:
+            payload.append(line)
+    return header, "".join("".join(payload).split())

@@ -11,6 +11,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 
@@ -23,8 +24,9 @@ class GsetFormatError(ValueError):
 # weights of one instance must sum to less than this.
 _WEIGHT_SUM_LIMIT = 2**62
 
-# A Gset number, and every integer of a campaign log or config:
-# optionally signed ASCII decimal digits.
+# Every integer read from outside the program, in Gset text, a config,
+# a log, a command line, a torus name or a solution header: optionally
+# signed ASCII decimal digits.
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
@@ -42,6 +44,15 @@ def _ascii_float(text: str) -> float:
     if not text.isascii() or "_" in text:
         raise ValueError(f"could not convert string to float: {text!r}")
     return float(text)
+
+
+def _read_utf8(path, data: bytes | None = None) -> str:
+    """The text of file ``path``, or of ``data`` already read from it, as
+    UTF-8; other bytes are refused by a ValueError that names the file."""
+    try:
+        return (Path(path).read_bytes() if data is None else data).decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -235,11 +246,12 @@ def _read_tokens(text: str, name: str) -> ProblemInstance:
         )
         if k >= len(tokens):
             raise GsetFormatError(f"unexpected end of input while reading {what}")
-        if not _DECIMAL.fullmatch(tokens[k]):
+        try:
+            value = _decimal(tokens[k])
+        except ValueError:
             raise GsetFormatError(
                 f"line {line_of(k)}: expected integer {what}, got {tokens[k]!r}"
-            )
-        value = int(tokens[k])
+            ) from None
         if not -(2**63) <= value < 2**63:
             raise GsetFormatError(f"line {line_of(k)}: {what} {tokens[k]} does not fit in 64 bits")
         return value
@@ -267,10 +279,8 @@ def write_gset(instance: ProblemInstance) -> str:
 
 def load_gset(path) -> ProblemInstance:
     """Read a Gset file; the instance name is the file's stem."""
-    from pathlib import Path
-
     p = Path(path)
-    return parse_gset(p.read_text(), name=p.stem)
+    return parse_gset(_read_utf8(p), name=p.stem)
 
 
 def check_seed(seed, what: str = "seed") -> int:
@@ -341,7 +351,7 @@ def parse_torus_name(name: str) -> TorusSpec:
     if len(dims) != 2:
         raise ValueError(f"bad torus dimensions in {name!r}")
     try:
-        rows, cols, seed = int(dims[0]), int(dims[1]), int(parts[2])
+        rows, cols, seed = _decimal(dims[0]), _decimal(dims[1]), _decimal(parts[2])
     except ValueError:
         raise ValueError(f"bad torus name {name!r}") from None
     return TorusSpec(rows=rows, cols=cols, seed=seed)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from gsetbench.instances import _read_utf8
+
 
 @dataclass(frozen=True)
 class RegistryEntry:
@@ -66,7 +68,7 @@ def load_registry() -> dict[str, RegistryEntry]:
     override = os.environ.get("GSETBENCH_REGISTRY")
     if override:
         try:
-            raw = json.loads(Path(override).read_text())
+            raw = json.loads(_read_utf8(override))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{override}: not valid JSON: {exc}") from None
         if not isinstance(raw, dict) or not all(isinstance(row, dict) for row in raw.values()):
@@ -102,7 +104,7 @@ def solution_text(name: str) -> str:
     if override:
         candidate = Path(override) / f"{name}.txt"
         if candidate.exists():
-            return candidate.read_text()
+            return _read_utf8(candidate)
     ref = resources.files("gsetbench").joinpath(f"data/solutions/{name}.txt")
     if not ref.is_file():
         raise FileNotFoundError(f"no bundled solution for {name!r}")

@@ -37,8 +37,7 @@ from gsetbench.codec import (
     HexDecodeError,
     decode_hex,
     encode_hex,
-    read_solution_header,
-    strip_solution_text,
+    read_solution,
 )
 from gsetbench.evaluate import (
     cut_value,
@@ -76,9 +75,7 @@ def _require_instance(name):
 
 
 def _solution_payload(name):
-    text = solution_text(name)
-    header = read_solution_header(text)
-    payload = "".join(strip_solution_text(text).split())
+    header, payload = read_solution(solution_text(name))
     return payload, header
 
 

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import re
 import sys
@@ -17,7 +18,7 @@ from gsetbench.campaign import (
 )
 from gsetbench.cli import CliError, build_parser, human_time, main, resolve_instance
 from gsetbench.codec import encode_hex
-from gsetbench.instances import TorusSpec, generate_torus, parse_gset
+from gsetbench.instances import TorusSpec, _ascii_float, _decimal, generate_torus, parse_gset
 from gsetbench.oracle import exact_max_cut
 
 
@@ -72,6 +73,12 @@ def test_resolve_instance_forms(torus, torus_file, tmp_path, monkeypatch):
     reg_path.write_text(json.dumps(bad))
     with pytest.raises(CliError, match="expected n=9"):
         resolve_instance("tiny")
+
+
+@pytest.mark.parametrize("name", ["torus:4x4:1_0", "torus:4x4:\u0661\u0660"])
+def test_a_torus_name_is_read_by_the_gset_rule(capsys, name):
+    assert main(["oracle", name]) == 1
+    assert capsys.readouterr() == ("", f"error: bad torus name {name!r}\n")
 
 
 def test_validate_pass(tmp_path, torus, capsys):
@@ -160,6 +167,20 @@ def test_validate_header_n_mismatch(tmp_path, torus, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "n=9" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# n=1_6\nffff\n", "solution header has non-integer n='1_6'"),
+    ("# n=\u0661\u0666\nffff\n", "solution header has non-integer n='\u0661\u0666'"),
+    # a # line is a header line wherever it stands
+    ("\n# n=15\nffff\n", "solution header says n=15, instance has n=16"),
+    ("ffff\n# n=15\n", "solution header says n=15, instance has n=16"),
+], ids=["underscore", "arabic-indic", "after-a-blank-line", "after-the-payload"])
+def test_validate_reads_every_header_n_by_the_gset_rule(tmp_path, capsys, text, message):
+    sol = tmp_path / "sol.txt"
+    sol.write_text(text)
+    assert main(["validate", "torus:4x4:1", str(sol)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_validate_decode_error_reports_position(tmp_path, torus, capsys):
@@ -293,7 +314,8 @@ SOLVE_KINDS = (("greedy_local_search", []), ("simulated_annealing", ["--temp-sta
 # (the instance as the config and the solve line spell it, the name its
 # records carry, id prefix); the canonical spelling's rows are named by kind
 SPELLINGS = (("torus:4x4:1", "torus:4x4:1", ""), ("t44.txt", "t44", "path-"),
-             ("torus:04x4:1", "torus:4x4:1", "padded-"))
+             ("torus:04x4:1", "torus:4x4:1", "padded-"),
+             ("torus:4x4:+1", "torus:4x4:1", "signed-"))
 
 
 @pytest.mark.parametrize("include_spins", [False, True])
@@ -975,6 +997,38 @@ def test_top_level_messages_list_every_command(monkeypatch, capsys):
     assert code == 2 and "the following arguments are required: command" in err
 
 
+# (argv with X where the number goes, the argument a usage error names)
+NUMERIC_ARGUMENTS = [
+    (["validate", "torus:4x4:1", "sol.txt", "--expect-cut", "X"], "--expect-cut"),
+    (["validate", "torus:4x4:1", "sol.txt", "--best-known", "X"], "--best-known"),
+    (["gen-torus", "X", "4", "--seed", "1"], "rows"),
+    (["gen-torus", "4", "X", "--seed", "1"], "cols"),
+    (["gen-torus", "4", "4", "--seed", "X"], "--seed"),
+    (["solve", "torus:4x4:1", "--sweeps", "X", "--seed", "1"], "--sweeps"),
+    (["solve", "torus:4x4:1", "--sweeps", "3", "--seed", "X"], "--seed"),
+    (["solve", "torus:4x4:1", "--sweeps", "3", "--seed", "1", "--temp-start", "X"],
+     "--temp-start"),
+    (["solve", "torus:4x4:1", "--sweeps", "3", "--seed", "1", "--temp-end", "X"], "--temp-end"),
+    (["campaign", "c.cfg", "--workers", "X"], "--workers"),
+    (["project", "X"], "stt"),
+    (["project", "1e6", "--sweep-time", "X"], "--sweep-time"),
+]
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661\u0662", "1_0.5"])
+@pytest.mark.parametrize("argv, name", NUMERIC_ARGUMENTS, ids=[
+    f"{argv[0]}-{name}" for argv, name in NUMERIC_ARGUMENTS])
+def test_command_line_numbers_are_read_by_the_gset_rule(tmp_path, monkeypatch, capsys, argv,
+                                                         name, text):
+    # int() and float() alone read 1_0 as 10 and Arabic-Indic digits too
+    monkeypatch.chdir(tmp_path)
+    code, out, err = exit_output(capsys, lambda: main([text if a == "X" else a for a in argv]))
+    assert (code, out) == (2, "")
+    assert re.search(f"error: argument {name}: invalid \\w+ value: {re.escape(repr(text))}\n$",
+                     err)
+    assert list(tmp_path.iterdir()) == []
+
+
 # each subcommand's option strings, in the order its parser adds them
 OPTIONS = {
     "validate": ["--expect-cut", "--best-known", "--name", "--substitute", "--format"],
@@ -994,6 +1048,15 @@ def test_each_command_takes_exactly_its_options(command):
     parser = subparsers.choices[command]
     assert [s for action in parser._actions for s in action.option_strings] == (
         ["-h", "--help"] + OPTIONS[command])
+
+
+def test_every_typed_argument_is_read_by_a_shared_reader():
+    # a type=int or type=float would read 1_0 and non-ASCII digits again
+    (subparsers,) = (action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    types = {action.type for parser in subparsers.choices.values()
+             for action in parser._actions}
+    assert types == {None, _decimal, _ascii_float}
 
 
 # each asks for a result that another path gives: validate scores a
@@ -1031,6 +1094,47 @@ def test_main_without_arguments_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["gsetbench", "project", "234000"])
     assert main() == 0
     assert capsys.readouterr().out == "0.468 ms\n"
+
+
+# (the file made not UTF-8, the command that reads it)
+NON_UTF8 = {
+    "instance": ("t44.txt", ["validate", "t44.txt", "sol.txt"]),
+    "solution": ("sol.txt", ["validate", "t44.txt", "sol.txt"]),
+    "registry": ("reg.json", ["validate", "t44.txt", "sol.txt"]),
+    "config": ("camp.cfg", ["campaign", "camp.cfg", "--log", "run.log", "--resume"]),
+    "resumed-log": ("run.log", ["campaign", "camp.cfg", "--log", "run.log", "--resume"]),
+    "report-log": ("run.log", ["report", "run.log"]),
+}
+
+
+@pytest.mark.parametrize("name, argv", NON_UTF8.values(), ids=NON_UTF8)
+def test_a_file_that_is_not_utf8_is_refused_by_name(tmp_path, monkeypatch, capsys, name, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-torus", "4", "4", "--seed", "1", "-o", "t44.txt"]) == 0
+    Path("sol.txt").write_text("# n=16\nc318\n")
+    Path("reg.json").write_text("{}")
+    monkeypatch.setenv("GSETBENCH_REGISTRY", "reg.json")
+    Path("camp.cfg").write_text(PLAIN_CONFIG)
+    assert main(["campaign", "camp.cfg", "--log", "run.log"]) == 0
+    capsys.readouterr()
+    Path(name).write_bytes(b"\xff" + Path(name).read_bytes())
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: {name}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"))
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("data, code, err", [
+    (b"# n=16\nc318\n", 0, ""),
+    (b"\xffc318\n", 1, "error: -: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte\n"),
+])
+def test_validate_reads_a_solution_on_stdin_as_utf8(monkeypatch, capsys, data, code, err):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert main(["validate", "torus:4x4:1", "-"]) == code
+    assert capsys.readouterr().err == err
 
 
 def test_missing_file_is_a_clean_error(capsys):

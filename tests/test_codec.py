@@ -8,8 +8,7 @@ from gsetbench.codec import (
     HexDecodeError,
     decode_hex,
     encode_hex,
-    read_solution_header,
-    strip_solution_text,
+    read_solution,
 )
 
 
@@ -76,15 +75,18 @@ def test_roundtrip_random_configs():
         assert np.array_equal(decode_hex(encode_hex(spins), n), spins)
 
 
-def test_strip_solution_text_drops_comment_lines():
-    text = "# instance=G81 n=20000\nabcd\nef01\n"
-    assert "".join(strip_solution_text(text).split()) == "abcdef01"
+def test_read_solution_payload_drops_header_lines():
+    text = "# instance=G81 n=20000\nabcd\n ef\t01 \n"
+    assert read_solution(text) == ({"instance": "G81", "n": "20000"}, "abcdef01")
 
 
 def test_read_solution_header():
-    text = "# instance=G77 n=14000\n# note extra=1\nabcd\n# not parsed\n"
-    header = read_solution_header(text)
-    assert header == {"instance": "G77", "n": "14000", "extra": "1"}
+    # every line whose first non-blank character is # is a header line,
+    # wherever it stands, and a later key wins
+    text = "# instance=G77 n=14000\n# note extra=1\nabcd\n\n  # n=9 late=yes\nef\n"
+    header, payload = read_solution(text)
+    assert header == {"instance": "G77", "n": "9", "extra": "1", "late": "yes"}
+    assert payload == "abcdef"
 
 
 def reference_decode(text, n):

@@ -440,6 +440,9 @@ def test_torus_roundtrips_through_gset_text():
 def test_parse_torus_name():
     spec = parse_torus_name("torus:4x7:123")
     assert spec == TorusSpec(4, 7, seed=123)
-    for bad in ("torus:4x7", "grid:4x7:1", "torus:4:1", "torus:axb:1"):
+    # leading zeros and a + sign are digits of the Gset rule
+    assert parse_torus_name("torus:04x7:+123") == spec
+    for bad in ("torus:4x7", "grid:4x7:1", "torus:4:1", "torus:axb:1", "torus:4x7:1_0",
+                "torus:4x\u0667:1"):
         with pytest.raises(ValueError):
             parse_torus_name(bad)

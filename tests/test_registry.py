@@ -4,6 +4,7 @@ import re
 import pytest
 
 from gsetbench.cli import main
+from gsetbench.codec import read_solution
 from gsetbench.registry import (
     builtin_registry,
     load_registry,
@@ -78,21 +79,14 @@ def test_bundled_solution_texts_are_verbatim_transcriptions():
     # exact lengths are pinned so any edit to the data files is caught
     expected = {"G72": (10_000, 2_498), "G77": (14_000, 3_494), "G81": (20_000, 4_989)}
     for name, (n, payload_len) in expected.items():
-        text = solution_text(name)
-        from gsetbench.codec import read_solution_header, strip_solution_text
-
-        header = read_solution_header(text)
+        header, payload = read_solution(solution_text(name))
         assert header["instance"] == name
         assert int(header["n"]) == n
-        payload = "".join(strip_solution_text(text).split())
         assert len(payload) == payload_len
 
 
 def test_bundled_g81_contains_the_printed_stray_character():
-    text = solution_text("G81")
-    from gsetbench.codec import strip_solution_text
-
-    payload = "".join(strip_solution_text(text).split())
+    _, payload = read_solution(solution_text("G81"))
     assert payload[4363] == "l"
     assert set(payload) - set("0123456789abcdef") == {"l"}
 
