@@ -51,9 +51,9 @@ def main():
         print("\ntarget statistics (r = expected repetitions for 99% confidence):")
         for outcome in summary.targets:
             if outcome.repetitions is None:
-                print(f"  {outcome.label}: never reached in {outcome.trials} trials")
+                print(f"  {outcome.target.label}: never reached in {outcome.trials} trials")
                 continue
-            print(f"  {outcome.label} (cut >= {outcome.cut}): "
+            print(f"  {outcome.target.label} (cut >= {outcome.target.cut}): "
                   f"P_s = {outcome.successes}/{outcome.trials}, "
                   f"r = {outcome.repetitions:.2f}, "
                   f"sweeps to target = {outcome.stt_sweeps:,.0f}, "

@@ -15,7 +15,7 @@ Run:
 import argparse
 import sys
 
-from gsetbench.metrics import DEFAULT_CONFIDENCE, TargetOutcome, write_summary_csv
+from gsetbench.metrics import TargetOutcome, TargetSpec, write_summary_csv
 from gsetbench.registry import REFERENCE_TTT_S, builtin_registry
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,7 @@ def main(argv=None):
         entry = registry[name]
         target_cut = entry.best_cut if label == "100%" else round(0.999 * entry.best_cut, 2)
         outcome = TargetOutcome(
-            label=f"{name}:{label}",
-            cut=int(target_cut),
-            confidence=DEFAULT_CONFIDENCE,
+            target=TargetSpec(f"{name}:{label}", int(target_cut)),
             successes=successes,
             trials=100,
             sweeps_per_trial=sweeps,

@@ -303,9 +303,7 @@ def summarize(records, targets=()) -> CampaignSummary:
 
     outcomes = tuple(
         TargetOutcome(
-            label=target.label,
-            cut=target.cut,
-            confidence=target.confidence,
+            target=target,
             successes=sum(1 for c in cuts if c >= target.cut),
             trials=trials,
             sweeps_per_trial=first.solver.sweeps,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +51,6 @@ from gsetbench.registry import load_registry, locate_instance_file
 from gsetbench.solvers import ANNEALING, GREEDY, default_config, run_trial
 
 
-class CliError(Exception):
-    """Fatal command error; message goes to stderr, exit code 1."""
-
-
 def human_time(seconds: float) -> str:
     """Scale a duration to a readable unit, 3 significant digits.
 
@@ -76,7 +73,7 @@ def resolve_instance(spec: str) -> ProblemInstance:
             return generate_torus(parse_torus_name(spec))
         entry = load_registry().get(spec)
         if entry is None:
-            raise CliError(
+            raise ValueError(
                 f"cannot resolve instance {spec!r}: not a file, not torus:RxC:SEED, "
                 "not a registered name"
             )
@@ -84,9 +81,9 @@ def resolve_instance(spec: str) -> ProblemInstance:
     try:
         instance = load_gset(path)
     except GsetFormatError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     if entry is not None and (instance.n, instance.m) != (entry.n, entry.m):
-        raise CliError(
+        raise ValueError(
             f"{path}: expected n={entry.n} m={entry.m} for {spec}, "
             f"file has n={instance.n} m={instance.m}"
         )
@@ -109,13 +106,13 @@ def _best_known_for(args, instance, header) -> int | None:
         if candidate and candidate in registry:
             entry = registry[candidate]
             if entry.n != instance.n or entry.m != instance.m:
-                raise CliError(
+                raise ValueError(
                     f"cannot score against {candidate}: registry has n={entry.n} "
                     f"m={entry.m}, instance has n={instance.n} m={instance.m}"
                 )
             weight = instance.total_weight()
             if entry.best_energy is not None and entry.best_energy + 2 * entry.best_cut != weight:
-                raise CliError(
+                raise ValueError(
                     f"cannot score against {candidate}: registry best_energy="
                     f"{entry.best_energy} + 2*best_cut={entry.best_cut} is not the "
                     f"instance's total weight {weight}"
@@ -131,15 +128,15 @@ def _decode_solution(args, instance) -> tuple[np.ndarray, dict[str, str], list[s
         try:
             declared = _decimal(header["n"])
         except ValueError:
-            raise CliError(f"solution header has non-integer n={header['n']!r}")
+            raise ValueError(f"solution header has non-integer n={header['n']!r}")
         if declared != instance.n:
-            raise CliError(
+            raise ValueError(
                 f"solution header says n={declared}, instance has n={instance.n}"
             )
     notes: list[str] = []
     for sub in args.substitute or ():
         if len(sub) != 3 or sub[1] != "=":
-            raise CliError(f"--substitute expects CHAR=CHAR, got {sub!r}")
+            raise ValueError(f"--substitute expects CHAR=CHAR, got {sub!r}")
         old, new = sub[0], sub[2]
         count = payload.count(old)
         if count:
@@ -153,7 +150,7 @@ def _decode_solution(args, instance) -> tuple[np.ndarray, dict[str, str], list[s
     try:
         spins = decode_hex(payload, instance.n)
     except HexDecodeError as exc:
-        raise CliError(f"{args.solution}: {exc}") from exc
+        raise ValueError(f"{args.solution}: {exc}") from exc
     return spins, header, notes
 
 
@@ -223,13 +220,13 @@ def _add_target(targets: list[TargetSpec], fields, usage: str, where: str) -> No
     field count reads ``usage``, a bad value or a label already in
     ``targets`` ``where: <reason>``."""
     if len(fields) not in (2, 3):
-        raise CliError(usage)
+        raise ValueError(usage)
     try:
         target = TargetSpec(fields[0], _decimal(fields[1]), *map(_ascii_float, fields[2:]))
     except ValueError as exc:
-        raise CliError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
     if any(t.label == target.label for t in targets):
-        raise CliError(f"{where}: duplicate target label {target.label!r}")
+        raise ValueError(f"{where}: duplicate target label {target.label!r}")
     targets.append(target)
 
 
@@ -254,22 +251,22 @@ def _parse_campaign_config(args):
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "target":
             where = f"{path}:{lineno}"
             _add_target(targets, value.split(),
                         f"{where}: target wants LABEL CUT [CONFIDENCE]", where)
         elif key not in _CONFIG_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         elif key in values:
-            raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         else:
             values[key] = value
 
     def need(key: str) -> str:
         if key not in values:
-            raise CliError(f"{path}: missing required key {key!r}")
+            raise ValueError(f"missing required key {key!r}")
         return values[key]
 
     try:
@@ -294,11 +291,11 @@ def _parse_campaign_config(args):
             targets=tuple(targets),
         )
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     include_spins = _BOOLEANS.get(values.get("include_spins", "false").lower())
     if include_spins is None:
-        raise CliError(f"{path}: include_spins must be true or false, "
-                       f"got {values['include_spins']!r}")
+        raise ValueError(f"{path}: include_spins must be true or false, "
+                         f"got {values['include_spins']!r}")
 
     if ladder:
         # a scan writes one CSV row per rung and keeps no log or targets
@@ -307,7 +304,9 @@ def _parse_campaign_config(args):
                               ("sweeps", "sweeps" in values),
                               ("--format", args.format is not None)):
             if given:
-                raise CliError(f"{unused} does not apply to a sweep_scan config")
+                raise ValueError(f"{unused} does not apply to a sweep_scan config")
+    elif args.resume and args.log is None:
+        raise ValueError("--resume needs --log, the log of the campaign to finish")
     return resolve_instance(instance_spec), config, include_spins, ladder
 
 
@@ -332,7 +331,8 @@ def _print_summary(summary, fmt: str | None) -> None:
                     f"ttt_s={t.ttt_s:.10g} hw_ttt_s={t.hw_ttt_s:.10g}"
                 )
             print(
-                f"target={t.label} cut={t.cut} confidence={t.confidence:.10g} "
+                f"target={t.target.label} cut={t.target.cut} "
+                f"confidence={t.target.confidence:.10g} "
                 f"successes={t.successes} trials={t.trials} p_s={t.p_s:.10g} {tail}"
             )
 
@@ -367,7 +367,7 @@ def cmd_report(args) -> int:
     try:
         summary = campaign_mod.summarize(records, targets)
     except ValueError as exc:
-        raise CliError(f"{args.log}: {exc}") from exc
+        raise ValueError(f"{args.log}: {exc}") from exc
     _print_summary(summary, args.format)
     return 0
 
@@ -377,11 +377,17 @@ def cmd_project(args) -> int:
     return 0
 
 
+# argparse names a refused value by its type's __name__ ("argument rows:
+# invalid int value: '1_0'"), so the two readers go by what they read
+_INT, _FLOAT = partial(_decimal), partial(_ascii_float)
+_INT.__name__, _FLOAT.__name__ = "int", "float"
+
+
 def _validate_args(p):
     p.add_argument("instance")
     p.add_argument("solution", help="solution file path, or - for stdin")
-    p.add_argument("--expect-cut", type=_decimal, default=None)
-    p.add_argument("--best-known", type=_decimal, default=None)
+    p.add_argument("--expect-cut", type=_INT, default=None)
+    p.add_argument("--best-known", type=_INT, default=None)
     p.add_argument("--name", default=None,
                    help="registry name to score quality against")
     p.add_argument("--substitute", action="append", metavar="CHAR=CHAR",
@@ -395,26 +401,26 @@ def _oracle_args(p):
 
 
 def _gen_torus_args(p):
-    p.add_argument("rows", type=_decimal)
-    p.add_argument("cols", type=_decimal)
-    p.add_argument("--seed", type=_decimal, required=True)
+    p.add_argument("rows", type=_INT)
+    p.add_argument("cols", type=_INT)
+    p.add_argument("--seed", type=_INT, required=True)
     p.add_argument("-o", "--output", default=None)
 
 
 def _solve_args(p):
     p.add_argument("instance")
     p.add_argument("--kind", choices=(GREEDY, ANNEALING), default=GREEDY)
-    p.add_argument("--sweeps", type=_decimal, required=True)
-    p.add_argument("--seed", type=_decimal, required=True)
-    p.add_argument("--temp-start", type=_ascii_float, default=None)
-    p.add_argument("--temp-end", type=_ascii_float, default=None)
+    p.add_argument("--sweeps", type=_INT, required=True)
+    p.add_argument("--seed", type=_INT, required=True)
+    p.add_argument("--temp-start", type=_FLOAT, default=None)
+    p.add_argument("--temp-end", type=_FLOAT, default=None)
     p.add_argument("--include-spins", action="store_true")
 
 
 def _campaign_args(p):
     p.add_argument("config")
     p.add_argument("--log", default=None)
-    p.add_argument("--workers", type=_decimal, default=1)
+    p.add_argument("--workers", type=_INT, default=1)
     p.add_argument("--resume", action="store_true")
     # None tells a given --format, which a scan refuses, from the default kv
     p.add_argument("--format", choices=("kv", "csv"), default=None)
@@ -427,8 +433,8 @@ def _report_args(p):
 
 
 def _project_args(p):
-    p.add_argument("stt", type=_ascii_float)
-    p.add_argument("--sweep-time", type=_ascii_float, default=DEFAULT_HW_SWEEP_TIME_S,
+    p.add_argument("stt", type=_FLOAT)
+    p.add_argument("--sweep-time", type=_FLOAT, default=DEFAULT_HW_SWEEP_TIME_S,
                    help="seconds per sweep (default 2e-9)")
 
 
@@ -472,8 +478,9 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
-        # ValueError covers library-level rejections (malformed files,
+    except (ValueError, OSError) as exc:
+        # ValueError covers every refusal, the CLI's own (bad configs,
+        # targets, instance names) and the library's (malformed files,
         # foreign campaign logs); genuine bugs raise RuntimeError and
         # keep their tracebacks
         print(f"error: {exc}", file=sys.stderr)

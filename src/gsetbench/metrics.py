@@ -88,7 +88,7 @@ def project_hw_ttt(
 
 @dataclass(frozen=True)
 class TargetOutcome:
-    """Success counts of one campaign against one target, and the
+    """Success counts of one campaign against one ``TargetSpec``, and the
     time-to-target figures derived from them.
 
     Counts are kept as integers; every figure is derived on demand so no
@@ -96,15 +96,15 @@ class TargetOutcome:
     reached, and ``ttt_s`` is also None when no trial time is known.
     """
 
-    label: str
-    cut: int
-    confidence: float
+    target: TargetSpec
     successes: int
     trials: int
     sweeps_per_trial: int
     trial_time_s: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.target, TargetSpec):
+            raise TypeError(f"target must be a TargetSpec, got {self.target!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if not (0 <= self.successes <= self.trials):
@@ -122,7 +122,7 @@ class TargetOutcome:
     def repetitions(self) -> float | None:
         if self.successes == 0:
             return None
-        return repetitions_to_target(self.p_s, self.confidence)
+        return repetitions_to_target(self.p_s, self.target.confidence)
 
     @property
     def stt_sweeps(self) -> float | None:
@@ -160,4 +160,4 @@ def write_summary_csv(outcomes, stream) -> None:
             cells = ["unreachable"] * len(figures)
         else:
             cells = ["" if v is None else f"{v:.10g}" for v in figures]
-        writer.writerow([t.label, t.cut, t.successes, t.trials, *cells])
+        writer.writerow([t.target.label, t.target.cut, t.successes, t.trials, *cells])

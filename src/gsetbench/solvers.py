@@ -277,14 +277,13 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
     # spins[r, p] is trial r's spin at position p; np.take keeps the rows
     # C-contiguous, where initial[:, order] would come out column-major
     spins = np.take(initial, order, axis=1)
-    if annealing:
-        best, best_spins = current.copy(), spins.copy()
+    # trial i's best state so far; greedy only climbs, so its best is the
+    # state it stops in, written when it stops and at the end of the batch
+    best, best_spins = current.copy(), spins.copy()
     sweeps_executed = np.full(batch, config.sweeps, dtype=np.int64)
     # batch rows of the trials still sweeping: a greedy trial stops
-    # after a sweep without a flip, and its state is then final
+    # after a sweep without a flip
     live = np.arange(batch)
-    final_cut = np.empty(batch, dtype=np.int64)
-    final_spins = np.empty((batch, n), dtype=np.int8)
 
     for sweep in range(config.sweeps):
         if annealing:
@@ -315,27 +314,25 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
                     best_spins[improved] = spins[improved]
         if not annealing and not flipped.all():
             done = ~flipped
-            final_cut[live[done]] = current[done]
-            final_spins[live[done]] = spins[done]
+            best[live[done]] = current[done]
+            best_spins[live[done]] = spins[done]
             sweeps_executed[live[done]] = sweep + 1
             live, spins, current = live[flipped], spins[flipped], current[flipped]
             if not len(live):
                 break
-    if annealing:
-        final_cut[live], final_spins[live] = best, best_spins
-    else:
-        final_cut[live], final_spins[live] = current, spins
-    by_vertex = np.empty_like(final_spins)
-    by_vertex[:, order] = final_spins
+    if not annealing:
+        best[live], best_spins[live] = current, spins
+    by_vertex = np.empty_like(best_spins)
+    by_vertex[:, order] = best_spins
     by_vertex.flags.writeable = False
 
     # every trial's cut, recomputed from scratch in one pass
-    if not np.array_equal(cut_values(instance, by_vertex), final_cut):
+    if not np.array_equal(cut_values(instance, by_vertex), best):
         raise RuntimeError("internal cut accounting drifted from recomputation")
     wall = (time.perf_counter() - start) / batch
     return [
         TrialResult(best_cut=cut, best_spins=row, sweeps_executed=executed, wall_time_s=wall)
-        for cut, row, executed in zip(final_cut.tolist(), by_vertex, sweeps_executed.tolist())
+        for cut, row, executed in zip(best.tolist(), by_vertex, sweeps_executed.tolist())
     ]
 
 

@@ -157,7 +157,7 @@ def test_criterion_3_published_metric_reproduction():
 
     checked = []
     for sweeps, successes, trials, published_stt, published_hw, figures in rows:
-        stt = TargetOutcome("99.9%", 0, 0.99, successes, trials, sweeps).stt_sweeps
+        stt = TargetOutcome(TargetSpec("99.9%", 0), successes, trials, sweeps).stt_sweeps
         assert abs(stt - published_stt) / published_stt < 0.01
         hw = project_hw_ttt(stt)
         assert round_sig(hw, figures) == published_hw

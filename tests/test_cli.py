@@ -16,7 +16,7 @@ from gsetbench.campaign import (
     replay_record,
     summarize,
 )
-from gsetbench.cli import CliError, build_parser, human_time, main, resolve_instance
+from gsetbench.cli import build_parser, human_time, main, resolve_instance
 from gsetbench.codec import encode_hex
 from gsetbench.instances import TorusSpec, _ascii_float, _decimal, generate_torus, parse_gset
 from gsetbench.oracle import exact_max_cut
@@ -53,12 +53,14 @@ def test_human_time():
     assert human_time(2e-9) == "2 ns"
     assert human_time(5e-5) == "50 us"
     assert human_time(1.2e-4) == "0.12 ms"
+    with pytest.raises(ValueError, match="duration must be non-negative"):
+        human_time(-1)
 
 
 def test_resolve_instance_forms(torus, torus_file, tmp_path, monkeypatch):
     assert resolve_instance(str(torus_file)) == torus
     assert resolve_instance("torus:4x4:1") == torus
-    with pytest.raises(CliError, match="cannot resolve"):
+    with pytest.raises(ValueError, match="cannot resolve"):
         resolve_instance("no-such-thing")
     # registry names resolve through $GSET_DIR
     reg = {"tiny": {"n": 16, "m": 32, "best_cut": 10}}
@@ -71,7 +73,7 @@ def test_resolve_instance_forms(torus, torus_file, tmp_path, monkeypatch):
     # registered shape must match the file
     bad = {"tiny": {"n": 9, "m": 18, "best_cut": 10}}
     reg_path.write_text(json.dumps(bad))
-    with pytest.raises(CliError, match="expected n=9"):
+    with pytest.raises(ValueError, match="expected n=9"):
         resolve_instance("tiny")
 
 
@@ -207,6 +209,23 @@ def test_validate_substitute_is_loud(tmp_path, torus, capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("substitute, code, out", [
+    ("ab", 1, ""),
+    ("x=1", 0, "substitute x=1: no occurrences\n"),
+])
+def test_validate_substitute_says_what_it_did_not_do(tmp_path, torus, capsys, substitute, code,
+                                                     out):
+    _, config = exact_max_cut(torus)
+    sol = solution_file(tmp_path, torus, config)
+    assert main(["validate", "torus:4x4:1", str(sol), "--substitute", substitute]) == code
+    if code:
+        assert capsys.readouterr() == (
+            out, f"error: --substitute expects CHAR=CHAR, got {substitute!r}\n")
+    else:
+        assert capsys.readouterr().out == (
+            out + "instance=torus:4x4:1 n=16 cut=10 energy=-22\n")
+
+
 def test_validate_csv_format(tmp_path, torus, capsys):
     _, config = exact_max_cut(torus)
     sol = solution_file(tmp_path, torus, config)
@@ -221,6 +240,8 @@ def test_oracle_command(torus_file, capsys):
     assert main(["oracle", str(torus_file)]) == 0
     out = capsys.readouterr().out
     assert "cut=10" in out and "config=" in out
+    assert main(["oracle", "torus:4x4:1", "--format", "csv"]) == 0
+    assert capsys.readouterr() == ("cut,config\n10,c318\n", "")
 
 
 def test_oracle_size_limit(tmp_path, capsys):
@@ -548,6 +569,16 @@ READER_ERRORS = {
                    "{cfg}: sweep_scan entries must be positive"),
     "ladder-5-5": (SCAN_BASE + "sweep_scan = 5 5\n", [],
                    "{cfg}: sweep_scan entries must be strictly increasing"),
+    "duplicate-key": (PLAIN_CONFIG.replace("sweeps = 30\n", "sweeps = 30\nsweeps = 40\n"),
+                      ["--log", "run.log"], "{cfg}:4: duplicate key 'sweeps'"),
+    "missing-key": (PLAIN_CONFIG.replace("num_trials = 10\n", ""), ["--log", "run.log"],
+                    "{cfg}: missing required key 'num_trials'"),
+    "workers-0": (PLAIN_CONFIG, ["--log", "run.log", "--workers", "0"],
+                  "workers must be positive, got 0"),
+    # without a log there is nothing to resume, and the campaign would run
+    # every trial and keep none of them
+    "resume-without-log": (PLAIN_CONFIG, ["--resume"],
+                           "--resume needs --log, the log of the campaign to finish"),
 }
 
 
@@ -567,6 +598,19 @@ def test_include_spins_spellings(tmp_path, capsys, word, logged):
     log = tmp_path / "run.log"
     assert main(["campaign", str(cfg), "--log", str(log)]) == 0
     assert all((r.spins_hex is not None) == logged for r in read_log(log))
+
+
+def test_config_comments_and_blank_lines_are_skipped(tmp_path, capsys):
+    plain = campaign_config_file(tmp_path)
+    assert main(["campaign", str(plain)]) == 0
+    want = capsys.readouterr()
+    commented = tmp_path / "commented.cfg"
+    commented.write_text("# a comment line\n\n" + PLAIN_CONFIG.replace(
+        "sweeps = 30\n", "sweeps = 30  # trailing comment\n"))
+    assert main(["campaign", str(commented)]) == 0
+    got = capsys.readouterr()
+    assert _timing_free_tokens(got.out) == _timing_free_tokens(want.out)
+    assert got.err == want.err == ""
 
 
 def test_campaign_bad_config_lines(tmp_path, capsys):
@@ -1024,8 +1068,8 @@ def test_command_line_numbers_are_read_by_the_gset_rule(tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     code, out, err = exit_output(capsys, lambda: main([text if a == "X" else a for a in argv]))
     assert (code, out) == (2, "")
-    assert re.search(f"error: argument {name}: invalid \\w+ value: {re.escape(repr(text))}\n$",
-                     err)
+    reads = "float" if name in ("--temp-start", "--temp-end", "stt", "--sweep-time") else "int"
+    assert err.endswith(f"error: argument {name}: invalid {reads} value: {text!r}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1055,8 +1099,10 @@ def test_every_typed_argument_is_read_by_a_shared_reader():
     (subparsers,) = (action for action in build_parser()._actions
                      if isinstance(action, argparse._SubParsersAction))
     types = {action.type for parser in subparsers.choices.values()
-             for action in parser._actions}
-    assert types == {None, _decimal, _ascii_float}
+             for action in parser._actions} - {None}
+    # each type calls one of the two readers, under the name argparse prints
+    assert {(getattr(t, "func", t), t.__name__) for t in types} == {
+        (_decimal, "int"), (_ascii_float, "float")}
 
 
 # each asks for a result that another path gives: validate scores a

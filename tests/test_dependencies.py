@@ -1,5 +1,8 @@
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +31,17 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
             stray += [f"{path.name}:{node.lineno}: {m}" for m in modules
                       if m.partition(".")[0] not in ALLOWED]
     assert not stray
+
+
+def test_every_exception_the_package_defines_is_a_value_error():
+    # cli.main turns a ValueError or OSError into "error: ..." and exit 1;
+    # any other refusal type would escape it as a traceback
+    defined = [obj for info in pkgutil.iter_modules(gsetbench.__path__)
+               for obj in vars(importlib.import_module(f"gsetbench.{info.name}")).values()
+               if inspect.isclass(obj) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("gsetbench.")]
+    assert {cls.__name__ for cls in defined} >= {"GsetFormatError", "HexDecodeError"}
+    assert [cls for cls in defined if not issubclass(cls, ValueError)] == []
 
 
 def test_trials_load_no_numpy_random_generator():

@@ -31,6 +31,8 @@ def test_from_edges_rejects_self_loop():
 
 
 def test_from_edges_rejects_out_of_range():
+    with pytest.raises(GsetFormatError, match="vertex count must be positive, got 0"):
+        ProblemInstance(0, [])
     with pytest.raises(GsetFormatError, match="out of range"):
         ProblemInstance(3, [(1, 4, 1)])
     with pytest.raises(GsetFormatError, match="out of range"):

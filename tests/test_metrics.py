@@ -39,7 +39,7 @@ def test_repetitions_errors():
 
 def test_sweeps_and_time_to_target_scale_repetitions():
     r = repetitions_to_target(0.66)
-    row = TargetOutcome("t", 50, 0.99, successes=66, trials=100,
+    row = TargetOutcome(TargetSpec("t", 50), successes=66, trials=100,
                         sweeps_per_trial=80_000, trial_time_s=0.25)
     assert row.stt_sweeps == 80_000 * r
     assert row.ttt_s == 0.25 * r
@@ -78,14 +78,30 @@ def test_target_spec_validation():
 
 def outcome(successes, trials, sweeps_per_trial, trial_time_s=None, **kw):
     return TargetOutcome(
-        label=kw.pop("label", "opt"),
-        cut=kw.pop("cut", 50),
-        confidence=kw.pop("confidence", 0.99),
+        target=TargetSpec(kw.pop("label", "opt"), kw.pop("cut", 50), kw.pop("confidence", 0.99)),
         successes=successes,
         trials=trials,
         sweeps_per_trial=sweeps_per_trial,
         trial_time_s=trial_time_s,
     )
+
+
+@pytest.mark.parametrize("label, confidence, message", [
+    ("a b", 0.5, "target label must be nonempty"),
+    ("a=b", 0.5, "target label must be nonempty"),
+    ("a", 1.5, "confidence must be in (0, 1), got 1.5"),
+    ("a", 0.0, "confidence must be in (0, 1), got 0.0"),
+])
+def test_an_outcome_holds_only_a_target_its_spec_accepts(label, confidence, message):
+    # the target's label, cut and confidence exist only as a TargetSpec, so
+    # no outcome carries a target the spec refuses into a summary or a CSV
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TargetOutcome(TargetSpec(label, 5, confidence), successes=1, trials=2,
+                      sweeps_per_trial=10)
+    with pytest.raises(TypeError):
+        TargetOutcome(label, 5, confidence, 1, 2, 10, 1.0)
+    with pytest.raises(TypeError, match="target must be a TargetSpec"):
+        TargetOutcome((label, 5, confidence), successes=1, trials=2, sweeps_per_trial=10)
 
 
 def test_target_outcome_validation_and_probability():
