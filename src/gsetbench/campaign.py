@@ -14,8 +14,8 @@ Trials run in batches through the solvers' batched kernel. Each
 finished trial appends one self-describing key=value line to the log,
 ending in ``format=3``, and the stream is flushed per batch, so a
 crashed campaign can be resumed from whatever records made it to disk;
-only a newline-terminated line is a record, so a resume and a report
-drop a last line cut short. ``trial_record`` is the one place a record
+a report and a resume read and check it by one rule, in which only a
+terminated line is a record. ``trial_record`` is the one place a record
 is made from a finished trial, for campaigns and single ``solve`` runs
 alike, and it rounds the wall time to the value its line holds, so a
 record reads back from its line unchanged and a campaign summarizes the
@@ -220,29 +220,29 @@ def parse_record(line: str) -> TrialRecord:
         raise ValueError(f"trial {fields['index']}: {exc}") from None
 
 
-def _record_lines(text: str) -> list[str]:
-    """A log's record lines, stripped; blank and # lines hold none."""
-    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-
-
-def _parse_lines(path, lines: list[str]) -> list[TrialRecord]:
-    """The records of log ``path``'s record lines; a refusal names the log."""
+def _read_records(path, data: bytes) -> tuple[list[TrialRecord], int]:
+    """The records of log ``path``, whose bytes are ``data``, and how many
+    leading bytes to keep. Each terminated line not blank or # is a record.
+    An unterminated last line that would be one, torn by a crash or still
+    being written, is left out with a note on stderr, and the kept bytes
+    end before it; any other unterminated line is kept. A refusal names
+    the log."""
+    end = data.rfind(b"\n") + 1
+    keep = len(data) if data[end:].strip()[:1] in (b"", b"#") else end
+    if keep < len(data):
+        print(f"{path}: left out an unterminated last line ({len(data) - keep} bytes)",
+              file=sys.stderr)
+    lines = map(str.strip, _read_utf8(path, data[:end]).splitlines())
     try:
-        return [parse_record(line) for line in lines]
+        return [parse_record(line) for line in lines if line and line[0] != "#"], keep
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def read_log(path) -> list[TrialRecord]:
-    """Parse all records from a log file, skipping blank and # lines. An
-    unterminated last line, torn by a crash or still being written, is no
-    record: it is left out with a note on stderr, as a resume drops it."""
-    data = Path(path).read_bytes()
-    keep = data.rfind(b"\n") + 1
-    if keep < len(data):
-        print(f"{path}: left out an unterminated last line ({len(data) - keep} bytes)",
-              file=sys.stderr)
-    return _parse_lines(path, _record_lines(_read_utf8(path, data[:keep])))
+    """The records of a log file; blank and # lines and a torn last
+    record are left out, as a resume leaves them."""
+    return _read_records(path, Path(path).read_bytes())[0]
 
 
 def replay_record(instance: ProblemInstance, record: TrialRecord) -> TrialResult:
@@ -270,6 +270,22 @@ class CampaignSummary:
     targets: tuple[TargetOutcome, ...]
 
 
+def _check_records(records, campaign: tuple, num_trials: int | None = None) -> None:
+    """Refuse records that are not trials of one ``campaign``, each once:
+    a record of another campaign, a repeated trial index, or, given
+    ``num_trials``, an index past it."""
+    seen = set()
+    for r in records:
+        if r.campaign != campaign:
+            raise ValueError(f"records mix campaigns: trial {r.index} ran "
+                             f"{_campaign_text(r.campaign)}, not {_campaign_text(campaign)}")
+        if r.index in seen:
+            raise ValueError(f"duplicate trial index {r.index}")
+        if num_trials is not None and r.index >= num_trials:
+            raise ValueError(f"trial index {r.index} outside 0..{num_trials - 1}")
+        seen.add(r.index)
+
+
 def summarize(records, targets=()) -> CampaignSummary:
     """Aggregate trial records into a campaign summary.
 
@@ -281,18 +297,7 @@ def summarize(records, targets=()) -> CampaignSummary:
     if not records:
         raise ValueError("cannot summarize an empty record set")
     first = records[0]
-    campaign = first.campaign
-    for r in records:
-        if r.campaign != campaign:
-            raise ValueError(
-                f"records mix campaigns: trial {r.index} ran {_campaign_text(r.campaign)}, "
-                f"trial {first.index} ran {_campaign_text(campaign)}"
-            )
-    seen = set()
-    for r in records:
-        if r.index in seen:
-            raise ValueError(f"duplicate trial index {r.index}")
-        seen.add(r.index)
+    _check_records(records, first.campaign)
 
     cuts = [r.best_cut for r in records]
     histogram: dict[int, int] = {}
@@ -324,36 +329,6 @@ def summarize(records, targets=()) -> CampaignSummary:
         avg_trial_time_s=avg_time,
         targets=outcomes,
     )
-
-
-def _open_log(path, resume: bool):
-    """Read a campaign log once: its records, and a handle that appends.
-
-    A log that holds records is refused unless the run resumes it. On
-    resume an unterminated last line, a record torn by a crash, is cut
-    off and its trial runs again. Appends start on a fresh line.
-    """
-    path = Path(path)
-    data = path.read_bytes() if path.exists() else b""
-    keep = data.rfind(b"\n") + 1 if resume else len(data)
-    lines = _record_lines(_read_utf8(path, data[:keep]))
-    if lines and not resume:
-        raise ValueError(
-            f"log {path} already holds records; pass --resume to finish "
-            "that campaign, or choose another log path"
-        )
-    records = _parse_lines(path, lines)
-    if keep < len(data):
-        os.truncate(path, keep)
-        print(
-            f"{path}: dropped an unterminated last line ({len(data) - keep} bytes); "
-            "its trial runs again",
-            file=sys.stderr,
-        )
-    handle = path.open("a")
-    if keep and not data[:keep].endswith(b"\n"):
-        handle.write("\n")
-    return records, handle
 
 
 def trial_record(
@@ -409,38 +384,44 @@ def run_campaign(
 ) -> CampaignSummary:
     """Run (or finish) a campaign and summarize it.
 
-    With ``resume`` and an existing log, trials whose records are
-    already on disk are not re-run; only the missing indices execute,
-    and an unterminated last line is dropped first. Trials run in
+    With ``resume``, trials whose records are on disk are not re-run, and
+    a torn last record is cut off and its trial runs again; the whole log
+    is read and checked first, so a refused resume leaves it as it was.
+    Without it, a log that holds records is refused. Trials run in
     batches, taken in order by one loop: in the calling thread at one
-    worker, from ``workers`` pool threads otherwise. Worker count
-    affects wall time only, never the summary. An exception stops the
-    campaign once the running batches end. Records carry
-    ``instance.name``; a name the log cannot hold is refused first.
+    worker, from ``workers`` pool threads otherwise. Worker count affects
+    wall time only, never the summary. An exception stops the campaign
+    once the running batches end. Records carry ``instance.name``; a name
+    the log cannot hold is refused first.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    if resume and log_path is None:
+        raise ValueError("a resume needs the log of the campaign to finish")
     check_loggable(instance.name)
 
     done: dict[int, TrialRecord] = {}
-    records, log = _open_log(log_path, resume) if log_path is not None else ([], None)
+    log = None
+    if log_path is not None:
+        path = Path(log_path)
+        data = path.read_bytes() if path.exists() else b""
+        records, keep = _read_records(log_path, data)
+        try:
+            if not resume and (records or keep < len(data)):
+                raise ValueError("already holds records; pass --resume to finish that "
+                                 "campaign, or choose another log path")
+            _check_records(records, (instance.name, config.solver, config.master_seed),
+                           config.num_trials)
+        except ValueError as exc:
+            raise ValueError(f"{log_path}: {exc}") from None
+        done.update((record.index, record) for record in records)
+        if keep < len(data):
+            os.truncate(path, keep)
+        log = path.open("a")
+        if keep and not data[:keep].endswith(b"\n"):
+            log.write("\n")
     pool = None
     try:
-        campaign = (instance.name, config.solver, config.master_seed)
-        for record in records:
-            if record.campaign != campaign:
-                raise ValueError(
-                    f"log {log_path} belongs to a different campaign (trial "
-                    f"{record.index} ran {_campaign_text(record.campaign)}, "
-                    f"this campaign runs {_campaign_text(campaign)})"
-                )
-            if record.index in done:
-                raise ValueError(f"log {log_path} has duplicate trial index {record.index}")
-            if record.index >= config.num_trials:
-                raise ValueError(f"log {log_path} has trial index {record.index} outside "
-                                 f"0..{config.num_trials - 1}")
-            done[record.index] = record
-
         pending = [i for i in range(config.num_trials) if i not in done]
         batches = _batches(pending, instance.n, workers)
         run = partial(_run_batch, instance, config, include_spins=include_spins)

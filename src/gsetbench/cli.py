@@ -305,8 +305,6 @@ def _parse_campaign_config(args):
                               ("--format", args.format is not None)):
             if given:
                 raise ValueError(f"{unused} does not apply to a sweep_scan config")
-    elif args.resume and args.log is None:
-        raise ValueError("--resume needs --log, the log of the campaign to finish")
     return resolve_instance(instance_spec), config, include_spins, ladder
 
 

@@ -196,8 +196,7 @@ CAMPAIGN_777 = ("instance=torus:4x4:1 kind=simulated_annealing sweeps=30 temp_st
 
 def refused_resume(log, ran, runs):
     """The whole message of a resume refused for another campaign, as a pattern."""
-    message = (f"log {log} belongs to a different campaign (trial 0 ran {ran}, "
-               f"this campaign runs {runs})")
+    message = f"{log}: records mix campaigns: trial 0 ran {ran}, not {runs}"
     return f"^{re.escape(message)}$"
 
 
@@ -305,6 +304,15 @@ def test_resume_runs_only_missing_trials(torus, tmp_path):
     resumed = run_campaign(torus, config, log_path=log, resume=True)
     assert deterministic_fields(resumed) == deterministic_fields(full)
     assert len(read_log(log)) == 12
+
+
+def test_resume_without_a_log_is_refused_before_any_trial(torus, tmp_path, monkeypatch):
+    # there is nothing to resume, and the trials would be kept nowhere
+    monkeypatch.setattr(campaign, "run_trials", lambda *a: pytest.fail("a trial ran"))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="^a resume needs the log of the campaign to finish$"):
+        run_campaign(torus, campaign_config(), resume=True)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_resume_rejects_foreign_log(torus, tmp_path):
@@ -432,15 +440,20 @@ def test_read_log_rejects_torn_line_glued_to_next_record(torus, tmp_path):
         read_log(log)
 
 
-def test_appends_start_on_a_fresh_line(torus, tmp_path):
+def test_appends_start_on_a_fresh_line(torus, tmp_path, capsys):
     # a log that holds only an unterminated comment takes a new campaign
-    log = tmp_path / "campaign.log"
-    log.write_text("# greedy on torus:4x4:1")
+    # and a resume alike: the comment is no torn record, so it is kept
+    # and read without a note
     config = campaign_config(num_trials=3, sweeps=10, kind=GREEDY)
-    run_campaign(torus, config, log_path=log)
-    after = log.read_text().splitlines()
-    assert after[0] == "# greedy on torus:4x4:1"
-    assert [parse_record(line).index for line in after[1:]] == [0, 1, 2]
+    for name, resume in (("new.log", False), ("resumed.log", True)):
+        log = tmp_path / name
+        log.write_text("# greedy on torus:4x4:1")
+        assert read_log(log) == []
+        run_campaign(torus, config, log_path=log, resume=resume)
+        after = log.read_text().splitlines()
+        assert after[0] == "# greedy on torus:4x4:1"
+        assert [parse_record(line).index for line in after[1:]] == [0, 1, 2]
+    assert capsys.readouterr().err == ""
 
 
 def test_new_campaign_refuses_a_log_that_holds_records(torus, tmp_path):
@@ -450,7 +463,7 @@ def test_new_campaign_refuses_a_log_that_holds_records(torus, tmp_path):
     before = log.read_bytes()
     for text in (before, before[:40]):
         log.write_bytes(text)
-        with pytest.raises(ValueError, match=f"log {log} already holds records; pass --resume"):
+        with pytest.raises(ValueError, match=f"^{log}: already holds records; pass --resume"):
             run_campaign(torus, config, log_path=log)
         assert log.read_bytes() == text
     # blank and comment lines hold no records

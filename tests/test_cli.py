@@ -397,7 +397,7 @@ def test_resume_drops_a_record_torn_by_a_crash(tmp_path, capsys, torn_in):
     capsys.readouterr()
 
     assert main(["campaign", str(cfg), "--log", str(log), "--resume"]) == 0
-    assert "dropped an unterminated last line" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"{log}: left out an unterminated last line ({cut} bytes)\n"
     records = read_log(log)
     assert deterministic_fields(summarize(records)) == whole
     # the torn wall time (a value like "1.") was not kept
@@ -447,7 +447,7 @@ def test_campaign_without_resume_refuses_a_log_with_records(tmp_path, capsys):
     capsys.readouterr()
     assert main(["campaign", str(cfg), "--log", str(log)]) == 1
     err = capsys.readouterr().err
-    assert err == (f"error: log {log} already holds records; pass --resume to "
+    assert err == (f"error: {log}: already holds records; pass --resume to "
                    "finish that campaign, or choose another log path\n")
     assert log.read_bytes() == before
     assert main(["report", str(log)]) == 0
@@ -456,40 +456,6 @@ def test_campaign_without_resume_refuses_a_log_with_records(tmp_path, capsys):
     empty.write_text("")
     assert main(["campaign", str(cfg), "--log", str(empty)]) == 0
     assert len(read_log(empty)) == 10
-
-
-GREEDY_CAMPAIGN = ("instance = torus:4x4:1\nkind = greedy_local_search\nsweeps = 10\n"
-                   "master_seed = 5\nnum_trials = {}\n")
-
-
-def greedy_log(tmp_path, capsys):
-    """The config file of a 3-trial greedy campaign and its log."""
-    cfg, log = tmp_path / "greedy.cfg", tmp_path / "greedy.log"
-    cfg.write_text(GREEDY_CAMPAIGN.format(3))
-    assert main(["campaign", str(cfg), "--log", str(log)]) == 0
-    capsys.readouterr()
-    return cfg, log
-
-
-def test_refusals_of_a_log_with_a_duplicate_trial_name_the_log(tmp_path, capsys):
-    cfg, log = greedy_log(tmp_path, capsys)
-    log.write_text(log.read_text() + log.read_text().splitlines()[0] + "\n")
-    before = log.read_bytes()
-    assert main(["campaign", str(cfg), "--log", str(log), "--resume"]) == 1
-    assert capsys.readouterr() == ("", f"error: log {log} has duplicate trial index 0\n")
-    assert main(["report", str(log)]) == 1
-    assert capsys.readouterr() == ("", f"error: {log}: duplicate trial index 0\n")
-    assert log.read_bytes() == before
-
-
-def test_resume_refuses_a_log_with_a_trial_past_num_trials_and_names_it(tmp_path, capsys):
-    _, log = greedy_log(tmp_path, capsys)
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text(GREEDY_CAMPAIGN.format(2))
-    before = log.read_bytes()
-    assert main(["campaign", str(cfg), "--log", str(log), "--resume"]) == 1
-    assert capsys.readouterr() == ("", f"error: log {log} has trial index 2 outside 0..1\n")
-    assert log.read_bytes() == before
 
 
 def test_report_refuses_a_record_with_an_unknown_field(tmp_path, capsys):
@@ -578,7 +544,7 @@ READER_ERRORS = {
     # without a log there is nothing to resume, and the campaign would run
     # every trial and keep none of them
     "resume-without-log": (PLAIN_CONFIG, ["--resume"],
-                           "--resume needs --log, the log of the campaign to finish"),
+                           "a resume needs the log of the campaign to finish"),
 }
 
 
@@ -766,7 +732,7 @@ def test_report_refuses_a_log_that_mixes_schedules(tmp_path, capsys):
     schedule = "instance=torus:4x4:1 kind=simulated_annealing sweeps=30 temp_start=3.0"
     assert capsys.readouterr() == ("", (
         f"error: {mixed}: records mix campaigns: trial 3 ran {schedule} temp_end=0.1 "
-        f"master_seed=778, trial 0 ran {schedule} temp_end=0.05 master_seed=777\n"))
+        f"master_seed=778, not {schedule} temp_end=0.05 master_seed=777\n"))
 
 
 def test_report_refuses_a_log_that_mixes_master_seeds(tmp_path, capsys):
@@ -776,7 +742,53 @@ def test_report_refuses_a_log_that_mixes_master_seeds(tmp_path, capsys):
                 "temp_end=0.05")
     assert capsys.readouterr() == ("", (
         f"error: {mixed}: records mix campaigns: trial 3 ran {schedule} master_seed=778, "
-        f"trial 0 ran {schedule} master_seed=777\n"))
+        f"not {schedule} master_seed=777\n"))
+
+
+SPLICED = ("instance=torus:4x4:1 kind=simulated_annealing sweeps=30 temp_start=3.0 "
+           "temp_end={} master_seed={}")
+
+# Faults of spliced_log: (what b.cfg sets, an edit of the log's lines,
+# the num_trials of the resumed a.cfg, the refusal)
+LOG_FAULTS = {
+    "master-seed": ("master_seed = 778\n", None, 6, "records mix campaigns: trial 3 ran "
+                    f"{SPLICED.format(0.05, 778)}, not {SPLICED.format(0.05, 777)}"),
+    "schedule": ("master_seed = 777\ntemp_end = 0.1\n", None, 6, "records mix campaigns: "
+                 f"trial 3 ran {SPLICED.format(0.1, 777)}, not {SPLICED.format(0.05, 777)}"),
+    "past-num-trials": ("master_seed = 777\n", None, 5, "trial index 5 outside 0..4"),
+    "duplicate-index": ("master_seed = 777\n", lambda lines: lines + lines[:1], 6,
+                        "duplicate trial index 0"),
+    "format-2": ("master_seed = 777\n",
+                 lambda lines: [lines[0].replace(" format=3", " format=2"), *lines[1:]], 6,
+                 "record has log format '2', this version reads format 3; re-run the campaign"),
+}
+
+
+@pytest.mark.parametrize("tail", ["index=6 instance=torus:4x4:1 kind=sim", ""],
+                         ids=["torn", "whole"])
+@pytest.mark.parametrize("extra_b, edit, num_trials, reason", LOG_FAULTS.values(),
+                         ids=LOG_FAULTS)
+def test_a_refused_resume_leaves_the_log_as_it_was(tmp_path, capsys, extra_b, edit,
+                                                    num_trials, reason, tail):
+    log = spliced_log(tmp_path, capsys, extra_b)
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(edit(lines) if edit else lines) + tail)
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(cfg.read_text().replace("num_trials = 6", f"num_trials = {num_trials}"))
+    before = log.read_bytes()
+    note = f"{log}: left out an unterminated last line ({len(tail)} bytes)\n" if tail else ""
+    refusal = ("", f"{note}error: {log}: {reason}\n")
+    assert main(["campaign", str(cfg), "--log", str(log), "--resume"]) == 1
+    assert log.read_bytes() == before
+    assert capsys.readouterr() == refusal
+    if num_trials < 6:
+        # a log does not hold its campaign's trial count: report reads all six
+        assert main(["report", str(log)]) == 0
+        out, err = capsys.readouterr()
+        assert "num_trials=6" in out and err == note
+    else:
+        assert main(["report", str(log)]) == 1
+        assert capsys.readouterr() == refusal
 
 
 GREEDY_LINE = ("index=1 instance=torus:4x4:1 kind=greedy_local_search sweeps=10 seed=7 "
