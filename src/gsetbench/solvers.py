@@ -6,12 +6,15 @@ the classes come from a greedy colouring of the graph in vertex order,
 and a class is an independent set, so every flip in it is decided on
 the same neighbour spins and each cut delta stays an exact integer
 (chromatic Gibbs sampling; Gonzalez et al., "Parallel Gibbs Sampling:
-From Colored Fields to Thin Junction Trees", AISTATS 2011). Greedy
-accepts only strictly improving flips and stops early after a sweep
-with no flip; simulated annealing accepts non-worsening flips always
-and worsening flips with probability exp(delta / T), cooling T on a
-geometric schedule from temp_start to temp_end across the sweep
-budget, and always consumes the whole budget.
+From Colored Fields to Thin Junction Trees", AISTATS 2011). It is
+still exactly that colouring: a parity guess made in numpy is checked
+against the greedy rule, and a loop colours only the vertices from the
+first one the guess gets wrong. Greedy accepts only strictly improving
+flips and stops early after a sweep with no flip; simulated annealing
+accepts non-worsening flips always and worsening flips with
+probability exp(delta / T), cooling T on a geometric schedule from
+temp_start to temp_end across the sweep budget, and always consumes
+the whole budget.
 
 Trials run as a batch of one config under many seeds, one row of an
 (R, n) spin array per trial. A trial's randomness is counter-based:
@@ -163,7 +166,10 @@ def _sweep_layout(instance: ProblemInstance):
 
     Returns ``(order, classes, field)``. ``order[p]`` is the vertex
     (0-based) at position p: the colour classes in turn, each by falling
-    degree, so that a class's spins are one contiguous slice. Each class
+    degree, so that a class's spins are one contiguous slice. The
+    classes are the greedy colouring in vertex order; a checked parity
+    guess colours a leading run of vertices at once (all of them on a
+    row-major even torus), and a loop colours the rest. Each class
     is ``(lo, hi, slots)``: it holds positions ``lo:hi``, and its slot k
     is ``(count, neighbours, weights)``, the positions of the k-th
     neighbour of its first ``count`` vertices (those with degree above
@@ -199,19 +205,24 @@ def _build_layout(instance: ProblemInstance):
     weight = weight.astype(field)
 
     # greedy colouring in vertex order: each vertex takes the smallest
-    # colour that no lower-numbered neighbour has, kept as the bit
-    # 1 << colour; Python ints stay exact past 64 colours. A row's
-    # entries from the second half of src, after the others, are its
-    # lower-numbered neighbours.
-    lower = dst[by_src >= instance.m].tolist()
-    ends = np.cumsum(np.bincount(instance.ev, minlength=n)).tolist()
-    bit = []
-    for start, end in zip([0] + ends, ends):
-        used = 0
-        for u in lower[start:end]:
-            used |= bit[u]
-        bit.append(~used & (used + 1))  # the lowest clear bit of used
-    colour = np.fromiter(map(int.bit_length, bit), np.int64, n) - 1
+    # colour that no lower-numbered neighbour has. A row's entries from
+    # the second half of src, after the others, are its lower-numbered
+    # neighbours. The loop runs from the first vertex the parity guess
+    # gets wrong, a colour kept as the bit 1 << colour; Python ints
+    # stay exact past 64 colours.
+    lower = dst[by_src >= instance.m]
+    lower_ptr = np.concatenate(([0], np.cumsum(np.bincount(instance.ev, minlength=n))))
+    colour, checked = _parity_guess(lower, lower_ptr)
+    if checked < n:
+        bit = (1 << colour[:checked]).tolist()
+        lower = lower.tolist()
+        ends = lower_ptr[checked:].tolist()
+        for start, end in zip(ends, ends[1:]):
+            used = 0
+            for u in lower[start:end]:
+                used |= bit[u]
+            bit.append(~used & (used + 1))  # the lowest clear bit of used
+        colour = np.fromiter(map(int.bit_length, bit), np.int64, n) - 1
 
     order = np.lexsort((-degree, colour))
     position = np.empty(n, dtype=np.int64)
@@ -228,6 +239,35 @@ def _build_layout(instance: ProblemInstance):
             slots.append((count, position[dst[at]], weight[at]))
         classes.append((lo, hi, tuple(slots)))
     return order, tuple(classes), field
+
+
+def _parity_guess(lower: np.ndarray, lower_ptr: np.ndarray) -> tuple[np.ndarray, int]:
+    """A guess at the greedy colouring in vertex order, and the number
+    of leading vertices it colours as that colouring does.
+
+    Vertex v's lower-numbered neighbours are ``lower[lower_ptr[v]:
+    lower_ptr[v + 1]]``. v's guess is its depth parity in the forest
+    where each vertex points at its first lower-numbered neighbour. The
+    count is the first vertex whose guess is not the smallest colour
+    missing among its lower-numbered neighbours' guesses, or n: the
+    greedy colouring is the one colouring where no vertex breaks that
+    rule, so by induction it agrees with the guess up to there.
+    """
+    has_lower = np.diff(lower_ptr) > 0
+    starts = lower_ptr[:-1][has_lower]
+    ancestor = np.arange(len(has_lower))
+    ancestor[has_lower] = lower[starts]
+    # pointer doubling: guess[v] is the parity of the path from v to
+    # ancestor[v], and every ancestor ends at its tree's root
+    guess = has_lower.astype(np.int64)
+    while not np.array_equal(further := ancestor[ancestor], ancestor):
+        guess ^= guess[ancestor]
+        ancestor = further
+    used = np.zeros_like(guess)
+    used[has_lower] = np.bitwise_or.reduceat(1 << guess[lower], starts)
+    # the smallest colour missing from the bits used, for used in 0..3
+    wrong = np.flatnonzero(np.array([0, 1, 0, 2])[used] != guess)
+    return guess, int(wrong[0]) if len(wrong) else len(guess)
 
 
 def _thresholds(delta: np.ndarray, temp: float) -> np.ndarray:

@@ -24,6 +24,7 @@ from gsetbench.solvers import (
     KINDS,
     SolverConfig,
     _BYTE_DELTAS,
+    _parity_guess,
     _sweep_layout,
     _temperature,
     _thresholds,
@@ -422,13 +423,47 @@ def test_batch_rejects_mixed_configs():
         run_trials(inst, default_config(GREEDY, 5), [])
 
 
+# a path 1-3-4-2: bipartite, but vertex 2 is a second root, so 4 sees
+# both colours below it and takes a third
+SECOND_ROOT_PATH = ProblemInstance(4, [(1, 3, 1), (3, 4, 1), (2, 4, 1)])
+
+
+def test_parity_guess_holds_up_to_the_first_vertex_greedy_colours_otherwise():
+    # a row-major even torus is a checkerboard; an odd row count breaks
+    # parity at the last row's wrap, an odd column count at the first
+    # row's, and the 4x5 torus at (0, 4)
+    cases = [
+        (generate_torus(TorusSpec(6, 6, seed=3)), 36),
+        (generate_torus(TorusSpec(4, 8, seed=4)), 32),
+        (generate_torus(TorusSpec(100, 100, seed=1)), 10000),
+        (generate_torus(TorusSpec(101, 100, seed=3)), 10000),
+        (generate_torus(TorusSpec(100, 101, seed=3)), 100),
+        (generate_torus(TorusSpec(4, 5, seed=1003)), 4),
+        (SECOND_ROOT_PATH, 3),
+        (ProblemInstance(1, []), 1),
+    ]
+    for inst, expected in cases:
+        # v's lower-numbered neighbours, in edge order, as CSR rows
+        lower = inst.eu[np.argsort(inst.ev, kind="stable")]
+        lower_ptr = np.concatenate(([0], np.cumsum(np.bincount(inst.ev, minlength=inst.n))))
+        guess, checked = _parity_guess(lower, lower_ptr)
+        assert checked == expected
+        assert guess.shape == (inst.n,)
+        assert guess[:checked].tolist() == greedy_colouring(inst)[:checked]
+
+
 def test_colour_classes_partition_vertices_into_independent_sets():
     # an even torus is a checkerboard; on the odd 4x5 torus greedy order
-    # needs a third colour at (0, 4) and a fourth at (1, 4)
+    # needs a third colour at (0, 4) and a fourth at (1, 4), and an odd
+    # side of 101 needs four too
     tori = [
         (generate_torus(TorusSpec(6, 6, seed=3)), 2),
         (generate_torus(TorusSpec(4, 8, seed=4)), 2),
+        (generate_torus(TorusSpec(100, 100, seed=1)), 2),
         (generate_torus(TorusSpec(4, 5, seed=1000)), 4),
+        (generate_torus(TorusSpec(4, 5, seed=1003)), 4),
+        (generate_torus(TorusSpec(101, 100, seed=3)), 4),
+        (generate_torus(TorusSpec(100, 101, seed=3)), 4),
     ]
     rng = np.random.default_rng(12)
     graph = random_instance(rng, 15, edge_prob=0.4)
@@ -439,6 +474,7 @@ def test_colour_classes_partition_vertices_into_independent_sets():
     others = [
         *((inst, None) for inst in kernel_instances()),
         (ProblemInstance(1, []), 1),
+        (SECOND_ROOT_PATH, 3),
         (graph, None),
         (ProblemInstance(graph.n, shuffled), None),
         # K_70 needs 70 colours, more bits than a 64-bit word holds
