@@ -18,7 +18,7 @@ from gsetbench.codec import HexDecodeError, decode_hex, encode_hex, read_solutio
 from gsetbench.evaluate import evaluate_solution
 from gsetbench.instances import TorusSpec, generate_torus, load_gset
 from gsetbench.oracle import exact_max_cut
-from gsetbench.registry import builtin_registry, locate_instance_file, solution_text
+from gsetbench.registry import load_registry, locate_instance_file, solution_text
 
 # ---------------------------------------------------------------------------
 # Part 1: round-trip on a synthetic instance we can solve exactly
@@ -46,7 +46,7 @@ except HexDecodeError as err:
 # Part 2: the bundled record bitstrings for G72 / G77 / G81
 # ---------------------------------------------------------------------------
 print("\n== bundled record bitstrings ==")
-registry = builtin_registry()
+registry = load_registry()
 for name, entry in registry.items():
     header, payload = read_solution(solution_text(name))
     expected_digits = (entry.n + 3) // 4

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from gsetbench.metrics import TargetOutcome, TargetSpec, write_summary_csv
-from gsetbench.registry import REFERENCE_TTT_S, builtin_registry
+from gsetbench.registry import REFERENCE_TTT_S, load_registry
 
 # ---------------------------------------------------------------------------
 # Published campaign rows (100 trials each). The printed STT values
@@ -41,15 +41,16 @@ def main(argv=None):
     parser.add_argument("--csv", default=None, help="also write the table as CSV")
     args = parser.parse_args(argv)
 
-    registry = builtin_registry()
+    registry = load_registry()
     rows = []
     print(f"{'instance':<9} {'target':<7} {'sweeps':>10} {'P_s':>7} "
           f"{'r':>7} {'STT':>14} {'printed':>10} {'hw @2ns':>10}")
     for name, label, sweeps, successes, printed_stt, printed_hw in PUBLISHED_ROWS:
         entry = registry[name]
-        target_cut = entry.best_cut if label == "100%" else round(0.999 * entry.best_cut, 2)
+        # the smallest cut at or above 99.9% of the best, in exact integers
+        target_cut = entry.best_cut if label == "100%" else -(-999 * entry.best_cut // 1000)
         outcome = TargetOutcome(
-            target=TargetSpec(f"{name}:{label}", int(target_cut)),
+            target=TargetSpec(f"{name}:{label}", target_cut),
             successes=successes,
             trials=100,
             sweeps_per_trial=sweeps,

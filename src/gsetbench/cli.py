@@ -8,7 +8,6 @@ Subcommands:
 * ``solve``     run a single solver trial
 * ``campaign``  run a multi-trial campaign from a config file
 * ``report``    recompute a summary from an existing campaign log
-* ``project``   hardware time implied by a sweeps-to-target figure
 
 Instances are named by file path, by ``torus:ROWSxCOLS:SEED``, or by a
 registry name such as G81 (searched in $GSET_DIR).
@@ -40,29 +39,10 @@ from gsetbench.instances import (
     parse_torus_name,
     write_gset,
 )
-from gsetbench.metrics import (
-    DEFAULT_HW_SWEEP_TIME_S,
-    TargetSpec,
-    project_hw_ttt,
-    write_summary_csv,
-)
+from gsetbench.metrics import TargetSpec, write_summary_csv
 from gsetbench.oracle import exact_max_cut
 from gsetbench.registry import load_registry, locate_instance_file
 from gsetbench.solvers import ANNEALING, GREEDY, default_config, run_trial
-
-
-def human_time(seconds: float) -> str:
-    """Scale a duration to a readable unit, 3 significant digits.
-
-    A unit is kept down to a tenth of it (0.468 ms rather than 468 us),
-    matching how sub-millisecond projections are usually quoted.
-    """
-    if seconds < 0:
-        raise ValueError("duration must be non-negative")
-    for unit, scale in (("s", 1.0), ("ms", 1e-3), ("us", 1e-6)):
-        if seconds >= 0.1 * scale:
-            return f"{seconds / scale:.3g} {unit}"
-    return f"{seconds / 1e-9:.3g} ns"
 
 
 def resolve_instance(spec: str) -> ProblemInstance:
@@ -97,8 +77,8 @@ def _read_text(path_arg: str) -> str:
 def _best_known_for(args, instance, header) -> int | None:
     """--best-known, else the best cut of the first registry entry named by
     --name, the solution header or the instance; its n and m must match,
-    and a best_energy it holds must make best_energy + 2*best_cut the
-    instance's total weight (W = E + 2C)."""
+    and its best_energy + 2*best_cut must be the instance's total weight
+    (W = E + 2C)."""
     if args.best_known is not None:
         return args.best_known
     registry = load_registry()
@@ -111,7 +91,7 @@ def _best_known_for(args, instance, header) -> int | None:
                     f"m={entry.m}, instance has n={instance.n} m={instance.m}"
                 )
             weight = instance.total_weight()
-            if entry.best_energy is not None and entry.best_energy + 2 * entry.best_cut != weight:
+            if entry.best_energy + 2 * entry.best_cut != weight:
                 raise ValueError(
                     f"cannot score against {candidate}: registry best_energy="
                     f"{entry.best_energy} + 2*best_cut={entry.best_cut} is not the "
@@ -370,11 +350,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_project(args) -> int:
-    print(human_time(project_hw_ttt(args.stt, args.sweep_time)))
-    return 0
-
-
 # argparse names a refused value by its type's __name__ ("argument rows:
 # invalid int value: '1_0'"), so the two readers go by what they read
 _INT, _FLOAT = partial(_decimal), partial(_ascii_float)
@@ -430,12 +405,6 @@ def _report_args(p):
     p.add_argument("--format", choices=("kv", "csv"), default="kv")
 
 
-def _project_args(p):
-    p.add_argument("stt", type=_FLOAT)
-    p.add_argument("--sweep-time", type=_FLOAT, default=DEFAULT_HW_SWEEP_TIME_S,
-                   help="seconds per sweep (default 2e-9)")
-
-
 # (name, help, argument adder, handler) of each subcommand, in help order
 _COMMANDS = (
     ("validate", "check a solution file against expectations", _validate_args, cmd_validate),
@@ -444,7 +413,6 @@ _COMMANDS = (
     ("solve", "run a single solver trial", _solve_args, cmd_solve),
     ("campaign", "run a campaign from a config file", _campaign_args, cmd_campaign),
     ("report", "recompute a summary from a campaign log", _report_args, cmd_report),
-    ("project", "hardware time for a sweeps-to-target figure", _project_args, cmd_project),
 )
 _NAMES = tuple(name for name, *_ in _COMMANDS)
 

@@ -11,7 +11,7 @@ r is real-valued on purpose (it is an expectation, not a schedule) and
 is not rounded up. Sweeps-to-target multiplies r by the per-trial
 sweep budget; time-to-target multiplies by the per-trial wall time.
 A sweeps-to-target figure is projected onto special-purpose hardware
-by multiplying with a per-sweep time (default 2 ns per full sweep).
+by multiplying with a per-sweep time of 2 ns per full sweep.
 This is the time-to-solution of Rønnow et al., "Defining and detecting
 quantum speedup" (Science 2014).
 
@@ -69,19 +69,16 @@ def repetitions_to_target(p_s: float, confidence: float = DEFAULT_CONFIDENCE) ->
     return max(1.0, math.log(1.0 - confidence) / math.log(1.0 - p_s))
 
 
-def project_hw_ttt(
-    stt_sweeps: float, sweep_time_s: float = DEFAULT_HW_SWEEP_TIME_S
-) -> float:
-    """Wall time implied by a sweeps-to-target figure at a fixed sweep time."""
+def project_hw_ttt(stt_sweeps: float) -> float:
+    """Wall time implied by a sweeps-to-target figure at
+    ``DEFAULT_HW_SWEEP_TIME_S`` per sweep."""
     if not (0 < stt_sweeps < math.inf):
         raise ValueError(f"sweeps to target must be positive and finite, got {stt_sweeps}")
-    if not (0 < sweep_time_s < math.inf):
-        raise ValueError(f"sweep time must be positive and finite, got {sweep_time_s}")
-    seconds = stt_sweeps * sweep_time_s
-    # the product of two positive finite doubles can still overflow to inf
-    # or underflow to 0
-    if not (0 < seconds < math.inf):
-        raise ValueError(f"projected time {stt_sweeps:g} sweeps x {sweep_time_s:g} s "
+    seconds = stt_sweeps * DEFAULT_HW_SWEEP_TIME_S
+    # the product cannot overflow, but a positive stt below about 1e-315
+    # underflows to 0
+    if seconds == 0:
+        raise ValueError(f"projected time {stt_sweeps:g} sweeps x {DEFAULT_HW_SWEEP_TIME_S:g} s "
                          "is outside the range of a double")
     return seconds
 

@@ -3,9 +3,8 @@
 The builtin registry covers the three large toroidal Gset instances
 G72, G77 and G81 (|V| in the tens of thousands, degree 4, +-1 weights)
 with their sizes, best known cuts and record energies, and the
-published time-to-target of the strongest classical reference. Users
-can extend or override entries by pointing GSETBENCH_REGISTRY at a
-JSON file.
+published time-to-target of the strongest classical reference. Any
+other best cut to score against is given as ``validate --best-known N``.
 
 Record solution bitstrings for the three instances ship with the
 package under ``data/solutions``; GSETBENCH_SOLUTIONS_DIR overrides
@@ -16,7 +15,6 @@ names.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -33,7 +31,7 @@ class RegistryEntry:
     n: int
     m: int
     best_cut: int
-    best_energy: int | None = None
+    best_energy: int
 
 
 _BUILTIN = (
@@ -50,48 +48,9 @@ REFERENCE_TTT_S: dict[tuple[str, str], float] = {
 }
 
 
-def builtin_registry() -> dict[str, RegistryEntry]:
-    return {e.name: e for e in _BUILTIN}
-
-
 def load_registry() -> dict[str, RegistryEntry]:
-    """Builtin registry, with GSETBENCH_REGISTRY JSON entries merged on top.
-
-    The JSON file maps instance name to an object with integer keys n,
-    m and best_cut, and optionally best_energy (an integer or null); n
-    and best_cut are at least 1 and m at least 0. A file that is not
-    JSON, a malformed one, a value that is not a JSON integer or is out
-    of range, or an unknown key raises one ValueError naming the file
-    and, for an entry's fault, the entry.
-    """
-    reg = builtin_registry()
-    override = os.environ.get("GSETBENCH_REGISTRY")
-    if override:
-        try:
-            raw = json.loads(_read_utf8(override))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{override}: not valid JSON: {exc}") from None
-        if not isinstance(raw, dict) or not all(isinstance(row, dict) for row in raw.values()):
-            raise ValueError(f"{override}: expected an object mapping names to objects")
-        for name, row in raw.items():
-            where = f"{override}: entry {name!r}"
-            for key in ("n", "m", "best_cut"):
-                if key not in row:
-                    raise ValueError(f"{where} has no {key!r}")
-            for key, value in row.items():
-                if key not in ("n", "m", "best_cut", "best_energy"):
-                    raise ValueError(
-                        f"{where}: {key} is not a registry key "
-                        "(expected n, m, best_cut, best_energy)"
-                    )
-                # type(), not isinstance: JSON true loads as a bool, an int subclass
-                if type(value) is not int and not (key == "best_energy" and value is None):
-                    raise ValueError(f"{where}: {key} must be an integer, got {json.dumps(value)}")
-            for key, low in (("n", 1), ("m", 0), ("best_cut", 1)):
-                if row[key] < low:
-                    raise ValueError(f"{where}: {key} must be at least {low}, got {row[key]}")
-            reg[name] = RegistryEntry(name=name, **row)
-    return reg
+    """The built-in entries by name."""
+    return {e.name: e for e in _BUILTIN}
 
 
 def solution_text(name: str) -> str:

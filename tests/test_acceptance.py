@@ -53,7 +53,7 @@ from gsetbench.metrics import (
     repetitions_to_target,
 )
 from gsetbench.oracle import exact_max_cut
-from gsetbench.registry import builtin_registry, locate_instance_file, solution_text
+from gsetbench.registry import load_registry, locate_instance_file, solution_text
 from gsetbench.solvers import ANNEALING, GREEDY, default_config, run_trial
 
 GOLDEN_CUTS = {"G72": 7_008, "G77": 9_940, "G81": 14_060}
@@ -117,7 +117,7 @@ def test_criterion_1_record_solutions_validate_bit_exactly():
 
 
 def test_criterion_2_energy_cut_weight_identity():
-    registry = builtin_registry()
+    registry = load_registry()
     for name, weight in GOLDEN_TOTAL_WEIGHTS.items():
         entry = registry[name]
         assert entry.best_energy == weight - 2 * entry.best_cut

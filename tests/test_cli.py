@@ -1,6 +1,5 @@
 import argparse
 import io
-import json
 import re
 import sys
 from pathlib import Path
@@ -8,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import deterministic_fields
-from gsetbench import solvers
+from gsetbench import registry, solvers
 from gsetbench.campaign import (
     LOG_FORMAT,
     parse_record,
@@ -16,10 +15,11 @@ from gsetbench.campaign import (
     replay_record,
     summarize,
 )
-from gsetbench.cli import build_parser, human_time, main, resolve_instance
+from gsetbench.cli import build_parser, main, resolve_instance
 from gsetbench.codec import encode_hex
 from gsetbench.instances import TorusSpec, _ascii_float, _decimal, generate_torus, parse_gset
 from gsetbench.oracle import exact_max_cut
+from gsetbench.registry import RegistryEntry
 
 
 @pytest.fixture
@@ -45,16 +45,9 @@ def solution_file(tmp_path, torus, spins, header=True):
     return path
 
 
-def test_human_time():
-    assert human_time(4.68e-4) == "0.468 ms"
-    assert human_time(0.0782) == "78.2 ms"
-    assert human_time(0.9072) == "0.907 s"
-    assert human_time(25_800) == "2.58e+04 s"
-    assert human_time(2e-9) == "2 ns"
-    assert human_time(5e-5) == "50 us"
-    assert human_time(1.2e-4) == "0.12 ms"
-    with pytest.raises(ValueError, match="duration must be non-negative"):
-        human_time(-1)
+def registered(monkeypatch, name, n, m, best_cut, best_energy):
+    """Make ``name`` the one registry entry for the rest of the test."""
+    monkeypatch.setattr(registry, "_BUILTIN", (RegistryEntry(name, n, m, best_cut, best_energy),))
 
 
 def test_resolve_instance_forms(torus, torus_file, tmp_path, monkeypatch):
@@ -63,16 +56,13 @@ def test_resolve_instance_forms(torus, torus_file, tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="cannot resolve"):
         resolve_instance("no-such-thing")
     # registry names resolve through $GSET_DIR
-    reg = {"tiny": {"n": 16, "m": 32, "best_cut": 10}}
-    reg_path = tmp_path / "reg.json"
-    reg_path.write_text(json.dumps(reg))
-    monkeypatch.setenv("GSETBENCH_REGISTRY", str(reg_path))
+    energy = torus.total_weight() - 20
+    registered(monkeypatch, "tiny", 16, 32, 10, energy)
     monkeypatch.setenv("GSET_DIR", str(tmp_path))
     (tmp_path / "tiny.txt").write_text(torus_file.read_text())
     assert resolve_instance("tiny").n == 16
     # registered shape must match the file
-    bad = {"tiny": {"n": 9, "m": 18, "best_cut": 10}}
-    reg_path.write_text(json.dumps(bad))
+    registered(monkeypatch, "tiny", 9, 18, 10, energy)
     with pytest.raises(ValueError, match="expected n=9"):
         resolve_instance("tiny")
 
@@ -131,9 +121,7 @@ def test_validate_refuses_a_registry_entry_of_another_size(tmp_path, torus, toru
 
 def test_validate_scores_against_a_matching_registry_entry(tmp_path, torus, torus_file,
                                                            capsys, monkeypatch):
-    reg_path = tmp_path / "reg.json"
-    reg_path.write_text(json.dumps({"tiny": {"n": 16, "m": 32, "best_cut": 10}}))
-    monkeypatch.setenv("GSETBENCH_REGISTRY", str(reg_path))
+    registered(monkeypatch, "tiny", 16, 32, 10, torus.total_weight() - 20)
     _, config = exact_max_cut(torus)
     sol = solution_file(tmp_path, torus, config)
     assert main(["validate", str(torus_file), str(sol), "--name", "tiny"]) == 0
@@ -143,17 +131,13 @@ def test_validate_scores_against_a_matching_registry_entry(tmp_path, torus, toru
 def test_scoring_checks_the_registry_energy_against_the_total_weight(
         tmp_path, torus, capsys, monkeypatch):
     weight = torus.total_weight()
-    reg_path = tmp_path / "reg.json"
-    monkeypatch.setenv("GSETBENCH_REGISTRY", str(reg_path))
     _, config = exact_max_cut(torus)
     sol = solution_file(tmp_path, torus, config)
     argv = ["validate", "torus:4x4:1", str(sol)]
-    entry = {"n": 16, "m": 32, "best_cut": 10}
-    for best_energy in (weight - 20, None):
-        reg_path.write_text(json.dumps({"torus:4x4:1": {**entry, "best_energy": best_energy}}))
-        assert main(argv) == 0
-        assert "quality=100.000%" in capsys.readouterr().out
-    reg_path.write_text(json.dumps({"torus:4x4:1": {**entry, "best_energy": weight - 18}}))
+    registered(monkeypatch, "torus:4x4:1", 16, 32, 10, weight - 20)
+    assert main(argv) == 0
+    assert "quality=100.000%" in capsys.readouterr().out
+    registered(monkeypatch, "torus:4x4:1", 16, 32, 10, weight - 18)
     assert main(argv) == 1
     assert capsys.readouterr() == (
         "", f"error: cannot score against torus:4x4:1: registry best_energy={weight - 18} "
@@ -969,34 +953,6 @@ def test_weighted_logs_are_written_again_unchanged(tmp_path, name):
     assert untimed(again) == untimed(DATA / f"{name}.log")
 
 
-def test_project_known_values(capsys):
-    assert main(["project", "234000"]) == 0
-    assert capsys.readouterr().out.strip() == "0.468 ms"
-    assert main(["project", "39100000"]) == 0
-    assert capsys.readouterr().out.strip() == "78.2 ms"
-    assert main(["project", "1000", "--sweep-time", "1e-6"]) == 0
-    assert capsys.readouterr().out.strip() == "1 ms"
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["nan"], "sweeps to target must be positive and finite, got nan"),
-    (["inf"], "sweeps to target must be positive and finite, got inf"),
-    (["1000", "--sweep-time", "nan"], "sweep time must be positive and finite, got nan"),
-])
-def test_project_refuses_non_finite_input(capsys, argv, message):
-    assert main(["project"] + argv) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("stt, sweep_time", [("1e308", "1e10"), ("1e-300", "1e-300")])
-def test_project_refuses_a_product_outside_a_double(capsys, stt, sweep_time):
-    # each factor is positive and finite; their product is inf, or 0
-    assert main(["project", stt, "--sweep-time", sweep_time]) == 1
-    assert capsys.readouterr() == ("", (
-        f"error: projected time {float(stt):g} sweeps x {float(sweep_time):g} s is outside "
-        "the range of a double\n"))
-
-
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc_info:
         main(["no-such-command"])
@@ -1006,7 +962,7 @@ def test_usage_errors_exit_two():
     assert exc_info.value.code == 2
 
 
-COMMANDS = ("validate", "oracle", "gen-torus", "solve", "campaign", "report", "project")
+COMMANDS = ("validate", "oracle", "gen-torus", "solve", "campaign", "report")
 
 
 def exit_output(capsys, parse):
@@ -1021,10 +977,11 @@ def exit_output(capsys, parse):
     ["campaign", "c.cfg", "--workers", "x"],
     ["solve", "torus:4x4:1", "--kind", "exhaustive"],
     # left over by the subcommand, so reported by the top-level parser
-    ["project", "1e6", "--bogus"],
+    ["oracle", "torus:4x4:1", "--bogus"],
     ["gen-torus", "4", "4", "--seed", "1", "extra"],
-    # a removed command, unknown to both
+    # removed commands, unknown to both
     ["evaluate", "torus:4x4:1", "sol.txt"],
+    ["project", "1e6"],
 ])
 def test_main_says_what_the_full_parser_says(argv, monkeypatch, capsys):
     # main builds only the invoked command's parser; its help, usage errors
@@ -1066,8 +1023,6 @@ NUMERIC_ARGUMENTS = [
      "--temp-start"),
     (["solve", "torus:4x4:1", "--sweeps", "3", "--seed", "1", "--temp-end", "X"], "--temp-end"),
     (["campaign", "c.cfg", "--workers", "X"], "--workers"),
-    (["project", "X"], "stt"),
-    (["project", "1e6", "--sweep-time", "X"], "--sweep-time"),
 ]
 
 
@@ -1080,7 +1035,7 @@ def test_command_line_numbers_are_read_by_the_gset_rule(tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     code, out, err = exit_output(capsys, lambda: main([text if a == "X" else a for a in argv]))
     assert (code, out) == (2, "")
-    reads = "float" if name in ("--temp-start", "--temp-end", "stt", "--sweep-time") else "int"
+    reads = "float" if name in ("--temp-start", "--temp-end") else "int"
     assert err.endswith(f"error: argument {name}: invalid {reads} value: {text!r}\n")
     assert list(tmp_path.iterdir()) == []
 
@@ -1093,7 +1048,6 @@ OPTIONS = {
     "solve": ["--kind", "--sweeps", "--seed", "--temp-start", "--temp-end", "--include-spins"],
     "campaign": ["--log", "--workers", "--resume", "--format"],
     "report": ["--target", "--format"],
-    "project": ["--sweep-time"],
 }
 
 
@@ -1119,7 +1073,8 @@ def test_every_typed_argument_is_read_by_a_shared_reader():
 
 # each asks for a result that another path gives: validate scores a
 # solution, stdout redirected is a CSV file, a target line carries its
-# confidence and $GSET_DIR names the instance directory
+# confidence, $GSET_DIR names the instance directory and every summary
+# prints the hardware projection as hw_ttt_s
 @pytest.mark.parametrize("argv", [
     ["evaluate", "torus:4x4:1", "sol.txt"],
     ["campaign", "camp.cfg", "--summary-csv", "s.csv"],
@@ -1131,6 +1086,7 @@ def test_every_typed_argument_is_read_by_a_shared_reader():
     ["oracle", "torus:4x4:1", "--instance-dir", "."],
     ["solve", "torus:4x4:1", "--sweeps", "3", "--seed", "1", "--instance-dir", "."],
     ["campaign", "camp.cfg", "--instance-dir", "."],
+    ["project", "341500"],
 ])
 def test_a_removed_command_or_option_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -1144,21 +1100,21 @@ def test_a_removed_command_or_option_is_a_usage_error(tmp_path, monkeypatch, cap
     code, out, err = exit_output(capsys, lambda: main(argv))
     assert (code, out) == (2, "")
     assert err.startswith("usage: gsetbench ") and (
-        "invalid choice: 'evaluate'" in err or "unrecognized arguments: --" in err)
+        "invalid choice: 'evaluate'" in err or "invalid choice: 'project'" in err
+        or "unrecognized arguments: --" in err)
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_main_without_arguments_reads_sys_argv(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["gsetbench", "project", "234000"])
+    monkeypatch.setattr(sys, "argv", ["gsetbench", "oracle", "torus:4x4:1"])
     assert main() == 0
-    assert capsys.readouterr().out == "0.468 ms\n"
+    assert capsys.readouterr().out.startswith("cut=10 config=")
 
 
 # (the file made not UTF-8, the command that reads it)
 NON_UTF8 = {
     "instance": ("t44.txt", ["validate", "t44.txt", "sol.txt"]),
     "solution": ("sol.txt", ["validate", "t44.txt", "sol.txt"]),
-    "registry": ("reg.json", ["validate", "t44.txt", "sol.txt"]),
     "config": ("camp.cfg", ["campaign", "camp.cfg", "--log", "run.log", "--resume"]),
     "resumed-log": ("run.log", ["campaign", "camp.cfg", "--log", "run.log", "--resume"]),
     "report-log": ("run.log", ["report", "run.log"]),
@@ -1170,8 +1126,6 @@ def test_a_file_that_is_not_utf8_is_refused_by_name(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     assert main(["gen-torus", "4", "4", "--seed", "1", "-o", "t44.txt"]) == 0
     Path("sol.txt").write_text("# n=16\nc318\n")
-    Path("reg.json").write_text("{}")
-    monkeypatch.setenv("GSETBENCH_REGISTRY", "reg.json")
     Path("camp.cfg").write_text(PLAIN_CONFIG)
     assert main(["campaign", "camp.cfg", "--log", "run.log"]) == 0
     capsys.readouterr()

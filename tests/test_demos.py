@@ -48,6 +48,8 @@ def test_published_metrics_table_demo(tmp_path, capsys):
         "G77:99.9%", "G77:100%", "G81:99.9%", "G81:100%", "G72:100%",
     ]
     assert [row["successes"] for row in rows] == ["66", "21", "86", "3", "34"]
+    # 99.9% targets are the smallest cut at or above 99.9% of the best
+    assert [row["target_cut"] for row in rows] == ["9931", "9940", "14046", "14060", "7008"]
     # published rows carry no trial time, so there is no TTT to report
     assert all(row["ttt_s"] == "" for row in rows)
     assert float(rows[0]["stt_sweeps"]) == pytest.approx(341_500.1071)

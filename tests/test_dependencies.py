@@ -3,6 +3,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +69,18 @@ def test_trials_load_no_numpy_random_generator():
     if eager == "True":
         pytest.skip("this numpy imports numpy.random with numpy itself")
     assert loaded == "False"
+
+
+def test_the_environment_variables_read_are_those_readme_lists():
+    # a variable read but not listed, or listed but no longer read, is a
+    # drift between the docs and the code
+    read = set()
+    for path in sorted(Path(gsetbench.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "os.environ.get"
+                    and isinstance(node.args[0], ast.Constant)):
+                read.add(node.args[0].value)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("\n## Environment variables\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE))
+    assert read == listed == {"GSET_DIR", "GSETBENCH_SOLUTIONS_DIR"}
