@@ -73,7 +73,7 @@ class ProblemInstance:
     ev: np.ndarray = field(repr=False)
     ew: np.ndarray = field(repr=False)
     name: str = ""
-    # the solvers' colour classes and neighbour slots, built on first use
+    # the solvers' sweep layout, built on first use
     _sweep_layout: tuple | None = field(default=None, repr=False)
 
     def __init__(self, n: int, edges, name: str = "") -> None:
@@ -340,6 +340,43 @@ def generate_torus(spec: TorusSpec) -> ProblemInstance:
     rng = np.random.default_rng(spec.seed)
     edges[:, 2] = rng.integers(0, 2, size=2 * n) * 2 - 1
     return ProblemInstance(n, edges, name=spec.name)
+
+
+def torus_grid(instance: ProblemInstance):
+    """``(rows, cols, right_w, down_w)`` if ``instance`` is a rows x cols
+    torus numbered row by row as ``generate_torus`` numbers it, else None.
+
+    ``right_w[r, c]`` is the weight of the edge from cell (r, c) to
+    (r, c + 1 mod cols) and ``down_w[r, c]`` that of the edge to
+    (r + 1 mod rows, c): int64 (rows, cols) arrays. The grid is read from
+    the edge arrays alone, in O(m), so neither the name nor the order of
+    the edges or of their endpoints matters.
+    """
+    n, eu, ev = instance.n, instance.eu, instance.ev
+    # vertex 0's neighbours are 1, cols - 1, cols and (rows - 1) cols
+    first = np.sort(ev[eu == 0])
+    if instance.m != 2 * n or len(first) != 4:
+        return None
+    cols = int(first[2])
+    rows, extra = divmod(n, cols)
+    if extra or rows < 3:
+        return None
+    # an edge belongs to the cell it leaves rightward or downward: its
+    # lower end unless it wraps from the last column or the last row.
+    # With rows, cols >= 3 the four gaps 1, cols - 1, cols and
+    # (rows - 1) cols are distinct, so no edge is both.
+    gap, column = ev - eu, eu % cols
+    right_wrap = (gap == cols - 1) & (column == 0)
+    right = right_wrap | ((gap == 1) & (column != cols - 1))
+    down_wrap = gap == (rows - 1) * cols
+    if not (right | down_wrap | (gap == cols)).all():
+        return None
+    # an edge's (cell, direction) slot names the edge, and duplicate
+    # edges are refused, so the 2n edges fill the 2n slots once each
+    slot = 2 * np.where(right_wrap | down_wrap, ev, eu) + ~right
+    weights = np.empty(2 * n, dtype=np.int64)
+    weights[slot] = instance.ew
+    return rows, cols, weights[0::2].reshape(rows, cols), weights[1::2].reshape(rows, cols)
 
 
 def parse_torus_name(name: str) -> TorusSpec:

@@ -6,11 +6,15 @@ the classes come from a greedy colouring of the graph in vertex order,
 and a class is an independent set, so every flip in it is decided on
 the same neighbour spins and each cut delta stays an exact integer
 (chromatic Gibbs sampling; Gonzalez et al., "Parallel Gibbs Sampling:
-From Colored Fields to Thin Junction Trees", AISTATS 2011). It is
-still exactly that colouring: a parity guess made in numpy is checked
-against the greedy rule, and a loop colours only the vertices from the
-first one the guess gets wrong. Greedy accepts only strictly improving
-flips and stops early after a sweep with no flip; simulated annealing
+From Colored Fields to Thin Junction Trees", AISTATS 2011). On a
+torus with an even number of rows and of columns, numbered row by row,
+that colouring is the checkerboard, built in closed form, and each
+half's local fields are read from slices of the other half's spins, a
+stencil on the checkerboard halves (Jacobs and Rebbi, J. Comput. Phys.
+41, 203, 1981; Isakov et al., Comput. Phys. Commun. 192, 265, 2015);
+every other graph is coloured by a loop and gathers its fields through
+neighbour index arrays. Greedy accepts only strictly improving flips
+and stops early after a sweep with no flip; simulated annealing
 accepts non-worsening flips always and worsening flips with
 probability exp(delta / T), cooling T on a geometric schedule from
 temp_start to temp_end across the sweep budget, and always consumes
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gsetbench.evaluate import cut_values
-from gsetbench.instances import ProblemInstance, check_seed
+from gsetbench.instances import ProblemInstance, check_seed, torus_grid
 
 GREEDY = "greedy_local_search"
 ANNEALING = "simulated_annealing"
@@ -165,21 +169,33 @@ def _sweep_layout(instance: ProblemInstance):
     """The instance's colour classes as runs of renumbered positions.
 
     Returns ``(order, classes, field)``. ``order[p]`` is the vertex
-    (0-based) at position p: the colour classes in turn, each by falling
-    degree, so that a class's spins are one contiguous slice. The
-    classes are the greedy colouring in vertex order; a checked parity
-    guess colours a leading run of vertices at once (all of them on a
-    row-major even torus), and a loop colours the rest. Each class
-    is ``(lo, hi, slots)``: it holds positions ``lo:hi``, and its slot k
-    is ``(count, neighbours, weights)``, the positions of the k-th
-    neighbour of its first ``count`` vertices (those with degree above
-    k) and the edge weights. Summing the slots gives every local field
-    with no padding, so the work per class is its number of edge ends.
-    Every slot's weights have the dtype ``field``: the narrowest of
-    int8, int16, int32 and int64 that holds the instance's largest
-    per-vertex sum of |w|, which bounds every partial field sum and
-    every flip delta. The layout is built once and cached on the
-    instance; only the solvers build it.
+    (0-based) at position p: the classes of the greedy colouring in
+    vertex order in turn, each by falling degree, so that a class's
+    spins are one contiguous slice. Each class is ``(lo, hi, weights)``:
+    it holds positions ``lo:hi``, and ``_local_fields`` reads its fields
+    through ``weights``, which take one of two forms.
+
+    An R x C torus with R and C even, numbered row by row (as
+    ``instances.torus_grid`` recognises it, whatever its name), has two
+    classes, the checkerboard halves: cells (r, c) with r + c even, then
+    the others, each in vertex order and so an (R, C/2) block whose
+    entry (r, j) is cell (r, 2j) or (r, 2j + 1). Its ``weights`` are four
+    stacked (R, C/2) planes: at (r, j), the weights of the cell's edges
+    to the other half's entries (r, j), (r, j - 1 or j + 1), (r + 1, j)
+    and (r - 1, j), wrapping; the second is j - 1 where the cell is
+    (r, 2j) and j + 1 where it is (r, 2j + 1).
+
+    On every other graph ``weights`` are slots: slot k is ``(count,
+    neighbours, weights)``, the positions of the k-th neighbour of the
+    class's first ``count`` vertices (those with degree above k) and the
+    edge weights. Summing the slots gives every local field with no
+    padding, so the work per class is its number of edge ends.
+
+    Every weight has the dtype ``field``: the narrowest of int8, int16,
+    int32 and int64 that holds the instance's largest per-vertex sum of
+    |w|, which bounds every partial field sum and every flip delta. The
+    layout is built once and cached on the instance; only the solvers
+    build it, and the threads of a campaign share it.
     """
     with _LAYOUT_LOCK:
         if instance._sweep_layout is None:
@@ -187,7 +203,15 @@ def _sweep_layout(instance: ProblemInstance):
     return instance._sweep_layout
 
 
+def _field_dtype(largest: int):
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if largest <= np.iinfo(t).max)
+
+
 def _build_layout(instance: ProblemInstance):
+    grid = torus_grid(instance)
+    if grid is not None and grid[0] % 2 == 0 and grid[1] % 2 == 0:
+        return _torus_layout(*grid)
     n = instance.n
     src = np.concatenate((instance.eu, instance.ev))
     dst = np.concatenate((instance.ev, instance.eu))
@@ -199,30 +223,23 @@ def _build_layout(instance: ProblemInstance):
     indptr = np.concatenate(([0], np.cumsum(degree)))
     # the absolute weights sum below 2^62, so twice that fits in int64
     running = np.concatenate(([0], np.cumsum(np.abs(weight))))
-    largest = int((running[indptr[1:]] - running[indptr[:-1]]).max())
-    field = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if largest <= np.iinfo(t).max)
+    field = _field_dtype(int((running[indptr[1:]] - running[indptr[:-1]]).max()))
     weight = weight.astype(field)
 
     # greedy colouring in vertex order: each vertex takes the smallest
-    # colour that no lower-numbered neighbour has. A row's entries from
-    # the second half of src, after the others, are its lower-numbered
-    # neighbours. The loop runs from the first vertex the parity guess
-    # gets wrong, a colour kept as the bit 1 << colour; Python ints
-    # stay exact past 64 colours.
-    lower = dst[by_src >= instance.m]
-    lower_ptr = np.concatenate(([0], np.cumsum(np.bincount(instance.ev, minlength=n))))
-    colour, checked = _parity_guess(lower, lower_ptr)
-    if checked < n:
-        bit = (1 << colour[:checked]).tolist()
-        lower = lower.tolist()
-        ends = lower_ptr[checked:].tolist()
-        for start, end in zip(ends, ends[1:]):
-            used = 0
-            for u in lower[start:end]:
-                used |= bit[u]
-            bit.append(~used & (used + 1))  # the lowest clear bit of used
-        colour = np.fromiter(map(int.bit_length, bit), np.int64, n) - 1
+    # colour that no lower-numbered neighbour has, kept as the bit
+    # 1 << colour; Python ints stay exact past 64 colours. A row's
+    # entries from the second half of src, after the others, are its
+    # lower-numbered neighbours.
+    lower = dst[by_src >= instance.m].tolist()
+    ends = np.cumsum(np.bincount(instance.ev, minlength=n)).tolist()
+    bit = []
+    for start, end in zip([0] + ends, ends):
+        used = 0
+        for u in lower[start:end]:
+            used |= bit[u]
+        bit.append(~used & (used + 1))  # the lowest clear bit of used
+    colour = np.fromiter(map(int.bit_length, bit), np.int64, n) - 1
 
     order = np.lexsort((-degree, colour))
     position = np.empty(n, dtype=np.int64)
@@ -241,33 +258,31 @@ def _build_layout(instance: ProblemInstance):
     return order, tuple(classes), field
 
 
-def _parity_guess(lower: np.ndarray, lower_ptr: np.ndarray) -> tuple[np.ndarray, int]:
-    """A guess at the greedy colouring in vertex order, and the number
-    of leading vertices it colours as that colouring does.
+def _torus_layout(rows: int, cols: int, right_w: np.ndarray, down_w: np.ndarray):
+    """The layout of an even torus in closed form (see ``_sweep_layout``).
 
-    Vertex v's lower-numbered neighbours are ``lower[lower_ptr[v]:
-    lower_ptr[v + 1]]``. v's guess is its depth parity in the forest
-    where each vertex points at its first lower-numbered neighbour. The
-    count is the first vertex whose guess is not the smallest colour
-    missing among its lower-numbered neighbours' guesses, or n: the
-    greedy colouring is the one colouring where no vertex breaks that
-    rule, so by induction it agrees with the guess up to there.
+    Numbered row by row, every cell but cell 0 has a lower-numbered
+    neighbour, to its left or above, and all of them lie on the other
+    colour of the checkerboard, so by induction the greedy colouring is
+    the checkerboard; all degrees are 4, so each class stays in vertex
+    order.
     """
-    has_lower = np.diff(lower_ptr) > 0
-    starts = lower_ptr[:-1][has_lower]
-    ancestor = np.arange(len(has_lower))
-    ancestor[has_lower] = lower[starts]
-    # pointer doubling: guess[v] is the parity of the path from v to
-    # ancestor[v], and every ancestor ends at its tree's root
-    guess = has_lower.astype(np.int64)
-    while not np.array_equal(further := ancestor[ancestor], ancestor):
-        guess ^= guess[ancestor]
-        ancestor = further
-    used = np.zeros_like(guess)
-    used[has_lower] = np.bitwise_or.reduceat(1 << guess[lower], starts)
-    # the smallest colour missing from the bits used, for used in 0..3
-    wrong = np.flatnonzero(np.array([0, 1, 0, 2])[used] != guess)
-    return guess, int(wrong[0]) if len(wrong) else len(guess)
+    # a cell's sum of |w| over its right, left, down and up edges
+    right_size, down_size = np.abs(right_w), np.abs(down_w)
+    size = right_size + np.roll(right_size, 1, axis=1) + down_size + np.roll(down_size, 1, axis=0)
+    field = _field_dtype(int(size.max()))
+    r, j = np.indices((rows, cols // 2))
+    half = r.size
+    cells, classes = [], []
+    for k in (0, 1):
+        # class k's entry (r, j) is cell (r, c); odd where c = 2j + 1.
+        # Index -1 wraps to the last column or row.
+        odd = (r + k) % 2
+        c = 2 * j + odd
+        planes = (right_w[r, 2 * j], right_w[r, c + odd - 1], down_w[r, c], down_w[r - 1, c])
+        cells.append(r * cols + c)
+        classes.append((k * half, (k + 1) * half, np.stack(planes).astype(field)))
+    return np.stack(cells).ravel(), tuple(classes), field
 
 
 def _thresholds(delta: np.ndarray, temp: float) -> np.ndarray:
@@ -282,12 +297,35 @@ def _thresholds(delta: np.ndarray, temp: float) -> np.ndarray:
     return np.ceil(k, out=k).astype(np.uint64)
 
 
-def _local_fields(spins: np.ndarray, lo: int, hi: int, slots, field) -> np.ndarray:
+def _local_fields(spins: np.ndarray, lo: int, hi: int, weights, field) -> np.ndarray:
     """(R, hi - lo) array of sum_j w_vj * s_j at positions lo:hi, of
-    dtype ``field``."""
-    fields = np.zeros((spins.shape[0], hi - lo), dtype=field)
-    for count, neighbours, weights in slots:
-        fields[:, :count] += np.take(spins, neighbours, axis=1) * weights
+    dtype ``field``, from the class's ``weights`` (see ``_sweep_layout``):
+    an even torus's planes by slices of the other half, slots by gathers.
+    """
+    batch = len(spins)
+    if isinstance(weights, np.ndarray):
+        same, beside_w, down, up = weights
+        rows, width = same.shape
+        # class 0 comes first and holds cell (0, 0), so its entries are
+        # the even cells of their pairs on the even rows
+        k = int(lo > 0)
+        other = (spins[:, :lo] if k else spins[:, hi:]).reshape(batch, rows, width)
+        fields = other * same
+        # row r of other is row r + 1 of padded, which wraps at both ends
+        padded = np.concatenate((other[:, -1:], other, other[:, :1]), axis=1)
+        fields += padded[:, 2:] * down
+        fields += padded[:, :-2] * up
+        beside = np.empty_like(other)
+        left, right = slice(k, None, 2), slice(1 - k, None, 2)
+        beside[:, left, 1:] = other[:, left, :-1]
+        beside[:, left, 0] = other[:, left, -1]
+        beside[:, right, :-1] = other[:, right, 1:]
+        beside[:, right, -1] = other[:, right, 0]
+        fields += beside * beside_w
+        return fields.reshape(batch, hi - lo)
+    fields = np.zeros((batch, hi - lo), dtype=field)
+    for count, neighbours, slot_weights in weights:
+        fields[:, :count] += np.take(spins, neighbours, axis=1) * slot_weights
     return fields
 
 
@@ -331,9 +369,9 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
             if byte_deltas:
                 table = _thresholds(_BYTE_DELTAS, temp)
         flipped = np.zeros(len(live), dtype=bool)
-        for lo, hi, slots in classes:
+        for lo, hi, weights in classes:
             block = spins[:, lo:hi]
-            delta = block * _local_fields(spins, lo, hi, slots, field)
+            delta = block * _local_fields(spins, lo, hi, weights, field)
             if annealing:
                 # sweep t draws word (t + 1) n + v for vertex v, and its
                 # top 53 bits x make the uniform x 2^-53 in [0, 1)

@@ -7,9 +7,11 @@ neither shares a code path with the package's edge-array code.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
+from gsetbench import solvers
 from gsetbench.instances import ProblemInstance
 
 
@@ -90,3 +92,21 @@ def deterministic_fields(summary):
         avg_trial_time_s=None,
         targets=tuple(replace(t, trial_time_s=None) for t in summary.targets),
     )
+
+
+def assert_stencil_fields_equal_gathers(instance, rng, batches=(1, 3, 8)):
+    """The solvers lay ``instance`` out as an even torus, and each class's
+    stencil fields equal those gathered through the slot layout, built
+    with the torus unrecognised, on random spins of each batch size."""
+    order, classes, field = solvers._sweep_layout(instance)
+    with mock.patch.object(solvers, "torus_grid", lambda _: None):
+        gathered_order, gathered, gathered_field = solvers._build_layout(instance)
+    assert np.array_equal(order, gathered_order) and field == gathered_field
+    assert len(classes) == len(gathered) == 2
+    for batch in batches:
+        spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(batch, instance.n))
+        for (lo, hi, planes), (_, _, slots) in zip(classes, gathered):
+            assert isinstance(planes, np.ndarray) and isinstance(slots, tuple)
+            fields = solvers._local_fields(spins, lo, hi, planes, field)
+            assert fields.dtype == field
+            assert np.array_equal(fields, solvers._local_fields(spins, lo, hi, slots, field))

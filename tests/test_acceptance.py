@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_stencil_fields_equal_gathers,
     deterministic_fields,
     naive_cut,
     naive_energy,
@@ -45,7 +46,7 @@ from gsetbench.evaluate import (
     ising_energy,
     solution_quality,
 )
-from gsetbench.instances import TorusSpec, generate_torus, load_gset
+from gsetbench.instances import TorusSpec, generate_torus, load_gset, torus_grid
 from gsetbench.metrics import (
     TargetOutcome,
     TargetSpec,
@@ -81,8 +82,13 @@ def _solution_payload(name):
 
 def test_criterion_1_record_solutions_validate_bit_exactly():
     results = []
-    for name in ("G72", "G77", "G81"):
-        instance = _require_instance(name)
+    instances = {name: _require_instance(name) for name in ("G72", "G77", "G81")}
+    for name, instance in instances.items():
+        # each file is an even torus numbered row by row, so the solvers
+        # sweep it by stencil, and its stencil fields equal the gathers
+        assert torus_grid(instance) is not None, f"{name} is not a row-major torus"
+        assert_stencil_fields_equal_gathers(instance, np.random.default_rng(1))
+    for name, instance in instances.items():
         payload, _ = _solution_payload(name)
         expected_digits = (instance.n + 3) // 4
         if len(payload) != expected_digits and not os.environ.get(

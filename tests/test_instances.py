@@ -16,6 +16,7 @@ from gsetbench.instances import (
     load_gset,
     parse_gset,
     parse_torus_name,
+    torus_grid,
     write_gset,
 )
 
@@ -437,6 +438,67 @@ def test_torus_deterministic_and_seed_sensitive():
 def test_torus_roundtrips_through_gset_text():
     inst = generate_torus(TorusSpec(3, 4, seed=2))
     assert parse_gset(write_gset(inst)) == inst
+
+
+def grid_weights(instance, rows, cols):
+    """(right_w, down_w) of a rows x cols torus numbered row by row, read
+    edge by edge from ``instance.edges``."""
+    weight = {frozenset((u - 1, v - 1)): w for u, v, w in instance.edges}
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    right = [weight[frozenset(pair)] for pair in zip(r * cols + c, r * cols + (c + 1) % cols)]
+    down = [weight[frozenset(pair)] for pair in zip(r * cols + c, (r + 1) % rows * cols + c)]
+    return np.reshape(right, (rows, cols)), np.reshape(down, (rows, cols))
+
+
+def test_torus_grid_recognises_every_generated_torus():
+    for rows in range(3, 9):
+        for cols in range(3, 9):
+            inst = generate_torus(TorusSpec(rows, cols, seed=rows * 10 + cols))
+            got_rows, got_cols, right_w, down_w = torus_grid(inst)
+            assert (got_rows, got_cols) == (rows, cols)
+            expected_right, expected_down = grid_weights(inst, rows, cols)
+            for got, expected in ((right_w, expected_right), (down_w, expected_down)):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected)
+
+
+def test_torus_grid_reads_edges_in_any_order(tmp_path):
+    # a gen-torus file, parsed, then its edges shuffled and about half
+    # given high end first: the grid is read from the edges, not the name
+    path = tmp_path / "t.txt"
+    assert main(["gen-torus", "6", "5", "--seed", "4", "-o", str(path)]) == 0
+    parsed = load_gset(path)
+    rng = np.random.default_rng(3)
+    shuffled = [(v, u, w) if rng.random() < 0.5 else (u, v, w)
+                for u, v, w in rng.permutation(np.array(parsed.edges)).tolist()]
+    inst = ProblemInstance(parsed.n, shuffled)
+    assert inst.eu.tolist() != parsed.eu.tolist()
+    for got, expected in zip(torus_grid(inst), torus_grid(generate_torus(TorusSpec(6, 5, 4)))):
+        assert np.array_equal(got, expected)
+
+
+def test_torus_grid_refuses_every_other_graph():
+    torus = generate_torus(TorusSpec(5, 6, seed=1))
+    edges = [list(edge) for edge in torus.edges]
+    rewired = [edge[:] for edge in edges]
+    rewired[0][1] = 15  # vertex 1's right edge now ends mid-grid
+    # a double edge swap keeps every degree 4: (a, b), (c, d) -> (a, d), (c, b)
+    swapped = [edge[:] for edge in edges]
+    swapped[20][1], swapped[40][1] = swapped[40][1], swapped[20][1]
+    n = torus.n
+    helical = [(v, v % n + 1, 1) for v in range(1, n + 1)]
+    helical += [(v, (v + 5) % n + 1, 1) for v in range(1, n + 1)]
+    graphs = [
+        ProblemInstance(n, rewired),
+        ProblemInstance(n, edges[:-1]),  # m = 2n - 1
+        ProblemInstance(n, edges + [[1, 15, 1]]),  # m = 2n + 1
+        ProblemInstance(n, swapped),
+        ProblemInstance(n, helical),  # 4-regular, m = 2n, rows wrap into the next
+        ProblemInstance(1, []),
+    ]
+    for graph in graphs:
+        assert torus_grid(graph) is None
+    assert [len(nbrs) for nbrs in neighbour_lists(graphs[3])[1:]] == [4] * n
 
 
 def test_parse_torus_name():

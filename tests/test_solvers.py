@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_stencil_fields_equal_gathers,
     naive_cut,
     naive_flip_delta,
     neighbour_lists,
@@ -13,10 +14,17 @@ from conftest import (
     reference_splitmix64,
     weight_matrix,
 )
+from gsetbench import instances, solvers
 from gsetbench.campaign import read_log
 from gsetbench.codec import decode_hex
 from gsetbench.evaluate import cut_value, evaluate_solution
-from gsetbench.instances import ProblemInstance, TorusSpec, generate_torus, load_gset
+from gsetbench.instances import (
+    ProblemInstance,
+    TorusSpec,
+    generate_torus,
+    load_gset,
+    torus_grid,
+)
 from gsetbench.oracle import exact_max_cut
 from gsetbench.solvers import (
     ANNEALING,
@@ -24,7 +32,6 @@ from gsetbench.solvers import (
     KINDS,
     SolverConfig,
     _BYTE_DELTAS,
-    _parity_guess,
     _sweep_layout,
     _temperature,
     _thresholds,
@@ -246,11 +253,23 @@ def scaled_instance(rng, n, limit):
     return ProblemInstance(n, [(u, v, w * scale) for u, v, w in base.edges])
 
 
+def weighted_torus(rng, rows, cols, largest):
+    """A rows x cols torus numbered as ``generate_torus`` numbers it, its
+    weights nonzero integers of |w| up to largest / 4, and vertex 1's four
+    at largest / 4, so that its sum of |w|, ``largest``, is the largest."""
+    base = generate_torus(TorusSpec(rows, cols, seed=0))
+    size = rng.integers(1, largest // 4 + 1, size=base.m)
+    size[(base.eu == 0) | (base.ev == 0)] = largest // 4
+    weights = size * rng.choice((-1, 1), size=base.m)
+    return ProblemInstance(base.n, np.column_stack((base.eu + 1, base.ev + 1, weights)))
+
+
 def kernel_instances():
     """An even torus, the odd 4x5 torus, random graphs, one of them with
-    isolated vertices, and weighted graphs whose local fields need int8
+    isolated vertices, weighted graphs whose local fields need int8
     (largest sum of |w| at a vertex 127), int16 (128), int32 and int64
-    (absolute weights summing to just under 2^62)."""
+    (absolute weights summing to just under 2^62), and an even torus
+    whose fields need int16 (128)."""
     rng = np.random.default_rng(8)
     sparse = random_instance(rng, 10, edge_prob=0.25)
     return [
@@ -262,6 +281,7 @@ def kernel_instances():
         hub_instance(rng, 9, 128),
         scaled_instance(rng, 9, 2**31),
         scaled_instance(rng, 9, 2**62),
+        weighted_torus(rng, 6, 4, 128),
     ]
 
 
@@ -406,15 +426,22 @@ def test_best_spins_are_read_only_int8_rows():
 
 
 def test_integrity_guard_recomputes_every_trial_of_a_batch():
-    # corrupt one slot's cached weights: the kernel's incremental cuts
-    # then disagree with the cuts recomputed from the instance's edges
-    inst = generate_torus(TorusSpec(4, 4, seed=2))
-    _, classes, _ = _sweep_layout(inst)
+    # corrupt one class's cached weights, a weight plane of the even
+    # torus and a slot of the odd one: the kernel's incremental cuts then
+    # disagree with the cuts recomputed from the instance's edges
+    even = generate_torus(TorusSpec(4, 4, seed=2))
+    _, classes, _ = _sweep_layout(even)
+    _, _, planes = classes[0]
+    planes[0] *= 3
+    odd = generate_torus(TorusSpec(4, 5, seed=1000))
+    _, classes, _ = _sweep_layout(odd)
     _, _, slots = classes[0]
     _, _, weights = slots[0]
     weights *= 3
-    with pytest.raises(RuntimeError, match="internal cut accounting drifted from recomputation"):
-        run_trials(inst, default_config(ANNEALING, 5), range(6))
+    for inst in (even, odd):
+        with pytest.raises(RuntimeError,
+                           match="internal cut accounting drifted from recomputation"):
+            run_trials(inst, default_config(ANNEALING, 5), range(6))
 
 
 def test_batch_rejects_mixed_configs():
@@ -426,30 +453,6 @@ def test_batch_rejects_mixed_configs():
 # a path 1-3-4-2: bipartite, but vertex 2 is a second root, so 4 sees
 # both colours below it and takes a third
 SECOND_ROOT_PATH = ProblemInstance(4, [(1, 3, 1), (3, 4, 1), (2, 4, 1)])
-
-
-def test_parity_guess_holds_up_to_the_first_vertex_greedy_colours_otherwise():
-    # a row-major even torus is a checkerboard; an odd row count breaks
-    # parity at the last row's wrap, an odd column count at the first
-    # row's, and the 4x5 torus at (0, 4)
-    cases = [
-        (generate_torus(TorusSpec(6, 6, seed=3)), 36),
-        (generate_torus(TorusSpec(4, 8, seed=4)), 32),
-        (generate_torus(TorusSpec(100, 100, seed=1)), 10000),
-        (generate_torus(TorusSpec(101, 100, seed=3)), 10000),
-        (generate_torus(TorusSpec(100, 101, seed=3)), 100),
-        (generate_torus(TorusSpec(4, 5, seed=1003)), 4),
-        (SECOND_ROOT_PATH, 3),
-        (ProblemInstance(1, []), 1),
-    ]
-    for inst, expected in cases:
-        # v's lower-numbered neighbours, in edge order, as CSR rows
-        lower = inst.eu[np.argsort(inst.ev, kind="stable")]
-        lower_ptr = np.concatenate(([0], np.cumsum(np.bincount(inst.ev, minlength=inst.n))))
-        guess, checked = _parity_guess(lower, lower_ptr)
-        assert checked == expected
-        assert guess.shape == (inst.n,)
-        assert guess[:checked].tolist() == greedy_colouring(inst)[:checked]
 
 
 def test_colour_classes_partition_vertices_into_independent_sets():
@@ -501,22 +504,40 @@ def test_colour_classes_partition_vertices_into_independent_sets():
 
 def test_slot_weights_take_the_narrowest_field_dtype():
     # the weighted kernel instances' largest sums of |w| at a vertex are
-    # 127, 128, about 10^9 and about 2^61
-    expected = [np.int8] * 6 + [np.int16, np.int32, np.int64]
-    instances = [generate_torus(TorusSpec(100, 100, seed=1))] + kernel_instances()
-    for inst, dtype in zip(instances, expected, strict=True):
+    # 127, 128, about 10^9, about 2^61 and 128; the even tori (the first
+    # two and the last) carry weight planes, the others slots
+    expected = [np.int8] * 6 + [np.int16, np.int32, np.int64, np.int16]
+    graphs = [generate_torus(TorusSpec(100, 100, seed=1))] + kernel_instances()
+    even = {0, 1, len(graphs) - 1}
+    for i, (inst, dtype) in enumerate(zip(graphs, expected, strict=True)):
         _, classes, field = _sweep_layout(inst)
         assert field == dtype
-        assert {weights.dtype for _, _, slots in classes for _, _, weights in slots} == {
-            np.dtype(dtype)
-        }
+        if i in even:
+            rows, cols, _, _ = torus_grid(inst)
+            arrays = [planes for _, _, planes in classes]
+            assert {planes.shape for planes in arrays} == {(4, rows, cols // 2)}
+        else:
+            arrays = [weights for _, _, slots in classes for _, _, weights in slots]
+        assert {weights.dtype for weights in arrays} == {np.dtype(dtype)}
 
 
-def test_layout_is_built_once_by_the_solvers_only():
+def test_torus_stencil_fields_equal_the_gathered_fields():
+    rng = np.random.default_rng(5)
+    tori = [generate_torus(TorusSpec(rows, cols, seed=rows + cols))
+            for rows in (4, 6, 8) for cols in (4, 6, 10)]
+    for inst in tori + [weighted_torus(rng, 6, 4, 128), weighted_torus(rng, 4, 8, 2**20)]:
+        assert_stencil_fields_equal_gathers(inst, rng, batches=(1, 3, 8, 26))
+
+
+def test_layout_is_built_once_by_the_solvers_only(monkeypatch):
     inst = generate_torus(TorusSpec(5, 5, seed=9))
     spins = random_config(np.random.default_rng(1), inst.n)
-    evaluate_solution(inst, spins)
-    cut_value(inst, spins)
+    # checking a solution reads no grid either
+    with monkeypatch.context() as patch:
+        for module in (instances, solvers):
+            patch.setattr(module, "torus_grid", lambda *a: pytest.fail("the grid was read"))
+        evaluate_solution(inst, spins)
+        cut_value(inst, spins)
     assert inst._sweep_layout is None
     run_trial(inst, default_config(GREEDY, 3), 1)
     layout = inst._sweep_layout
