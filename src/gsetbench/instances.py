@@ -364,10 +364,13 @@ def torus_grid(instance: ProblemInstance):
     # an edge belongs to the cell it leaves rightward or downward: its
     # lower end unless it wraps from the last column or the last row.
     # With rows, cols >= 3 the four gaps 1, cols - 1, cols and
-    # (rows - 1) cols are distinct, so no edge is both.
-    gap, column = ev - eu, eu % cols
-    right_wrap = (gap == cols - 1) & (column == 0)
-    right = right_wrap | ((gap == 1) & (column != cols - 1))
+    # (rows - 1) cols are distinct, so no edge is both. side[v] is -1 in
+    # the first column, 1 in the last and 0 elsewhere.
+    side = np.zeros((rows, cols), dtype=np.int8)
+    side[:, 0], side[:, -1] = -1, 1
+    gap, eu_side = ev - eu, np.take(side, eu)
+    right_wrap = (gap == cols - 1) & (eu_side == -1)
+    right = right_wrap | ((gap == 1) & (eu_side != 1))
     down_wrap = gap == (rows - 1) * cols
     if not (right | down_wrap | (gap == cols)).all():
         return None

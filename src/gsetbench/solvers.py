@@ -26,7 +26,12 @@ word c of the trial with seed s is output c + 1 of the SplitMix64
 stream seeded at s (Steele, Lea and Flood, "Fast Splittable
 Pseudorandom Number Generators", OOPSLA 2014), which ``splitmix64``
 computes for whole arrays of seeds and counters. Initial spin v
-(0-based) is +1 exactly when bit 63 of word v is set. At annealing
+(0-based) is +1 exactly when bit 63 of word v is set. The mix's last
+step, z ^= z >> 31, leaves bit 63 as it is, so the initial draw stops
+before it and reads bit 63 as the int64 sign. It draws the words in
+blocks of at most 2^13 (64 KB) through one scratch array: glibc's
+malloc may map a temporary of 128 KB or more afresh on each call, and
+then each of its pages costs a page fault. At annealing
 sweep t (0-based), vertex v's uniform is x 2^-53 with x = word
 (t + 1) n + v >> 11, numpy's own 53-bit construction of a double in
 [0, 1); each colour class computes its own words from its vertex ids.
@@ -74,6 +79,9 @@ DEFAULT_TEMP_END = 0.05
 # SplitMix64's increment γ and its output mix's two multipliers
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 SPLITMIX_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+# the initial spins' words are drawn in blocks of at most this many
+_DRAW_BLOCK = 2**13
 
 # campaign worker threads share instances; one of them builds the layout
 _LAYOUT_LOCK = threading.Lock()
@@ -150,12 +158,43 @@ def splitmix64(seeds, counters) -> np.ndarray:
     """
     z = np.add.outer(np.asarray(seeds, dtype=np.uint64),
                      (np.asarray(counters, dtype=np.uint64) + 1) * SPLITMIX_GAMMA)
-    z ^= z >> 30
-    z *= SPLITMIX_MULTIPLIERS[0]
-    z ^= z >> 27
-    z *= SPLITMIX_MULTIPLIERS[1]
+    _premix(z)
     z ^= z >> 31
     return z
+
+
+def _premix(z: np.ndarray) -> None:
+    """SplitMix64's output mix of the uint64 states ``z``, in place, but
+    for its last step ``z ^= z >> 31``, which leaves bit 63 as it is."""
+    for shift, multiplier in zip((30, 27), SPLITMIX_MULTIPLIERS):
+        z ^= z >> shift
+        z *= multiplier
+
+
+def _initial_spins(seeds: np.ndarray, n: int) -> np.ndarray:
+    """(len(seeds), n) C-contiguous int8 array of the initial +-1 spins
+    of the trials seeded at ``seeds``, a uint64 array, drawn block by
+    block (see the module docstring)."""
+    batch = len(seeds)
+    spins = np.empty((batch, n), dtype=np.int8)
+    width = min(n, _DRAW_BLOCK)
+    height = _DRAW_BLOCK // width
+    steps = (np.arange(width, dtype=np.uint64) + 1) * SPLITMIX_GAMMA
+    scratch = np.empty(height * width, dtype=np.uint64)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        # word lo + c's state is (s + lo γ) + (c + 1) γ
+        offset = lo * SPLITMIX_GAMMA % 2**64
+        for top in range(0, batch, height):
+            bottom = min(top + height, batch)
+            z = scratch[:(bottom - top) * (hi - lo)].reshape(bottom - top, hi - lo)
+            np.add.outer(seeds[top:bottom] + offset, steps[:hi - lo], out=z)
+            _premix(z)
+            block = spins[top:bottom, lo:hi]
+            np.less(z.view(np.int64), 0, out=block.view(np.bool_))
+            block *= 2
+            block -= 1
+    return spins
 
 
 def _temperature(config: SolverConfig, sweep_index: int) -> float:
@@ -267,22 +306,31 @@ def _torus_layout(rows: int, cols: int, right_w: np.ndarray, down_w: np.ndarray)
     the checkerboard; all degrees are 4, so each class stays in vertex
     order.
     """
-    # a cell's sum of |w| over its right, left, down and up edges
-    right_size, down_size = np.abs(right_w), np.abs(down_w)
-    size = right_size + np.roll(right_size, 1, axis=1) + down_size + np.roll(down_size, 1, axis=0)
+    # left_w[r, c] and up_w[r, c] are the weights of the edges from
+    # (r, c - 1) and (r - 1, c), wrapping
+    left_w, up_w = np.roll(right_w, 1, axis=1), np.roll(down_w, 1, axis=0)
+    size = np.abs(right_w) + np.abs(left_w) + np.abs(down_w) + np.abs(up_w)
     field = _field_dtype(int(size.max()))
-    r, j = np.indices((rows, cols // 2))
-    half = r.size
-    cells, classes = [], []
+    # [r, j, b] of each is cell (r, 2j + b)'s entry
+    half = cols // 2
+    cells, right, left, down, up = (a.reshape(rows, half, 2) for a in (
+        np.arange(rows * cols), right_w, left_w, down_w, up_w))
+    order = np.empty((2, rows, half), dtype=np.int64)
+    classes = []
     for k in (0, 1):
-        # class k's entry (r, j) is cell (r, c); odd where c = 2j + 1.
-        # Index -1 wraps to the last column or row.
-        odd = (r + k) % 2
-        c = 2 * j + odd
-        planes = (right_w[r, 2 * j], right_w[r, c + odd - 1], down_w[r, c], down_w[r - 1, c])
-        cells.append(r * cols + c)
-        classes.append((k * half, (k + 1) * half, np.stack(planes).astype(field)))
-    return np.stack(cells).ravel(), tuple(classes), field
+        planes = np.empty((4, rows, half), dtype=field)
+        # class k holds the cells (r, 2j) of the rows r = k mod 2 and the
+        # cells (r, 2j + 1) of the others; its beside edge is the left
+        # edge of the first and the right edge of the second
+        for b, beside in ((0, left), (1, right)):
+            r = slice((k + b) % 2, None, 2)
+            order[k, r] = cells[r, :, b]
+            planes[0, r] = right[r, :, 0]
+            planes[1, r] = beside[r, :, b]
+            planes[2, r] = down[r, :, b]
+            planes[3, r] = up[r, :, b]
+        classes.append((k * rows * half, (k + 1) * rows * half, planes))
+    return order.ravel(), tuple(classes), field
 
 
 def _thresholds(delta: np.ndarray, temp: float) -> np.ndarray:
@@ -347,10 +395,7 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
     # int8 fields bound |delta| by 127, so a delta's byte indexes a table
     byte_deltas = field == np.int8
 
-    # spin v starts at +1 exactly when bit 63 of word v is set
-    initial = (splitmix64(seeds, np.arange(n)) >> 63).astype(np.int8)
-    initial *= 2
-    initial -= 1
+    initial = _initial_spins(seeds, n)
     current = cut_values(instance, initial)
     # spins[r, p] is trial r's spin at position p; np.take keeps the rows
     # C-contiguous, where initial[:, order] would come out column-major

@@ -94,6 +94,32 @@ def deterministic_fields(summary):
     )
 
 
+def reference_torus_layout(rows, cols, right_w, down_w):
+    """An even torus's sweep layout, ``(order, classes, field)``, built
+    cell by cell from its definition in ``solvers._sweep_layout``: class k
+    holds the cells (r, c) with r + c = k mod 2 in vertex order, and its
+    entry (r, c // 2) carries the weights of the cell's edges to the pair
+    cell (r, c xor 1), to the other side, down and up."""
+    right_w, down_w = np.asarray(right_w).tolist(), np.asarray(down_w).tolist()
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    largest = max(abs(right_w[r][c]) + abs(right_w[r][c - 1]) + abs(down_w[r][c])
+                  + abs(down_w[r - 1][c]) for r, c in cells)
+    field = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if largest <= np.iinfo(t).max)
+    order, classes = [], []
+    for k in (0, 1):
+        lo = len(order)
+        planes = np.zeros((4, rows, cols // 2), dtype=field)
+        for r, c in cells:
+            if (r + c) % 2 == k:
+                order.append(r * cols + c)
+                beside = right_w[r][c] if c % 2 else right_w[r][c - 1]
+                planes[:, r, c // 2] = (right_w[r][c - c % 2], beside, down_w[r][c],
+                                        down_w[r - 1][c])
+        classes.append((lo, len(order), planes))
+    return np.array(order, dtype=np.int64), tuple(classes), field
+
+
 def assert_stencil_fields_equal_gathers(instance, rng, batches=(1, 3, 8)):
     """The solvers lay ``instance`` out as an even torus, and each class's
     stencil fields equal those gathered through the slot layout, built

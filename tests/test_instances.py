@@ -485,6 +485,13 @@ def test_torus_grid_refuses_every_other_graph():
     # a double edge swap keeps every degree 4: (a, b), (c, d) -> (a, d), (c, b)
     swapped = [edge[:] for edge in edges]
     swapped[20][1], swapped[40][1] = swapped[40][1], swapped[20][1]
+    # row 2's wrap edge (7, 12), of gap cols - 1, moved to start in the
+    # second column, then to run on from the last column into row 3
+    wrap = next(i for i, edge in enumerate(edges) if edge[:2] == [7, 12])
+    shifted_wrap = [edge[:] for edge in edges]
+    shifted_wrap[wrap][:2] = [8, 13]
+    run_on = [edge[:] for edge in edges]
+    run_on[wrap][:2] = [12, 13]
     n = torus.n
     helical = [(v, v % n + 1, 1) for v in range(1, n + 1)]
     helical += [(v, (v + 5) % n + 1, 1) for v in range(1, n + 1)]
@@ -495,6 +502,8 @@ def test_torus_grid_refuses_every_other_graph():
         ProblemInstance(n, swapped),
         ProblemInstance(n, helical),  # 4-regular, m = 2n, rows wrap into the next
         ProblemInstance(1, []),
+        ProblemInstance(n, shifted_wrap),  # gap cols - 1 outside the first column
+        ProblemInstance(n, run_on),  # gap 1 out of the last column
     ]
     for graph in graphs:
         assert torus_grid(graph) is None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     random_config,
     random_instance,
     reference_splitmix64,
+    reference_torus_layout,
     weight_matrix,
 )
 from gsetbench import instances, solvers
@@ -32,9 +34,11 @@ from gsetbench.solvers import (
     KINDS,
     SolverConfig,
     _BYTE_DELTAS,
+    _initial_spins,
     _sweep_layout,
     _temperature,
     _thresholds,
+    _torus_layout,
     default_config,
     run_trial,
     run_trials,
@@ -106,6 +110,32 @@ def test_splitmix64_reference_vectors():
         9817491932198370423,
     ]
     assert len(set(splitmix64([42], range(1000))[0].tolist())) == 1000
+
+
+@pytest.mark.parametrize("batch, n", [(1, 1), (3, 2**13 - 1), (3, 2**13), (2, 2**13 + 1),
+                                      (2, 20000), (400, 20), (26, 10000)])
+def test_initial_spins_are_the_top_bits_of_the_stream_words(batch, n):
+    # the block draw, on shapes at and across its block bounds, with the
+    # last seed at 2^64 - 1 so that each block's seed offset wraps
+    seeds = np.random.default_rng(n).integers(2**64, size=batch, dtype=np.uint64)
+    seeds[-1] = 2**64 - 1
+    spins = _initial_spins(seeds, n)
+    assert spins.dtype == np.int8 and spins.flags.c_contiguous
+    expected = (splitmix64(seeds, np.arange(n)) >> 63).astype(np.int8) * 2 - 1
+    assert np.array_equal(spins, expected)
+
+
+def test_initial_draw_keeps_its_temporaries_small():
+    # the words are drawn block by block, so the peak stays far below the
+    # (R, n) uint64 array of all of them, 2 MB here
+    seeds = np.arange(26, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        spins = _initial_spins(seeds, 10000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < spins.nbytes + 256 * 1024
 
 
 def test_default_config_fills_annealing_schedule():
@@ -519,6 +549,24 @@ def test_slot_weights_take_the_narrowest_field_dtype():
         else:
             arrays = [weights for _, _, slots in classes for _, _, weights in slots]
         assert {weights.dtype for weights in arrays} == {np.dtype(dtype)}
+
+
+def test_torus_layout_equals_the_cell_by_cell_reference():
+    rng = np.random.default_rng(6)
+    tori = [generate_torus(TorusSpec(rows, cols, seed=rows * cols))
+            for rows, cols in ((4, 4), (4, 6), (6, 4), (100, 100))]
+    for inst in tori + [weighted_torus(rng, 6, 8, 128)]:
+        order, classes, field = _torus_layout(*torus_grid(inst))
+        expected_order, expected_classes, expected_field = reference_torus_layout(
+            *torus_grid(inst))
+        assert field == expected_field
+        assert order.dtype == np.int64 and np.array_equal(order, expected_order)
+        for (lo, hi, planes), (expected_lo, expected_hi, expected_planes) in zip(
+                classes, expected_classes, strict=True):
+            assert (lo, hi) == (expected_lo, expected_hi)
+            assert planes.dtype == field
+            assert np.array_equal(planes, expected_planes)
+    assert field == np.int16
 
 
 def test_torus_stencil_fields_equal_the_gathered_fields():
