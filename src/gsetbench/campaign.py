@@ -15,9 +15,10 @@ finished trial appends one self-describing key=value line to the log,
 ending in ``format=3``, and the stream is flushed per batch, so a
 crashed campaign can be resumed from whatever records made it to disk;
 a report and a resume read and check it by one rule, in which only a
-terminated line is a record. ``trial_record`` is the one place a record
-is made from a finished trial, for campaigns and single ``solve`` runs
-alike, and it rounds the wall time to the value its line holds, so a
+terminated line is a record. ``trial_records`` is the one place records
+are made, a batch's at a time, for campaigns and single ``solve`` runs
+alike, and ``format_records`` the one place they are written. The batch
+builder rounds the wall time once to the value the lines hold, so a
 record reads back from its line unchanged and a campaign summarizes the
 records it wrote, as a later report of the log does. Summaries aggregate
 only order-insensitive quantities over the record set, which is what
@@ -34,7 +35,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from gsetbench.codec import encode_hex
 from gsetbench.instances import ProblemInstance, _ascii_float, _decimal, _read_utf8, check_seed
@@ -63,12 +67,16 @@ _MASK64 = (1 << 64) - 1
 _UNMIX_1, _UNMIX_2 = (pow(m, -1, 1 << 64) for m in SPLITMIX_MULTIPLIERS)
 
 
-def master_seed_of(seed: int, index: int) -> int:
+def master_seed_of(seed, index):
     """The master seed whose trial ``index`` gets ``seed``, the master
     seed m with ``splitmix64([m], [index])`` equal to ``seed``: it undoes
     that word's steps (an addition, xorshifts, products with odd
     constants), each a bijection of 64-bit words. A right xorshift by
     s >= 22 is undone by xoring in the word shifted by s and 2s.
+
+    ``seed`` and ``index`` are ints, or uint64 arrays, whose arithmetic
+    wraps modulo 2^64 and makes the mask a no-op, for a record set's
+    master seeds in one pass.
     """
     z = ((seed ^ (seed >> 31) ^ (seed >> 62)) * _UNMIX_2) & _MASK64
     z = ((z ^ (z >> 27) ^ (z >> 54)) * _UNMIX_1) & _MASK64
@@ -142,28 +150,37 @@ def check_loggable(instance_name: str) -> None:
         raise ValueError(f"instance name {instance_name!r} not loggable")
 
 
+def format_records(records) -> str:
+    """The log lines of ``records``, each ending in a newline. The words
+    of a record's campaign but its master seed, and its wall time, are
+    formatted once for each run of records sharing them, as a batch's
+    records share one instance name, solver config and wall time."""
+    lines = []
+    instance = solver = wall = None
+    for r in records:
+        if r.wall_time_s is not wall:
+            wall = r.wall_time_s
+            wall_text = f"{wall:.6e}"
+        if r.instance is not instance or r.solver is not solver:
+            instance, solver = r.instance, r.solver
+            check_loggable(instance)
+            words = f"instance={instance} kind={solver.kind} sweeps={solver.sweeps}"
+            temps = ""
+            if solver.temp_start is not None:
+                temps += f" temp_start={solver.temp_start!r}"
+            if solver.temp_end is not None:
+                temps += f" temp_end={solver.temp_end!r}"
+        spins = "" if r.spins_hex is None else f" spins={r.spins_hex}"
+        # format last, so that a record cut short anywhere lacks it
+        lines.append(f"index={r.index} {words} seed={r.seed} best_cut={r.best_cut} "
+                     f"sweeps_executed={r.sweeps_executed} wall_time_s={wall_text}"
+                     f"{temps}{spins} format={LOG_FORMAT}\n")
+    return "".join(lines)
+
+
 def format_record(record: TrialRecord) -> str:
-    check_loggable(record.instance)
-    solver = record.solver
-    parts = [
-        f"index={record.index}",
-        f"instance={record.instance}",
-        f"kind={solver.kind}",
-        f"sweeps={solver.sweeps}",
-        f"seed={record.seed}",
-        f"best_cut={record.best_cut}",
-        f"sweeps_executed={record.sweeps_executed}",
-        f"wall_time_s={record.wall_time_s:.6e}",
-    ]
-    if solver.temp_start is not None:
-        parts.append(f"temp_start={solver.temp_start!r}")
-    if solver.temp_end is not None:
-        parts.append(f"temp_end={solver.temp_end!r}")
-    if record.spins_hex is not None:
-        parts.append(f"spins={record.spins_hex}")
-    # last, so that a record cut short anywhere lacks it
-    parts.append(f"format={LOG_FORMAT}")
-    return " ".join(parts)
+    """The log line of ``record``, without its newline."""
+    return format_records([record])[:-1]
 
 
 _REQUIRED_FIELDS = ("index", "instance", "kind", "sweeps", "seed", "best_cut",
@@ -273,12 +290,17 @@ class CampaignSummary:
 def _check_records(records, campaign: tuple, num_trials: int | None = None) -> None:
     """Refuse records that are not trials of one ``campaign``, each once:
     a record of another campaign, a repeated trial index, or, given
-    ``num_trials``, an index past it."""
+    ``num_trials``, an index past it. The master seeds are recovered in
+    one pass; the first record at fault is named."""
+    # an index is taken modulo 2^64, as the scalar inversion takes it
+    masters = master_seed_of(np.array([r.seed for r in records], dtype=np.uint64),
+                             np.array([r.index & _MASK64 for r in records], dtype=np.uint64))
     seen = set()
-    for r in records:
-        if r.campaign != campaign:
+    for r, master_seed in zip(records, masters.tolist()):
+        ran = (r.instance, r.solver, master_seed)
+        if ran != campaign:
             raise ValueError(f"records mix campaigns: trial {r.index} ran "
-                             f"{_campaign_text(r.campaign)}, not {_campaign_text(campaign)}")
+                             f"{_campaign_text(ran)}, not {_campaign_text(campaign)}")
         if r.index in seen:
             raise ValueError(f"duplicate trial index {r.index}")
         if num_trials is not None and r.index >= num_trials:
@@ -331,26 +353,28 @@ def summarize(records, targets=()) -> CampaignSummary:
     )
 
 
-def trial_record(
-    index: int,
+def trial_records(
     instance_name: str,
     solver: SolverConfig,
-    seed: int,
-    result: TrialResult,
-    include_spins: bool,
-) -> TrialRecord:
-    """The log record of one finished trial, with its best spins if asked;
-    its wall time is rounded as its log line writes it."""
-    return TrialRecord(
-        index=index,
-        instance=instance_name,
-        solver=solver,
-        seed=seed,
-        best_cut=result.best_cut,
-        sweeps_executed=result.sweeps_executed,
-        wall_time_s=float(f"{result.wall_time_s:.6e}"),
-        spins_hex=encode_hex(result.best_spins) if include_spins else None,
-    )
+    indices,
+    seeds,
+    best_cuts,
+    sweeps_executed,
+    wall_time_s: float,
+    best_spins=None,
+) -> list[TrialRecord]:
+    """The log records of a batch of finished trials of ``solver`` on the
+    instance ``instance_name``: trial ``indices[i]`` ran under ``seeds[i]``
+    and found ``best_cuts[i]`` in ``sweeps_executed[i]`` sweeps. They hold
+    the rows of ``best_spins`` if given. The batch's wall time per trial
+    is rounded once, as the log lines write it."""
+    wall = float(f"{wall_time_s:.6e}")
+    spins = repeat(None) if best_spins is None else map(encode_hex, best_spins)
+    return [
+        TrialRecord(index, instance_name, solver, seed, cut, executed, wall, spins_hex)
+        for index, seed, cut, executed, spins_hex in zip(indices, seeds, best_cuts,
+                                                         sweeps_executed, spins)
+    ]
 
 
 def _run_batch(
@@ -359,12 +383,11 @@ def _run_batch(
     indices: list[int],
     include_spins: bool,
 ) -> list[TrialRecord]:
-    seeds = splitmix64([config.master_seed], indices)[0].tolist()
-    results = run_trials(instance, config.solver, seeds)
-    return [
-        trial_record(i, instance.name, config.solver, seed, result, include_spins)
-        for i, seed, result in zip(indices, seeds, results)
-    ]
+    seeds = splitmix64([config.master_seed], indices)[0]
+    batch = run_trials(instance, config.solver, seeds)
+    return trial_records(instance.name, config.solver, indices, seeds.tolist(),
+                         batch.best_cuts.tolist(), batch.sweeps_executed.tolist(),
+                         batch.wall_time_s, batch.best_spins if include_spins else None)
 
 
 def _batches(pending: list[int], n: int, workers: int) -> list[list[int]]:
@@ -430,7 +453,7 @@ def run_campaign(
             pool = ThreadPoolExecutor(max_workers=workers)
         for batch in (pool.map if pool else map)(run, batches):
             if log is not None:
-                log.write("".join(format_record(record) + "\n" for record in batch))
+                log.write(format_records(batch))
                 log.flush()
             # each record reads back from its line unchanged, so a later
             # report of the log reproduces this summary bit for bit

@@ -188,9 +188,10 @@ def cmd_solve(args) -> int:
     # refuse a name the record cannot hold before the trial runs
     campaign_mod.check_loggable(instance.name)
     result = run_trial(instance, config, args.seed)
-    record = campaign_mod.trial_record(0, instance.name, config, args.seed, result,
-                                       args.include_spins)
-    print(campaign_mod.format_record(record))
+    records = campaign_mod.trial_records(
+        instance.name, config, [0], [args.seed], [result.best_cut], [result.sweeps_executed],
+        result.wall_time_s, [result.best_spins] if args.include_spins else None)
+    sys.stdout.write(campaign_mod.format_records(records))
     return 0
 
 

@@ -35,6 +35,8 @@ then each of its pages costs a page fault. At annealing
 sweep t (0-based), vertex v's uniform is x 2^-53 with x = word
 (t + 1) n + v >> 11, numpy's own 53-bit construction of a double in
 [0, 1); each colour class computes its own words from its vertex ids.
+An annealing batch computes them, and the other arrays of its size
+that a sweep writes, in arrays it allocates once.
 Greedy draws nothing after the initial spins. A trial is therefore a
 deterministic function of (instance, config, seed), whatever batch it
 runs in, and greedy with a longer budget only extends the same
@@ -147,6 +149,31 @@ class TrialResult:
     wall_time_s: float
 
 
+@dataclass(frozen=True, eq=False)
+class TrialBatch:
+    """The outcome of a batch of trials, row i being trial i's: int64
+    ``best_cuts`` and ``sweeps_executed``, the read-only (R, n) int8
+    ``best_spins`` in vertex order, and the wall time per trial.
+
+    It is also the sequence of the trials' ``TrialResult``s, each made
+    when it is read."""
+
+    best_cuts: np.ndarray
+    best_spins: np.ndarray
+    sweeps_executed: np.ndarray
+    wall_time_s: float
+
+    def __len__(self) -> int:
+        return len(self.best_cuts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return TrialResult(best_cut=int(self.best_cuts[i]), best_spins=self.best_spins[i],
+                           sweeps_executed=int(self.sweeps_executed[i]),
+                           wall_time_s=self.wall_time_s)
+
+
 def splitmix64(seeds, counters) -> np.ndarray:
     """(len(seeds), len(counters)) uint64 array of stream words: entry
     (i, j) is word ``counters[j]`` of the stream seeded at ``seeds[i]``,
@@ -163,11 +190,12 @@ def splitmix64(seeds, counters) -> np.ndarray:
     return z
 
 
-def _premix(z: np.ndarray) -> None:
+def _premix(z: np.ndarray, shifted: np.ndarray | None = None) -> None:
     """SplitMix64's output mix of the uint64 states ``z``, in place, but
-    for its last step ``z ^= z >> 31``, which leaves bit 63 as it is."""
+    for its last step ``z ^= z >> 31``, which leaves bit 63 as it is;
+    the shifted states go to ``shifted`` if given."""
     for shift, multiplier in zip((30, 27), SPLITMIX_MULTIPLIERS):
-        z ^= z >> shift
+        z ^= np.right_shift(z, shift, out=shifted)
         z *= multiplier
 
 
@@ -345,31 +373,44 @@ def _thresholds(delta: np.ndarray, temp: float) -> np.ndarray:
     return np.ceil(k, out=k).astype(np.uint64)
 
 
-def _local_fields(spins: np.ndarray, lo: int, hi: int, weights, field) -> np.ndarray:
+def _stencil_arrays(batch: int, plane: np.ndarray, spin_dtype) -> tuple:
+    """The fields, a product, the padded other half and its beside
+    neighbours, for an even torus's classes, whose planes are all of
+    ``plane``'s shape and dtype."""
+    rows, width = plane.shape
+    shape = (batch, rows, width)
+    return (np.empty(shape, plane.dtype), np.empty(shape, plane.dtype),
+            np.empty((batch, rows + 2, width), spin_dtype), np.empty(shape, spin_dtype))
+
+
+def _local_fields(spins: np.ndarray, lo: int, hi: int, weights, field,
+                  stencil: tuple | None = None) -> np.ndarray:
     """(R, hi - lo) array of sum_j w_vj * s_j at positions lo:hi, of
     dtype ``field``, from the class's ``weights`` (see ``_sweep_layout``):
     an even torus's planes by slices of the other half, slots by gathers.
+    An even torus writes into ``stencil`` if given, four arrays from
+    ``_stencil_arrays``, and into new ones otherwise.
     """
     batch = len(spins)
     if isinstance(weights, np.ndarray):
         same, beside_w, down, up = weights
         rows, width = same.shape
+        fields, product, padded, beside = stencil or _stencil_arrays(batch, same, spins.dtype)
         # class 0 comes first and holds cell (0, 0), so its entries are
         # the even cells of their pairs on the even rows
         k = int(lo > 0)
         other = (spins[:, :lo] if k else spins[:, hi:]).reshape(batch, rows, width)
-        fields = other * same
+        np.multiply(other, same, out=fields)
         # row r of other is row r + 1 of padded, which wraps at both ends
-        padded = np.concatenate((other[:, -1:], other, other[:, :1]), axis=1)
-        fields += padded[:, 2:] * down
-        fields += padded[:, :-2] * up
-        beside = np.empty_like(other)
+        np.concatenate((other[:, -1:], other, other[:, :1]), axis=1, out=padded)
+        fields += np.multiply(padded[:, 2:], down, out=product)
+        fields += np.multiply(padded[:, :-2], up, out=product)
         left, right = slice(k, None, 2), slice(1 - k, None, 2)
         beside[:, left, 1:] = other[:, left, :-1]
         beside[:, left, 0] = other[:, left, -1]
         beside[:, right, :-1] = other[:, right, 1:]
         beside[:, right, -1] = other[:, right, 0]
-        fields += beside * beside_w
+        fields += np.multiply(beside, beside_w, out=product)
         return fields.reshape(batch, hi - lo)
     fields = np.zeros((batch, hi - lo), dtype=field)
     for count, neighbours, slot_weights in weights:
@@ -377,65 +418,87 @@ def _local_fields(spins: np.ndarray, lo: int, hi: int, weights, field) -> np.nda
     return fields
 
 
-def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[TrialResult]:
-    """Run one trial of ``config`` per seed, as one batch.
-
-    Trial i's result depends on (instance, config, seeds[i]) alone, not
-    on the batch; each result's wall time is the batch's divided by its
-    size. Every seed must be an integer of one 64-bit word, and all are
-    checked before any trial runs.
-    """
-    start = time.perf_counter()
-    seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
-    if not seeds.size:
-        raise ValueError("a batch needs at least one trial")
-    order, classes, field = _sweep_layout(instance)
-    n, batch = instance.n, len(seeds)
-    annealing = config.kind == ANNEALING
+def _anneal(spins, current, best, best_spins, seeds, config, layout) -> None:
+    """Run a batch's annealing sweeps, updating its spins, cuts, best cuts
+    and best spins in place. The arrays of the batch's size that a sweep
+    writes are allocated once, before the first sweep; only a slot
+    class's fields and the thresholds of fields wider than int8 are not."""
+    order, classes, field = layout
+    batch, n = spins.shape
     # int8 fields bound |delta| by 127, so a delta's byte indexes a table
     byte_deltas = field == np.int8
+    # each class's arrays are C-contiguous views of the heads of flat
+    # buffers that the classes share, and an even torus's two classes
+    # share one set of stencil arrays
+    size = batch * max(hi - lo for lo, hi, _ in classes)
+    words, shifts, limits = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    accepts = np.empty(size, dtype=bool)
+    steps = []
+    for lo, hi, weights in classes:
+        # sweep t draws word (t + 1) n + v for vertex v, whose state is
+        # s + (v + 1) γ + (t + 1) n γ: a class's base plus one offset
+        base = (order[lo:hi].astype(np.uint64) + 1) * SPLITMIX_GAMMA
+        steps.append((lo, hi, weights, base, *(
+            buffer[:batch * (hi - lo)].reshape(batch, hi - lo)
+            for buffer in (words, shifts, limits, accepts))))
+    planes = classes[0][2]
+    stencil = (_stencil_arrays(batch, planes[0], spins.dtype)
+               if isinstance(planes, np.ndarray) else None)
+    gathered = np.empty_like(spins)
+    for sweep in range(config.sweeps):
+        temp = _temperature(config, sweep)
+        if byte_deltas:
+            table = _thresholds(_BYTE_DELTAS, temp)
+        offset = seeds + (sweep + 1) * n * SPLITMIX_GAMMA % 2**64
+        for lo, hi, weights, base, x, shifted, limit, accept in steps:
+            block = spins[:, lo:hi]
+            delta = _local_fields(spins, lo, hi, weights, field, stencil)
+            delta *= block
+            # the word's top 53 bits x make the uniform x 2^-53 in [0, 1)
+            np.add(offset[:, None], base, out=x)
+            _premix(x, shifted)
+            x ^= np.right_shift(x, 31, out=shifted)
+            x >>= 11
+            if byte_deltas:
+                # the byte, not the signed delta, is the cheap index; it
+                # takes the spent shifted words' place
+                index = shifted.view(np.intp)
+                np.copyto(index, delta.view(np.uint8))
+                np.less(x, np.take(table, index, mode="wrap", out=limit), out=accept)
+            else:
+                np.less(x, _thresholds(delta, temp), out=accept)
+            current += np.multiply(delta, accept, out=delta).sum(axis=1)
+            # -1 = 0b1...11 and +1 = 0b0...01 differ in every bit but the
+            # lowest, so xor with -2 flips a spin and xor with 0 keeps it
+            flip = accept.view(np.int8)
+            block ^= np.multiply(flip, -2, out=flip)
+            improved = np.flatnonzero(current > best)
+            if len(improved):
+                best[improved] = current[improved]
+                # mode="wrap" lets np.take gather straight into its out=
+                best_spins[improved] = np.take(spins, improved, axis=0, mode="wrap",
+                                               out=gathered[:len(improved)])
 
-    initial = _initial_spins(seeds, n)
-    current = cut_values(instance, initial)
-    # spins[r, p] is trial r's spin at position p; np.take keeps the rows
-    # C-contiguous, where initial[:, order] would come out column-major
-    spins = np.take(initial, order, axis=1)
-    # trial i's best state so far; greedy only climbs, so its best is the
-    # state it stops in, written when it stops and at the end of the batch
-    best, best_spins = current.copy(), spins.copy()
+
+def _climb(spins, current, best, best_spins, config, layout) -> np.ndarray:
+    """Run a batch's greedy sweeps, writing each trial's best cut and best
+    spins when it stops; returns the sweeps each trial executed."""
+    _, classes, field = layout
+    batch = len(spins)
     sweeps_executed = np.full(batch, config.sweeps, dtype=np.int64)
     # batch rows of the trials still sweeping: a greedy trial stops
     # after a sweep without a flip
     live = np.arange(batch)
-
     for sweep in range(config.sweeps):
-        if annealing:
-            temp = _temperature(config, sweep)
-            if byte_deltas:
-                table = _thresholds(_BYTE_DELTAS, temp)
         flipped = np.zeros(len(live), dtype=bool)
         for lo, hi, weights in classes:
             block = spins[:, lo:hi]
             delta = block * _local_fields(spins, lo, hi, weights, field)
-            if annealing:
-                # sweep t draws word (t + 1) n + v for vertex v, and its
-                # top 53 bits x make the uniform x 2^-53 in [0, 1)
-                x = splitmix64(seeds, order[lo:hi] + (sweep + 1) * n)
-                x >>= 11
-                # the byte, not the signed delta, is the cheap index
-                accept = x < (np.take(table, delta.view(np.uint8)) if byte_deltas
-                              else _thresholds(delta, temp))
-            else:
-                accept = delta > 0
-                flipped |= accept.any(axis=1)
+            accept = delta > 0
+            flipped |= accept.any(axis=1)
             block *= 1 - 2 * accept.view(np.int8)
             current += (delta * accept).sum(axis=1)
-            if annealing:
-                improved = current > best
-                if improved.any():
-                    best[improved] = current[improved]
-                    best_spins[improved] = spins[improved]
-        if not annealing and not flipped.all():
+        if not flipped.all():
             done = ~flipped
             best[live[done]] = current[done]
             best_spins[live[done]] = spins[done]
@@ -443,8 +506,39 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
             live, spins, current = live[flipped], spins[flipped], current[flipped]
             if not len(live):
                 break
-    if not annealing:
-        best[live], best_spins[live] = current, spins
+    best[live], best_spins[live] = current, spins
+    return sweeps_executed
+
+
+def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> TrialBatch:
+    """Run one trial of ``config`` per seed, as one batch.
+
+    Trial i's outcome, row i of the batch, depends on (instance, config,
+    seeds[i]) alone, not on the batch; the wall time per trial is the
+    batch's divided by its size. Every seed must be an integer of one
+    64-bit word, and all are checked before any trial runs; a 1-D uint64
+    array holds nothing else and is taken as it is.
+    """
+    start = time.perf_counter()
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1):
+        seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
+    if not seeds.size:
+        raise ValueError("a batch needs at least one trial")
+    layout = order, _, _ = _sweep_layout(instance)
+
+    initial = _initial_spins(seeds, instance.n)
+    current = cut_values(instance, initial)
+    # spins[r, p] is trial r's spin at position p; np.take keeps the rows
+    # C-contiguous, where initial[:, order] would come out column-major
+    spins = np.take(initial, order, axis=1)
+    # trial i's best state so far; greedy only climbs, so its best is the
+    # state it stops in, written when it stops and at the end of the batch
+    best, best_spins = current.copy(), spins.copy()
+    if config.kind == ANNEALING:
+        _anneal(spins, current, best, best_spins, seeds, config, layout)
+        sweeps_executed = np.full(len(seeds), config.sweeps, dtype=np.int64)
+    else:
+        sweeps_executed = _climb(spins, current, best, best_spins, config, layout)
     by_vertex = np.empty_like(best_spins)
     by_vertex[:, order] = best_spins
     by_vertex.flags.writeable = False
@@ -452,11 +546,8 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> list[T
     # every trial's cut, recomputed from scratch in one pass
     if not np.array_equal(cut_values(instance, by_vertex), best):
         raise RuntimeError("internal cut accounting drifted from recomputation")
-    wall = (time.perf_counter() - start) / batch
-    return [
-        TrialResult(best_cut=cut, best_spins=row, sweeps_executed=executed, wall_time_s=wall)
-        for cut, row, executed in zip(best.tolist(), by_vertex, sweeps_executed.tolist())
-    ]
+    return TrialBatch(best_cuts=best, best_spins=by_vertex, sweeps_executed=sweeps_executed,
+                      wall_time_s=(time.perf_counter() - start) / len(seeds))
 
 
 def run_trial(instance: ProblemInstance, config: SolverConfig, seed: int) -> TrialResult:

@@ -81,6 +81,20 @@ def test_master_seed_of_inverts_splitmix64():
         assert master_seed_of(int(splitmix64([master], [index])[0, 0]), index) == master
 
 
+def test_master_seed_of_inverts_uint64_arrays_as_it_inverts_ints():
+    rng = np.random.default_rng(2014)
+    seeds = [0, 2**64 - 1] + rng.integers(2**64, size=200, dtype=np.uint64).tolist()
+    for index in (0, 2**40):
+        indices = np.full(len(seeds), index, dtype=np.uint64)
+        masters = master_seed_of(np.array(seeds, dtype=np.uint64), indices)
+        assert masters.dtype == np.uint64
+        assert masters.tolist() == [master_seed_of(seed, index) for seed in seeds]
+    # and with each seed at its own index
+    indices = rng.integers(2**41, size=len(seeds), dtype=np.uint64)
+    assert master_seed_of(np.array(seeds, dtype=np.uint64), indices).tolist() == [
+        master_seed_of(seed, index) for seed, index in zip(seeds, indices.tolist())]
+
+
 def test_campaign_config_validation():
     solver = default_config(GREEDY, 10)
     with pytest.raises(ValueError, match="num_trials"):

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import deterministic_fields
+from gsetbench import campaign as campaign_mod
 from gsetbench import registry, solvers
 from gsetbench.campaign import (
     LOG_FORMAT,
+    format_record,
     parse_record,
     read_log,
     replay_record,
@@ -303,6 +305,32 @@ def test_campaign_and_report_agree(tmp_path, capsys):
     report_out = capsys.readouterr().out
     assert campaign_out == report_out
     assert "target=optimum" in campaign_out
+
+
+@pytest.mark.parametrize("include_spins", ["false", "true"])
+@pytest.mark.parametrize("instance", ["torus:4x5:1003", "torus:6x8:2"])
+@pytest.mark.parametrize("schedule", [
+    "kind = greedy_local_search\n",
+    "kind = simulated_annealing\ntemp_start = 0.1\ntemp_end = 1e-05\n",
+    "kind = simulated_annealing\n",
+], ids=["greedy", "cold-annealing", "annealing"])
+def test_batched_records_read_back_as_their_lines(tmp_path, monkeypatch, capsys,
+                                                  include_spins, instance, schedule):
+    # 23 trials in batches of 5 rows (n = 20, slot fields) or 2 rows
+    # (n = 48, stencil fields): every line is its record's one spelling,
+    # and the log's report prints the live summary byte for byte
+    monkeypatch.setattr(campaign_mod, "_BATCH_SPINS", 100)
+    cfg, log = tmp_path / "batched.cfg", tmp_path / "batched.log"
+    cfg.write_text(f"instance = {instance}\n{schedule}sweeps = 12\nnum_trials = 23\n"
+                   f"master_seed = 9\ntarget = top 30\ninclude_spins = {include_spins}\n")
+    assert main(["campaign", str(cfg), "--log", str(log)]) == 0
+    live = capsys.readouterr().out
+    lines = log.read_text().splitlines()
+    assert len(lines) == 23
+    assert [format_record(parse_record(line)) for line in lines] == lines
+    assert all((" spins=" in line) == (include_spins == "true") for line in lines)
+    assert main(["report", str(log), "--target", "top:30"]) == 0
+    assert capsys.readouterr().out == live
 
 
 def _timing_free_tokens(output):

@@ -56,7 +56,7 @@ def test_trials_load_no_numpy_random_generator():
         "from gsetbench.solvers import default_config, run_trials\n"
         "inst = ProblemInstance(4, [(1, 2, 1), (2, 3, -1), (3, 4, 2), (4, 1, 1)])\n"
         "for kind in ('greedy_local_search', 'simulated_annealing'):\n"
-        "    assert len(run_trials(inst, default_config(kind, 5), [1, 2, 3])) == 3\n"
+        "    assert run_trials(inst, default_config(kind, 5), [1, 2, 3]).best_cuts.shape == (3,)\n"
         "print(eager, 'numpy.random' in sys.modules)\n"
     )
     src = str(Path(gsetbench.__file__).resolve().parent.parent)

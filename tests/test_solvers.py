@@ -138,6 +138,52 @@ def test_initial_draw_keeps_its_temporaries_small():
     assert peak < spins.nbytes + 256 * 1024
 
 
+def test_annealing_sweeps_allocate_nothing_of_the_batch_size(monkeypatch):
+    # 26 rows of a G72-size torus: one class's uint64 words are 1 MB and
+    # its int8 arrays 127 KB. Each sweep starts by building its threshold
+    # table, so the peak traced between two of those calls, above what
+    # was live at the first, is what one sweep allocates at once.
+    inst = generate_torus(TorusSpec(100, 100, seed=1))
+    thresholds = solvers._thresholds
+    marks = []
+
+    def marking(*args):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return thresholds(*args)
+
+    monkeypatch.setattr(solvers, "_thresholds", marking)
+    tracemalloc.start()
+    try:
+        run_trials(inst, default_config(ANNEALING, 6), range(26))
+    finally:
+        tracemalloc.stop()
+    sweeps = [peak - live for (live, _), (_, peak) in zip(marks, marks[1:])]
+    assert len(sweeps) == 5
+    assert max(sweeps) < 128 * 1024
+
+
+def test_a_batch_holds_its_trials_as_arrays():
+    inst = generate_torus(TorusSpec(6, 8, seed=2))
+    seeds = np.array([5, 2**64 - 1, 0], dtype=np.uint64)
+    for kind in KINDS:
+        config = default_config(kind, 7)
+        batch = run_trials(inst, config, seeds)
+        assert batch.best_cuts.dtype == batch.sweeps_executed.dtype == np.int64
+        assert batch.best_cuts.shape == batch.sweeps_executed.shape == (3,)
+        assert batch.best_spins.shape == (3, inst.n)
+        assert not batch.best_spins.flags.writeable
+        assert batch.wall_time_s >= 0
+        # a uint64 array of seeds runs as the same seeds listed as ints
+        listed = run_trials(inst, config, seeds.tolist())
+        assert np.array_equal(listed.best_cuts, batch.best_cuts)
+        assert np.array_equal(listed.best_spins, batch.best_spins)
+        for i, seed in enumerate(seeds.tolist()):
+            assert_same_outcome(outcome(batch[i]), outcome(run_trial(inst, config, seed)))
+            assert (batch.best_cuts[i], batch.sweeps_executed[i]) == (
+                batch[i].best_cut, batch[i].sweeps_executed)
+
+
 def test_default_config_fills_annealing_schedule():
     config = default_config(ANNEALING, 50)
     assert (config.temp_start, config.temp_end) == (3.0, 0.05)

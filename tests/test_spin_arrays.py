@@ -15,8 +15,7 @@ PRODUCERS = {
     "decode_hex": lambda: [decode_hex("a5c2", TORUS.n)],
     "exact_max_cut": lambda: [exact_max_cut(TORUS)[1]],
     "run_trial": lambda: [run_trial(TORUS, default_config(GREEDY, 5), 1).best_spins],
-    "run_trials": lambda: [result.best_spins
-                           for result in run_trials(TORUS, default_config(ANNEALING, 5), range(3))],
+    "run_trials": lambda: list(run_trials(TORUS, default_config(ANNEALING, 5), range(3)).best_spins),
 }
 
 
