@@ -9,7 +9,7 @@ point GSET_DIR at the target directory:
 
     python scripts/fetch_gset.py --dest ~/gset
     export GSET_DIR=~/gset
-    gsetbench evaluate G77 my_solution.txt
+    gsetbench validate G77 my_solution.txt
 
 Needs ordinary internet access.
 """

@@ -10,20 +10,24 @@ runs, and any single logged trial can be re-run in isolation.
 SplitMix64's output mix is a bijection, so ``master_seed_of`` recovers
 a record's master seed from its seed and index.
 
-Trials run in batches through the solvers' batched kernel. Each
-finished trial appends one self-describing key=value line to the log,
-ending in ``format=3``, and the stream is flushed per batch, so a
-crashed campaign can be resumed from whatever records made it to disk;
-a report and a resume read and check it by one rule, in which only a
-terminated line is a record. ``trial_records`` is the one place records
-are made, a batch's at a time, for campaigns and single ``solve`` runs
-alike, and ``format_records`` the one place they are written. The batch
-builder rounds the wall time once to the value the lines hold, so a
-record reads back from its line unchanged and a campaign summarizes the
-records it wrote, as a later report of the log does. Summaries aggregate
-only order-insensitive quantities over the record set, which is what
-makes parallel output identical to serial output; their per-target
-figures are ``metrics.TargetOutcome`` objects.
+Trials run in batches through the solvers' batched kernel, and a
+campaign keeps its records as columns, one ``RecordSet`` per batch and
+one for the records a resumed log holds: the instance name and solver
+config they ran, and an array per field. A ``TrialRecord`` is one row,
+made only when a set is read row by row or a log line is parsed.
+``trial_records`` builds a batch's set from the kernel's arrays, for
+campaigns and single ``solve`` runs alike, and ``format_records``
+writes a set's lines, each ending in ``format=3``. The log is flushed
+per batch, so a crashed campaign can be resumed from whatever records
+made it to disk; a report and a resume read and check it by one rule,
+in which only a terminated line is a record. The batch builder rounds
+the wall time once to the value the lines hold, so a record reads back
+from its line unchanged and a campaign summarizes the records it wrote,
+as a later report of the log does. ``summarize`` reads a set's columns
+alone, and takes a list of records as one set first; it aggregates only
+order-insensitive quantities, which is what makes parallel output
+identical to serial output. Its per-target figures are
+``metrics.TargetOutcome`` objects.
 """
 
 from __future__ import annotations
@@ -128,11 +132,82 @@ class TrialRecord:
                              f"got {self.sweeps_executed}")
         if not (0.0 <= self.wall_time_s < math.inf):
             raise ValueError(f"wall_time_s must be finite and >= 0, got {self.wall_time_s}")
+        # a record set holds these in int64 columns
+        if not (self.index < 2**63 and -(2**63) <= self.best_cut < 2**63
+                and self.sweeps_executed < 2**63):
+            raise ValueError(f"index, best_cut and sweeps_executed must fit in int64, got "
+                             f"{self.index}, {self.best_cut} and {self.sweeps_executed}")
 
     @property
     def campaign(self) -> tuple:
         """(instance, solver config, master seed): one campaign's records share it."""
         return self.instance, self.solver, master_seed_of(self.seed, self.index)
+
+
+# a record set's columns and their dtypes
+_COLUMNS = {"index": np.int64, "seed": np.uint64, "best_cut": np.int64,
+            "sweeps_executed": np.int64, "wall_time_s": np.float64}
+
+
+@dataclass(frozen=True, eq=False)
+class RecordSet:
+    """Records of trials of ``solver`` on the instance ``instance``, a
+    column per field, row i being one trial's: int64 ``index``,
+    ``best_cut`` and ``sweeps_executed``, uint64 ``seed``, float64
+    ``wall_time_s``, and ``spins_hex``, each row's hex spins or None, or
+    None when no row has them.
+
+    It is also the sequence of its rows' ``TrialRecord``s, each made
+    when it is read. Its columns are checked by ``TrialRecord``'s rules,
+    one numpy pass each (a seed fits its column by dtype), and the first
+    row at fault is refused in ``TrialRecord``'s words.
+    """
+
+    instance: str
+    solver: SolverConfig
+    index: np.ndarray
+    seed: np.ndarray
+    best_cut: np.ndarray
+    sweeps_executed: np.ndarray
+    wall_time_s: np.ndarray
+    spins_hex: list | None = None
+
+    def __post_init__(self) -> None:
+        wall = self.wall_time_s
+        bad = ((self.index < 0) | (self.sweeps_executed < 1)
+               | (self.sweeps_executed > self.solver.sweeps)
+               | ~((0.0 <= wall) & (wall < math.inf)))
+        if bad.any():
+            self[int(bad.argmax())]  # the row's TrialRecord refuses it
+            raise RuntimeError("a record set and TrialRecord disagree on a row")
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i) -> TrialRecord:
+        return TrialRecord(int(self.index[i]), self.instance, self.solver, int(self.seed[i]),
+                           int(self.best_cut[i]), int(self.sweeps_executed[i]),
+                           float(self.wall_time_s[i]),
+                           None if self.spins_hex is None else self.spins_hex[i])
+
+
+def _record_set(instance: str, solver: SolverConfig, rows) -> RecordSet:
+    """``TrialRecord`` rows of ``solver`` on ``instance`` as one set."""
+    spins = [r.spins_hex for r in rows]
+    return RecordSet(instance, solver, *(np.array([getattr(r, c) for r in rows], dtype)
+                                         for c, dtype in _COLUMNS.items()),
+                     None if spins.count(None) == len(spins) else spins)
+
+
+def _joined(sets: list[RecordSet]) -> RecordSet:
+    """The rows of ``sets``, which share one instance and solver, in order."""
+    if len(sets) == 1:
+        return sets[0]
+    spins = None
+    if any(s.spins_hex is not None for s in sets):
+        spins = [h for s in sets for h in (s.spins_hex or repeat(None, len(s)))]
+    return RecordSet(sets[0].instance, sets[0].solver,
+                     *(np.concatenate([getattr(s, c) for s in sets]) for c in _COLUMNS), spins)
 
 
 def _campaign_text(campaign: tuple) -> str:
@@ -150,37 +225,41 @@ def check_loggable(instance_name: str) -> None:
         raise ValueError(f"instance name {instance_name!r} not loggable")
 
 
-def format_records(records) -> str:
+def format_records(records: RecordSet) -> str:
     """The log lines of ``records``, each ending in a newline. The words
-    of a record's campaign but its master seed, and its wall time, are
-    formatted once for each run of records sharing them, as a batch's
-    records share one instance name, solver config and wall time."""
+    of the set's campaign but its master seed are formatted once, and a
+    wall time once for each run of rows sharing it, as a batch's rows
+    share one."""
+    instance, solver = records.instance, records.solver
+    check_loggable(instance)
+    head = f" instance={instance} kind={solver.kind} sweeps={solver.sweeps} seed="
+    temps = ""
+    if solver.temp_start is not None:
+        temps += f" temp_start={solver.temp_start!r}"
+    if solver.temp_end is not None:
+        temps += f" temp_end={solver.temp_end!r}"
+    columns = [getattr(records, c).tolist() for c in ("index", "seed", "best_cut",
+                                                       "sweeps_executed")]
+    columns.append([""] * len(records) if records.spins_hex is None else
+                   ["" if h is None else f" spins={h}" for h in records.spins_hex])
+    # runs of equal walls are told apart by their bits, as -0.0 equals
+    # 0.0 but is written with its sign
+    walls = records.wall_time_s
+    bits = walls.view(np.uint64)
+    ends = [*(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(walls)]
     lines = []
-    instance = solver = wall = None
-    for r in records:
-        if r.wall_time_s is not wall:
-            wall = r.wall_time_s
-            wall_text = f"{wall:.6e}"
-        if r.instance is not instance or r.solver is not solver:
-            instance, solver = r.instance, r.solver
-            check_loggable(instance)
-            words = f"instance={instance} kind={solver.kind} sweeps={solver.sweeps}"
-            temps = ""
-            if solver.temp_start is not None:
-                temps += f" temp_start={solver.temp_start!r}"
-            if solver.temp_end is not None:
-                temps += f" temp_end={solver.temp_end!r}"
-        spins = "" if r.spins_hex is None else f" spins={r.spins_hex}"
+    for start, end in zip([0, *ends], ends):
+        tail = f" wall_time_s={walls[start]:.6e}{temps}"
         # format last, so that a record cut short anywhere lacks it
-        lines.append(f"index={r.index} {words} seed={r.seed} best_cut={r.best_cut} "
-                     f"sweeps_executed={r.sweeps_executed} wall_time_s={wall_text}"
-                     f"{temps}{spins} format={LOG_FORMAT}\n")
+        lines += [f"index={index}{head}{seed} best_cut={cut} sweeps_executed={executed}"
+                  f"{tail}{spins} format={LOG_FORMAT}\n"
+                  for index, seed, cut, executed, spins in zip(*(c[start:end] for c in columns))]
     return "".join(lines)
 
 
 def format_record(record: TrialRecord) -> str:
     """The log line of ``record``, without its newline."""
-    return format_records([record])[:-1]
+    return format_records(_record_set(record.instance, record.solver, [record]))[:-1]
 
 
 _REQUIRED_FIELDS = ("index", "instance", "kind", "sweeps", "seed", "best_cut",
@@ -287,66 +366,91 @@ class CampaignSummary:
     targets: tuple[TargetOutcome, ...]
 
 
-def _check_records(records, campaign: tuple, num_trials: int | None = None) -> None:
-    """Refuse records that are not trials of one ``campaign``, each once:
-    a record of another campaign, a repeated trial index, or, given
-    ``num_trials``, an index past it. The master seeds are recovered in
-    one pass; the first record at fault is named."""
-    # an index is taken modulo 2^64, as the scalar inversion takes it
-    masters = master_seed_of(np.array([r.seed for r in records], dtype=np.uint64),
-                             np.array([r.index & _MASK64 for r in records], dtype=np.uint64))
-    seen = set()
-    for r, master_seed in zip(records, masters.tolist()):
-        ran = (r.instance, r.solver, master_seed)
-        if ran != campaign:
-            raise ValueError(f"records mix campaigns: trial {r.index} ran "
+def _check_records(records, campaign: tuple | None = None,
+                   num_trials: int | None = None) -> RecordSet:
+    """``records``, a ``RecordSet`` or a nonempty list of ``TrialRecord``
+    rows, as one set of trials of ``campaign``, by default the first
+    record's, each once: a record of another campaign, a repeated trial
+    index, or, given ``num_trials``, an index past it is refused. Rows
+    become a set once; the master seeds are recovered in one pass, and
+    the first record at fault is named."""
+    if not isinstance(records, RecordSet):
+        campaign = campaign or records[0].campaign
+        # a row of another instance or solver cannot join the columns;
+        # the first such row is at fault unless a row before it is
+        other = next((j for j, r in enumerate(records)
+                      if r.instance != campaign[0] or r.solver != campaign[1]), len(records))
+        checked = _check_records(_record_set(*campaign[:2], records[:other]), campaign,
+                                 num_trials)
+        if other < len(records):
+            raise ValueError(f"records mix campaigns: trial {records[other].index} ran "
+                             f"{_campaign_text(records[other].campaign)}, not "
+                             f"{_campaign_text(campaign)}")
+        return checked
+    masters = master_seed_of(records.seed, records.index.astype(np.uint64))
+    if campaign is None:
+        campaign = (records.instance, records.solver, int(masters[0]))
+    mixed = masters != campaign[2]
+    if (records.instance, records.solver) != campaign[:2]:
+        mixed[:] = True
+    first = np.zeros(len(records), dtype=bool)
+    first[np.unique(records.index, return_index=True)[1]] = True
+    fault = mixed | ~first
+    if num_trials is not None:
+        fault |= records.index >= num_trials
+    if fault.any():
+        i = int(fault.argmax())
+        index = int(records.index[i])
+        if mixed[i]:
+            ran = (records.instance, records.solver, int(masters[i]))
+            raise ValueError(f"records mix campaigns: trial {index} ran "
                              f"{_campaign_text(ran)}, not {_campaign_text(campaign)}")
-        if r.index in seen:
-            raise ValueError(f"duplicate trial index {r.index}")
-        if num_trials is not None and r.index >= num_trials:
-            raise ValueError(f"trial index {r.index} outside 0..{num_trials - 1}")
-        seen.add(r.index)
+        if not first[i]:
+            raise ValueError(f"duplicate trial index {index}")
+        raise ValueError(f"trial index {index} outside 0..{num_trials - 1}")
+    return records
 
 
 def summarize(records, targets=()) -> CampaignSummary:
     """Aggregate trial records into a campaign summary.
 
-    Order-insensitive: any permutation of the same records gives the
-    same summary. Records must share one ``TrialRecord.campaign``:
-    mixing scan rungs or campaigns in one summary is an error.
+    ``records`` is a ``RecordSet`` or an iterable of ``TrialRecord``s,
+    which are made one set first. Order-insensitive: any permutation of
+    the same records gives the same summary. Records must share one
+    ``TrialRecord.campaign``: mixing scan rungs or campaigns in one
+    summary is an error.
     """
-    records = list(records)
-    if not records:
+    if not isinstance(records, RecordSet):
+        records = list(records)
+    if not len(records):
         raise ValueError("cannot summarize an empty record set")
-    first = records[0]
-    _check_records(records, first.campaign)
+    records = _check_records(records)
 
-    cuts = [r.best_cut for r in records]
-    histogram: dict[int, int] = {}
-    for c in cuts:
-        histogram[c] = histogram.get(c, 0) + 1
+    cuts, counts = np.unique(records.best_cut, return_counts=True)
+    histogram = dict(zip(cuts.tolist(), counts.tolist()))
     trials = len(records)
-    avg_time = math.fsum(r.wall_time_s for r in records) / trials
+    avg_time = math.fsum(records.wall_time_s.tolist()) / trials
+    solver = records.solver
 
     outcomes = tuple(
         TargetOutcome(
             target=target,
-            successes=sum(1 for c in cuts if c >= target.cut),
+            successes=sum(count for cut, count in histogram.items() if cut >= target.cut),
             trials=trials,
-            sweeps_per_trial=first.solver.sweeps,
+            sweeps_per_trial=solver.sweeps,
             trial_time_s=avg_time,
         )
         for target in targets
     )
 
     return CampaignSummary(
-        instance=first.instance,
-        kind=first.solver.kind,
-        sweeps_per_trial=first.solver.sweeps,
+        instance=records.instance,
+        kind=solver.kind,
+        sweeps_per_trial=solver.sweeps,
         num_trials=trials,
-        highest_cut=max(cuts),
-        min_cut=min(cuts),
-        average_cut=sum(cuts) / trials,
+        highest_cut=int(cuts[-1]),
+        min_cut=int(cuts[0]),
+        average_cut=sum(cut * count for cut, count in histogram.items()) / trials,
         cut_histogram=histogram,
         avg_trial_time_s=avg_time,
         targets=outcomes,
@@ -362,35 +466,32 @@ def trial_records(
     sweeps_executed,
     wall_time_s: float,
     best_spins=None,
-) -> list[TrialRecord]:
-    """The log records of a batch of finished trials of ``solver`` on the
+) -> RecordSet:
+    """The record set of a batch of finished trials of ``solver`` on the
     instance ``instance_name``: trial ``indices[i]`` ran under ``seeds[i]``
-    and found ``best_cuts[i]`` in ``sweeps_executed[i]`` sweeps. They hold
+    and found ``best_cuts[i]`` in ``sweeps_executed[i]`` sweeps. It holds
     the rows of ``best_spins`` if given. The batch's wall time per trial
     is rounded once, as the log lines write it."""
-    wall = float(f"{wall_time_s:.6e}")
-    spins = repeat(None) if best_spins is None else map(encode_hex, best_spins)
-    return [
-        TrialRecord(index, instance_name, solver, seed, cut, executed, wall, spins_hex)
-        for index, seed, cut, executed, spins_hex in zip(indices, seeds, best_cuts,
-                                                         sweeps_executed, spins)
-    ]
+    walls = np.full(len(indices), float(f"{wall_time_s:.6e}"))
+    columns = (indices, seeds, best_cuts, sweeps_executed, walls)
+    return RecordSet(instance_name, solver, *map(np.asarray, columns, _COLUMNS.values()),
+                     None if best_spins is None else list(map(encode_hex, best_spins)))
 
 
 def _run_batch(
     instance: ProblemInstance,
     config: CampaignConfig,
-    indices: list[int],
+    indices: np.ndarray,
     include_spins: bool,
-) -> list[TrialRecord]:
+) -> RecordSet:
     seeds = splitmix64([config.master_seed], indices)[0]
     batch = run_trials(instance, config.solver, seeds)
-    return trial_records(instance.name, config.solver, indices, seeds.tolist(),
-                         batch.best_cuts.tolist(), batch.sweeps_executed.tolist(),
-                         batch.wall_time_s, batch.best_spins if include_spins else None)
+    return trial_records(instance.name, config.solver, indices, seeds, batch.best_cuts,
+                         batch.sweeps_executed, batch.wall_time_s,
+                         batch.best_spins if include_spins else None)
 
 
-def _batches(pending: list[int], n: int, workers: int) -> list[list[int]]:
+def _batches(pending: np.ndarray, n: int, workers: int) -> list[np.ndarray]:
     """Split trial indices into capped batches, at least one per worker."""
     size = max(1, min(_BATCH_SPINS // n, -(-len(pending) // workers)))
     return [pending[i : i + size] for i in range(0, len(pending), size)]
@@ -423,7 +524,9 @@ def run_campaign(
         raise ValueError("a resume needs the log of the campaign to finish")
     check_loggable(instance.name)
 
-    done: dict[int, TrialRecord] = {}
+    campaign = (instance.name, config.solver, config.master_seed)
+    # the record sets of the resumed log, if it holds records, and of each batch
+    sets = []
     log = None
     if log_path is not None:
         path = Path(log_path)
@@ -433,11 +536,10 @@ def run_campaign(
             if not resume and (records or keep < len(data)):
                 raise ValueError("already holds records; pass --resume to finish that "
                                  "campaign, or choose another log path")
-            _check_records(records, (instance.name, config.solver, config.master_seed),
-                           config.num_trials)
+            if records:
+                sets.append(_check_records(records, campaign, config.num_trials))
         except ValueError as exc:
             raise ValueError(f"{log_path}: {exc}") from None
-        done.update((record.index, record) for record in records)
         if keep < len(data):
             os.truncate(path, keep)
         log = path.open("a")
@@ -445,8 +547,10 @@ def run_campaign(
             log.write("\n")
     pool = None
     try:
-        pending = [i for i in range(config.num_trials) if i not in done]
-        batches = _batches(pending, instance.n, workers)
+        ran = np.zeros(config.num_trials, dtype=bool)
+        for done in sets:
+            ran[done.index] = True
+        batches = _batches(np.flatnonzero(~ran), instance.n, workers)
         run = partial(_run_batch, instance, config, include_spins=include_spins)
         if workers > 1 and len(batches) > 1:
             # numpy releases the GIL inside the kernel, so threads overlap
@@ -457,7 +561,7 @@ def run_campaign(
                 log.flush()
             # each record reads back from its line unchanged, so a later
             # report of the log reproduces this summary bit for bit
-            done.update((record.index, record) for record in batch)
+            sets.append(batch)
     finally:
         if pool is not None:
             # on any exception, Ctrl-C included, batches not yet started
@@ -466,7 +570,7 @@ def run_campaign(
         if log is not None:
             log.close()
 
-    return summarize([done[i] for i in range(config.num_trials)], config.targets)
+    return summarize(_joined(sets), config.targets)
 
 
 def write_scan_csv(summaries, stream) -> None:

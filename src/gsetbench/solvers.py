@@ -275,6 +275,14 @@ def _field_dtype(largest: int):
                 if largest <= np.iinfo(t).max)
 
 
+def _sum_dtype(width: int, field):
+    """The narrowest dtype that holds a row sum of ``width`` deltas of
+    dtype ``field``, each at most that dtype's largest value in
+    magnitude. A class's vertices are independent, so its deltas sum to
+    the cut change of flipping them all, below 2^62 in magnitude."""
+    return _field_dtype(min(width * int(np.iinfo(field).max), 2**62))
+
+
 def _build_layout(instance: ProblemInstance):
     grid = torus_grid(instance)
     if grid is not None and grid[0] % 2 == 0 and grid[1] % 2 == 0:
@@ -438,7 +446,7 @@ def _anneal(spins, current, best, best_spins, seeds, config, layout) -> None:
         # sweep t draws word (t + 1) n + v for vertex v, whose state is
         # s + (v + 1) γ + (t + 1) n γ: a class's base plus one offset
         base = (order[lo:hi].astype(np.uint64) + 1) * SPLITMIX_GAMMA
-        steps.append((lo, hi, weights, base, *(
+        steps.append((lo, hi, weights, _sum_dtype(hi - lo, field), base, *(
             buffer[:batch * (hi - lo)].reshape(batch, hi - lo)
             for buffer in (words, shifts, limits, accepts))))
     planes = classes[0][2]
@@ -450,7 +458,7 @@ def _anneal(spins, current, best, best_spins, seeds, config, layout) -> None:
         if byte_deltas:
             table = _thresholds(_BYTE_DELTAS, temp)
         offset = seeds + (sweep + 1) * n * SPLITMIX_GAMMA % 2**64
-        for lo, hi, weights, base, x, shifted, limit, accept in steps:
+        for lo, hi, weights, sum_dtype, base, x, shifted, limit, accept in steps:
             block = spins[:, lo:hi]
             delta = _local_fields(spins, lo, hi, weights, field, stencil)
             delta *= block
@@ -467,7 +475,7 @@ def _anneal(spins, current, best, best_spins, seeds, config, layout) -> None:
                 np.less(x, np.take(table, index, mode="wrap", out=limit), out=accept)
             else:
                 np.less(x, _thresholds(delta, temp), out=accept)
-            current += np.multiply(delta, accept, out=delta).sum(axis=1)
+            current += np.multiply(delta, accept, out=delta).sum(axis=1, dtype=sum_dtype)
             # -1 = 0b1...11 and +1 = 0b0...01 differ in every bit but the
             # lowest, so xor with -2 flips a spin and xor with 0 keeps it
             flip = accept.view(np.int8)
@@ -489,15 +497,16 @@ def _climb(spins, current, best, best_spins, config, layout) -> np.ndarray:
     # batch rows of the trials still sweeping: a greedy trial stops
     # after a sweep without a flip
     live = np.arange(batch)
+    sum_dtypes = [_sum_dtype(hi - lo, field) for lo, hi, _ in classes]
     for sweep in range(config.sweeps):
         flipped = np.zeros(len(live), dtype=bool)
-        for lo, hi, weights in classes:
+        for (lo, hi, weights), sum_dtype in zip(classes, sum_dtypes):
             block = spins[:, lo:hi]
             delta = block * _local_fields(spins, lo, hi, weights, field)
             accept = delta > 0
             flipped |= accept.any(axis=1)
             block *= 1 - 2 * accept.view(np.int8)
-            current += (delta * accept).sum(axis=1)
+            current += np.multiply(delta, accept, out=delta).sum(axis=1, dtype=sum_dtype)
         if not flipped.all():
             done = ~flipped
             best[live[done]] = current[done]

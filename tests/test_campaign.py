@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import random
 import re
 import sys
@@ -13,6 +14,7 @@ from conftest import deterministic_fields
 from gsetbench import campaign
 from gsetbench.campaign import (
     CampaignConfig,
+    RecordSet,
     TrialRecord,
     format_record,
     master_seed_of,
@@ -495,3 +497,155 @@ def test_parse_record_rejects_unknown_fields():
         parse_record(line.replace(" format=3", " bogus=7 format=2"))
     with pytest.raises(ValueError, match="log format 1"):
         parse_record(line.replace(" format=3", " bogus=7"))
+
+
+def record_columns(rows):
+    """The columns of ``make_record`` rows, for a ``RecordSet``."""
+    return dict(
+        index=np.array([r.index for r in rows], dtype=np.int64),
+        seed=np.array([r.seed for r in rows], dtype=np.uint64),
+        best_cut=np.array([r.best_cut for r in rows], dtype=np.int64),
+        sweeps_executed=np.array([r.sweeps_executed for r in rows], dtype=np.int64),
+        wall_time_s=np.array([r.wall_time_s for r in rows], dtype=np.float64),
+    )
+
+
+def record_set(rows):
+    return RecordSet(rows[0].instance, rows[0].solver, **record_columns(rows))
+
+
+# each value breaks one rule of a record; the sweep budget is 50
+BAD_VALUES = [
+    ("index", -1, "trial index must be non-negative, got -1"),
+    ("sweeps_executed", 0, "sweeps_executed must be in 1..50, got 0"),
+    ("sweeps_executed", 51, "sweeps_executed must be in 1..50, got 51"),
+    ("wall_time_s", -1e-9, "wall_time_s must be finite and >= 0, got -1e-09"),
+    ("wall_time_s", math.nan, "wall_time_s must be finite and >= 0, got nan"),
+    ("wall_time_s", math.inf, "wall_time_s must be finite and >= 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_VALUES)
+def test_a_record_set_refuses_a_bad_row_in_the_words_of_its_record(field, value, message):
+    rows = [make_record(i, 5) for i in range(5)]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(rows[2], **{field: value})
+    # the first row at fault sits mid-list, and a later one breaks
+    # another rule
+    columns = record_columns(rows)
+    columns[field][2] = value
+    columns["sweeps_executed"][4] = 99
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RecordSet(rows[0].instance, rows[0].solver, **columns)
+    # a log line gets the same words, after its trial's
+    line = re.sub(rf"(?<!\S){field}=\S+", f"{field}={value}", format_record(rows[2]))
+    trial = value if field == "index" else 2
+    with pytest.raises(ValueError, match=f"^trial {trial}: {re.escape(message)}$"):
+        parse_record(line)
+
+
+def test_a_record_holds_what_a_record_set_column_can():
+    for field in ("index", "best_cut", "sweeps_executed"):
+        record = replace(make_record(0, 5), solver=SolverConfig(GREEDY, 2**64))
+        values = {"index": 0, "best_cut": 5, "sweeps_executed": 50, field: 2**63}
+        message = ("index, best_cut and sweeps_executed must fit in int64, got "
+                   "{index}, {best_cut} and {sweeps_executed}".format(**values))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(record, **{field: 2**63})
+    # a seed fits its uint64 column by the seed's own rule
+    assert replace(make_record(0, 5), best_cut=-(2**63)).best_cut == -(2**63)
+
+
+def mixed_record(index, cut):
+    """Trial ``index`` of make_record's campaign under another master seed."""
+    return replace(make_record(index, cut), seed=int(splitmix64([2], [index])[0, 0]))
+
+
+@pytest.mark.parametrize("rows, message", [
+    # an earlier duplicate precedes a later campaign mix
+    ([make_record(0, 5), make_record(1, 5), make_record(1, 6), mixed_record(3, 5)],
+     "duplicate trial index 1"),
+    ([make_record(0, 5), make_record(1, 5), make_record(1, 6),
+      make_record(3, 5, sweeps=60)], "duplicate trial index 1"),
+    # and a mix precedes a later duplicate
+    ([make_record(0, 5), mixed_record(1, 5), make_record(0, 6)],
+     "records mix campaigns: trial 1 ran instance=torus:4x4:1 kind=simulated_annealing "
+     "sweeps=50 temp_start=3.0 temp_end=0.05 master_seed=2, not instance=torus:4x4:1 "
+     "kind=simulated_annealing sweeps=50 temp_start=3.0 temp_end=0.05 master_seed=1"),
+    # a record that is both a mix and a duplicate is named as a mix
+    ([make_record(0, 5), mixed_record(0, 6)],
+     "records mix campaigns: trial 0 ran instance=torus:4x4:1 kind=simulated_annealing "
+     "sweeps=50 temp_start=3.0 temp_end=0.05 master_seed=2, not instance=torus:4x4:1 "
+     "kind=simulated_annealing sweeps=50 temp_start=3.0 temp_end=0.05 master_seed=1"),
+    ([make_record(0, 5), make_record(1, 5, sweeps=60), make_record(0, 6)],
+     "records mix campaigns: trial 1 ran instance=torus:4x4:1 kind=simulated_annealing "
+     "sweeps=60 temp_start=3.0 temp_end=0.05 master_seed=1, not instance=torus:4x4:1 "
+     "kind=simulated_annealing sweeps=50 temp_start=3.0 temp_end=0.05 master_seed=1"),
+])
+def test_the_first_record_at_fault_is_named(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        summarize(rows)
+    if len({(r.instance, r.solver) for r in rows}) == 1:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            summarize(record_set(rows))
+
+
+def test_an_index_past_the_trial_count_is_named_after_an_earlier_fault(torus, tmp_path):
+    log = tmp_path / "campaign.log"
+    config = campaign_config(num_trials=6, sweeps=10, kind=GREEDY)
+    run_campaign(torus, config, log_path=log)
+    lines = log.read_text().splitlines()
+    for order, message in (((1, 1, 5), "duplicate trial index 1"),
+                           ((0, 5, 1), "trial index 5 outside 0..3")):
+        log.write_text("".join(lines[i] + "\n" for i in order))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{log}: {message}')}$"):
+            run_campaign(torus, replace(config, num_trials=4), log_path=log, resume=True)
+
+
+@pytest.mark.parametrize("kind", [ANNEALING, GREEDY])
+def test_a_campaign_without_resume_builds_no_trial_record(torus, tmp_path, monkeypatch, kind):
+    def refused(self):
+        raise AssertionError("a TrialRecord was built")
+
+    config = campaign_config(num_trials=400, kind=kind, targets=(TargetSpec("t", 8),))
+    monkeypatch.setattr(TrialRecord, "__post_init__", refused)
+    summary = run_campaign(torus, config, log_path=tmp_path / "campaign.log",
+                           include_spins=True)
+    monkeypatch.undo()
+    assert summary == summarize(read_log(tmp_path / "campaign.log"), config.targets)
+
+
+@pytest.mark.parametrize("kind", [ANNEALING, GREEDY])
+@pytest.mark.parametrize("include_spins", [False, True])
+@pytest.mark.parametrize("torn", [False, True])
+def test_a_record_set_summarizes_as_its_rows_and_its_log(torus, tmp_path, monkeypatch, kind,
+                                                        include_spins, torn):
+    # five trials per batch, each batch with its own wall time
+    monkeypatch.setattr(campaign, "_BATCH_SPINS", 5 * torus.n)
+    kept = []
+
+    def keeping(records, targets=()):
+        kept.append(records)
+        return summarize(records, targets)
+
+    monkeypatch.setattr(campaign, "summarize", keeping)
+    log = tmp_path / "campaign.log"
+    config = campaign_config(num_trials=23, kind=kind,
+                             targets=(TargetSpec("low", 6), TargetSpec("high", 10)))
+    run_campaign(torus, config, log_path=log, include_spins=include_spins)
+    if torn:
+        # a crash tore record 9 and lost the rest; the resume runs them again
+        lines = log.read_text().splitlines(keepends=True)
+        log.write_text("".join(lines[:9]) + lines[9][:50])
+        kept.clear()
+        run_campaign(torus, config, log_path=log, resume=True, include_spins=include_spins)
+    (records,) = kept
+    assert isinstance(records, campaign.RecordSet)
+    assert len(np.unique(records.wall_time_s)) > 1
+    rows = list(records)
+    assert sorted(rows, key=lambda r: r.index) == read_log(log)
+    summary = summarize(records, config.targets)
+    for other in (list(reversed(rows)), read_log(log)):
+        again = summarize(other, config.targets)
+        assert again == summary
+        assert again.avg_trial_time_s.hex() == summary.avg_trial_time_s.hex()

@@ -520,6 +520,23 @@ def test_integrity_guard_recomputes_every_trial_of_a_batch():
             run_trials(inst, default_config(ANNEALING, 5), range(6))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("pairs, sum_dtype", [(258, np.int16), (259, np.int32)])
+def test_a_class_row_sum_is_exact_in_its_narrow_dtype(monkeypatch, kind, pairs, sum_dtype):
+    # a matching of weight-127 edges has int8 fields and two classes of
+    # `pairs` vertices; from all spins up, the first sweep flips every
+    # vertex of the first class, whose deltas of 127 sum to pairs * 127,
+    # 32766 at width 258 (int16's largest is 32767) and 32893 at 259
+    inst = ProblemInstance(2 * pairs, [(2 * k + 1, 2 * k + 2, 127) for k in range(pairs)])
+    _, classes, field = _sweep_layout(inst)
+    assert field == np.int8 and [hi - lo for lo, hi, _ in classes] == [pairs, pairs]
+    assert solvers._sum_dtype(pairs, field) == sum_dtype
+    monkeypatch.setattr(solvers, "_initial_spins",
+                        lambda seeds, n: np.ones((len(seeds), n), dtype=np.int8))
+    batch = run_trials(inst, default_config(kind, 1), range(3))
+    assert batch.best_cuts.tolist() == [pairs * 127] * 3
+
+
 def test_batch_rejects_mixed_configs():
     inst = generate_torus(TorusSpec(4, 4, seed=2))
     with pytest.raises(ValueError, match="at least one"):
