@@ -11,36 +11,59 @@ torus with an even number of rows and of columns, numbered row by row,
 that colouring is the checkerboard, built in closed form, and each
 half's local fields are read from slices of the other half's spins, a
 stencil on the checkerboard halves (Jacobs and Rebbi, J. Comput. Phys.
-41, 203, 1981; Isakov et al., Comput. Phys. Commun. 192, 265, 2015);
-every other graph is coloured by a loop and gathers its fields through
-neighbour index arrays. Greedy accepts only strictly improving flips
-and stops early after a sweep with no flip; simulated annealing
+41, 203, 1981; Isakov et al., Comput. Phys. Commun. 192, 265, 2015).
+A torus with an odd side is coloured in closed form too, every other
+graph by a loop, and both gather their fields through neighbour index
+arrays, one per neighbour slot. Greedy accepts only strictly improving
+flips and stops early after a sweep with no flip; simulated annealing
 accepts non-worsening flips always and worsening flips with
 probability exp(delta / T), cooling T on a geometric schedule from
 temp_start to temp_end across the sweep budget, and always consumes
 the whole budget.
 
-Trials run as a batch of one config under many seeds, one row of an
-(R, n) spin array per trial. A trial's randomness is counter-based:
-word c of the trial with seed s is output c + 1 of the SplitMix64
-stream seeded at s (Steele, Lea and Flood, "Fast Splittable
-Pseudorandom Number Generators", OOPSLA 2014), which ``splitmix64``
-computes for whole arrays of seeds and counters. Initial spin v
-(0-based) is +1 exactly when bit 63 of word v is set. The mix's last
-step, z ^= z >> 31, leaves bit 63 as it is, so the initial draw stops
-before it and reads bit 63 as the int64 sign. It draws the words in
-blocks of at most 2^13 (64 KB) through one scratch array: glibc's
-malloc may map a temporary of 128 KB or more afresh on each call, and
-then each of its pages costs a page fault. At annealing
-sweep t (0-based), vertex v's uniform is x 2^-53 with x = word
-(t + 1) n + v >> 11, numpy's own 53-bit construction of a double in
-[0, 1); each colour class computes its own words from its vertex ids.
-An annealing batch computes them, and the other arrays of its size
-that a sweep writes, in arrays it allocates once.
-Greedy draws nothing after the initial spins. A trial is therefore a
-deterministic function of (instance, config, seed), whatever batch it
-runs in, and greedy with a longer budget only extends the same
-trajectory.
+Trials run as a batch of one config under many seeds, R of them, held
+in one of two memory orders. Trial-major, the spins are an (R, n)
+array with one row per trial, and each op runs one colour class wide.
+Trial-minor, they are an (n, R) array whose row p holds every trial's
+spin at position p: a class's fields are one np.take of all its slots'
+neighbour rows, one multiply by (count, 1) weights and one add per
+slot, and every op runs R wide, as multi-replica kernels keep the
+replica axis innermost (Isakov et al. 2015). The rule, from the layout
+and the batch's size alone: a batch is trial-minor exactly when its
+classes are slots and R is at least its widest class's vertex count.
+So an even torus's stencil is trial-major at any R, and so is a slot
+batch narrower than its widest class, where the trial-minor ops would
+run fewer than a class wide. ``scripts/kernel_shapes.py`` measures
+``run_trials`` in ns per spin update (median over six fresh processes
+of the minimum of 20 calls, 2-core host, Python 3.11, numpy 2.4; in
+parentheses, the same batch held trial-major, median of three):
+
+    instance                  R    order        annealing     greedy
+    torus:100x100:1           4    trial-major   8.6           7.3
+    torus:100x100:1           26   trial-major   8.2           5.5
+    torus:101x100:3           8    trial-major  10.7           9.8
+    torus:101x100:3           26   trial-major  11.0           8.6
+    torus:4x5:1003            400  trial-minor  25.6 (57.0)   28.9 (75.1)
+    random, n 800, degree 48  100  trial-minor  51.2 (112)    46.0 (144)
+
+A trial's randomness is counter-based: word c of the trial with seed s
+is output c + 1 of the SplitMix64 stream seeded at s (Steele, Lea and
+Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014),
+which ``splitmix64`` computes for whole arrays of seeds and counters.
+Initial spin v (0-based) is +1 exactly when bit 63 of word v is set.
+The mix's last step, z ^= z >> 31, leaves bit 63 as it is, so the
+initial draw stops before it and reads bit 63 as the int64 sign. It
+draws the words in blocks of at most 2^13 (64 KB) through one scratch
+array: glibc's malloc may map a temporary of 128 KB or more afresh on
+each call, and then each of its pages costs a page fault. At annealing
+sweep t (0-based), vertex v's uniform is x 2^-53 with x = word (t + 1)
+n + v >> 11, numpy's own 53-bit construction of a double in [0, 1);
+each colour class computes its own words from its vertex ids. A batch
+computes them, and the other arrays of its size that a sweep writes,
+in arrays it allocates once. Greedy draws nothing after the initial
+spins. A trial is therefore a deterministic function of (instance,
+config, seed), whatever batch it runs in, and greedy with a longer
+budget only extends the same trajectory.
 
 A flip of delta d at temperature T is accepted when x < k = ceil(e
 2^53), e = exp(min(d, 0) / T). That is the rule x 2^-53 < e for every
@@ -62,6 +85,7 @@ trials of G81 size (n = 20000) and 80 000 sweeps.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -300,21 +324,8 @@ def _build_layout(instance: ProblemInstance):
     running = np.concatenate(([0], np.cumsum(np.abs(weight))))
     field = _field_dtype(int((running[indptr[1:]] - running[indptr[:-1]]).max()))
     weight = weight.astype(field)
-
-    # greedy colouring in vertex order: each vertex takes the smallest
-    # colour that no lower-numbered neighbour has, kept as the bit
-    # 1 << colour; Python ints stay exact past 64 colours. A row's
-    # entries from the second half of src, after the others, are its
-    # lower-numbered neighbours.
-    lower = dst[by_src >= instance.m].tolist()
-    ends = np.cumsum(np.bincount(instance.ev, minlength=n)).tolist()
-    bit = []
-    for start, end in zip([0] + ends, ends):
-        used = 0
-        for u in lower[start:end]:
-            used |= bit[u]
-        bit.append(~used & (used + 1))  # the lowest clear bit of used
-    colour = np.fromiter(map(int.bit_length, bit), np.int64, n) - 1
+    colour = (_greedy_colouring(instance, dst[by_src >= instance.m]) if grid is None
+              else _torus_colouring(*grid[:2]))
 
     order = np.lexsort((-degree, colour))
     position = np.empty(n, dtype=np.int64)
@@ -331,6 +342,48 @@ def _build_layout(instance: ProblemInstance):
             slots.append((count, position[dst[at]], weight[at]))
         classes.append((lo, hi, tuple(slots)))
     return order, tuple(classes), field
+
+
+def _greedy_colouring(instance: ProblemInstance, lower: np.ndarray) -> np.ndarray:
+    """Each vertex's colour in the greedy colouring in vertex order: the
+    smallest colour that no lower-numbered neighbour has. ``lower`` holds
+    each vertex's lower-numbered neighbours, vertex by vertex."""
+    # a colour is kept as the bit 1 << colour; Python ints stay exact
+    # past 64 colours
+    lower = lower.tolist()
+    ends = np.cumsum(np.bincount(instance.ev, minlength=instance.n)).tolist()
+    bit = []
+    for start, end in zip([0] + ends, ends):
+        used = 0
+        for u in lower[start:end]:
+            used |= bit[u]
+        bit.append(~used & (used + 1))  # the lowest clear bit of used
+    return np.fromiter(map(int.bit_length, bit), np.int64, instance.n) - 1
+
+
+def _torus_colouring(rows: int, cols: int) -> np.ndarray:
+    """The greedy colouring of a rows x cols torus numbered row by row,
+    in closed form: the checkerboard (r + c) mod 2 on the even rows and
+    columns, 2 + r mod 2 down an odd last column, 2 + c mod 2 along an
+    odd last row and 0 at the corner of both.
+
+    Cell (r, c)'s lower-numbered neighbours are the cells to its left
+    and above and, in the last column or row, the wrapped cells (r, 0)
+    or (0, c). Off an odd last column or row, these hold the
+    checkerboard's other colour. A cell of an odd last column meets both
+    checkerboard colours, to its left and at (r, 0), and the cell above
+    it, so it takes 2 + r mod 2; so does a cell of an odd last row,
+    along the row. The corner of both meets only colours 2 and 3.
+    """
+    r, c = np.arange(rows), np.arange(cols)
+    colour = np.add.outer(r, c) % 2
+    if cols % 2:
+        colour[:, -1] = 2 + r % 2
+    if rows % 2:
+        colour[-1] = 2 + c % 2
+        if cols % 2:
+            colour[-1, -1] = 0
+    return colour.ravel()
 
 
 def _torus_layout(rows: int, cols: int, right_w: np.ndarray, down_w: np.ndarray):
@@ -381,29 +434,116 @@ def _thresholds(delta: np.ndarray, temp: float) -> np.ndarray:
     return np.ceil(k, out=k).astype(np.uint64)
 
 
-def _stencil_arrays(batch: int, plane: np.ndarray, spin_dtype) -> tuple:
+def _trial_minor(classes, batch: int) -> bool:
+    """Whether a batch of ``batch`` trials over ``classes`` is held
+    trial-minor: slot classes, and no fewer trials than the widest class
+    has vertices (see the module docstring)."""
+    return (not isinstance(classes[0][2], np.ndarray)
+            and batch >= max(hi - lo for lo, hi, _ in classes))
+
+
+class _Scratch:
+    """A batch's work buffers, each made flat on its first request and
+    handing out the C-contiguous array of a shape at its head, so that
+    the classes, and a greedy batch's shrinking set of live trials, share
+    it; a larger request makes a new buffer."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def __call__(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _stencil_arrays(batch: int, plane: np.ndarray, spin_dtype, scratch: _Scratch) -> tuple:
     """The fields, a product, the padded other half and its beside
     neighbours, for an even torus's classes, whose planes are all of
     ``plane``'s shape and dtype."""
     rows, width = plane.shape
     shape = (batch, rows, width)
-    return (np.empty(shape, plane.dtype), np.empty(shape, plane.dtype),
-            np.empty((batch, rows + 2, width), spin_dtype), np.empty(shape, spin_dtype))
+    return (scratch("fields", shape, plane.dtype), scratch("product", shape, plane.dtype),
+            scratch("padded", (batch, rows + 2, width), spin_dtype),
+            scratch("beside", shape, spin_dtype))
 
 
-def _local_fields(spins: np.ndarray, lo: int, hi: int, weights, field,
-                  stencil: tuple | None = None) -> np.ndarray:
-    """(R, hi - lo) array of sum_j w_vj * s_j at positions lo:hi, of
-    dtype ``field``, from the class's ``weights`` (see ``_sweep_layout``):
-    an even torus's planes by slices of the other half, slots by gathers.
-    An even torus writes into ``stencil`` if given, four arrays from
-    ``_stencil_arrays``, and into new ones otherwise.
+def _slot_gather(slots, width: int, field) -> tuple:
+    """A slot class's slots as one gather, ``(neighbours, weights,
+    later)``: every slot's positions and weights end to end, the first
+    slot's padded to the class's ``width`` with position 0 and weight 0,
+    and the ``(count, offset)`` of each later slot. The first ``width``
+    products of the gather are then one term of every vertex's field, a
+    vertex of degree 0 included, and each later slot's ``count`` products
+    add to the first ``count`` of them."""
+    pad = width - (slots[0][0] if slots else 0)
+    parts = (*slots[:1], (pad, np.zeros(pad, np.int64), np.zeros(pad, field)), *slots[1:])
+    later, offset = [], width
+    for count, _, _ in slots[1:]:
+        later.append((count, offset))
+        offset += count
+    return (np.concatenate([neighbours for _, neighbours, _ in parts]),
+            np.concatenate([weights for _, _, weights in parts]), later)
+
+
+def _slot_view(gather: tuple, width: int, field, spins: np.ndarray, minor: bool,
+               scratch: _Scratch) -> tuple:
+    """The arrays that ``_local_fields`` computes a slot class's fields
+    in, for ``spins`` held trial-minor or not: ``(axis, neighbours,
+    weights, gathered, product, fields, sums)``. The gather runs along
+    the position ``axis``, its weights are shaped to multiply it, the
+    class's fields are the head of the product, and ``sums`` pairs each
+    later slot's products with the fields they add to."""
+    neighbours, weights, later = gather
+    if minor:
+        shape, weights = (len(neighbours), spins.shape[1]), weights[:, None]
+    else:
+        shape = (len(spins), len(neighbours))
+    gathered = scratch("gathered", shape, spins.dtype)
+    product = gathered if gathered.dtype == field else scratch("products", shape, field)
+
+    def part(lo, hi):
+        return product[lo:hi] if minor else product[:, lo:hi]
+
+    sums = [(part(0, count), part(offset, offset + count)) for count, offset in later]
+    return int(not minor), neighbours, weights, gathered, product, part(0, width), sums
+
+
+def _class_views(spins: np.ndarray, classes, gathers, field, minor: bool,
+                 scratch: _Scratch) -> list:
+    """Per class, ``(block, view, accept)`` for ``spins``: the class's
+    spins, the arrays that ``_local_fields`` computes its fields in and a
+    bool array of the block's shape; all but the block are heads of
+    ``scratch``'s buffers. ``gathers`` holds each slot class's
+    ``_slot_gather`` and None for an even torus's classes."""
+    views = []
+    for (lo, hi, weights), gather in zip(classes, gathers):
+        block = spins[lo:hi] if minor else spins[:, lo:hi]
+        if gather is None:
+            view = _stencil_arrays(len(spins), weights[0], spins.dtype, scratch)
+        else:
+            view = _slot_view(gather, hi - lo, field, spins, minor, scratch)
+        views.append((block, view, scratch("accept", block.shape, bool)))
+    return views
+
+
+def _local_fields(spins, lo: int, hi: int, weights, field, view: tuple | None = None):
+    """The array of sum_j w_vj * s_j at positions lo:hi, of dtype
+    ``field`` and laid out as ``spins``: (R, hi - lo) trial-major, (hi -
+    lo, R) trial-minor. It is computed from the class's ``weights`` (see
+    ``_sweep_layout``), an even torus's planes by slices of the other
+    half, slots by one gather, in the arrays of ``view``, from
+    ``_stencil_arrays`` or ``_slot_view``; without a view, ``spins`` are
+    trial-major and new arrays are made.
     """
-    batch = len(spins)
     if isinstance(weights, np.ndarray):
+        batch = len(spins)
         same, beside_w, down, up = weights
         rows, width = same.shape
-        fields, product, padded, beside = stencil or _stencil_arrays(batch, same, spins.dtype)
+        fields, product, padded, beside = view or _stencil_arrays(batch, same, spins.dtype,
+                                                                  _Scratch())
         # class 0 comes first and holds cell (0, 0), so its entries are
         # the even cells of their pairs on the even rows
         k = int(lo > 0)
@@ -420,50 +560,57 @@ def _local_fields(spins: np.ndarray, lo: int, hi: int, weights, field,
         beside[:, right, -1] = other[:, right, 0]
         fields += np.multiply(beside, beside_w, out=product)
         return fields.reshape(batch, hi - lo)
-    fields = np.zeros((batch, hi - lo), dtype=field)
-    for count, neighbours, slot_weights in weights:
-        fields[:, :count] += np.take(spins, neighbours, axis=1) * slot_weights
+    axis, neighbours, slot_weights, gathered, product, fields, sums = view or _slot_view(
+        _slot_gather(weights, hi - lo, field), hi - lo, field, spins, False, _Scratch())
+    # mode="wrap" lets np.take gather straight into its out=
+    np.take(spins, neighbours, axis=axis, mode="wrap", out=gathered)
+    np.multiply(gathered, slot_weights, out=product)
+    for total, part in sums:
+        total += part
     return fields
 
 
-def _anneal(spins, current, best, best_spins, seeds, config, layout) -> None:
+def _gathers(classes, field) -> list:
+    """Each class's ``_slot_gather``, or None for an even torus's."""
+    return [None if isinstance(weights, np.ndarray) else _slot_gather(weights, hi - lo, field)
+            for lo, hi, weights in classes]
+
+
+def _anneal(spins, current, best, best_spins, seeds, config, layout, minor) -> None:
     """Run a batch's annealing sweeps, updating its spins, cuts, best cuts
     and best spins in place. The arrays of the batch's size that a sweep
-    writes are allocated once, before the first sweep; only a slot
-    class's fields and the thresholds of fields wider than int8 are not."""
+    writes are allocated once, before the first sweep; only the
+    thresholds of fields wider than int8 are not."""
     order, classes, field = layout
-    batch, n = spins.shape
+    n = len(order)
+    axis, trials = int(not minor), int(minor)
     # int8 fields bound |delta| by 127, so a delta's byte indexes a table
     byte_deltas = field == np.int8
-    # each class's arrays are C-contiguous views of the heads of flat
-    # buffers that the classes share, and an even torus's two classes
-    # share one set of stencil arrays
-    size = batch * max(hi - lo for lo, hi, _ in classes)
-    words, shifts, limits = (np.empty(size, dtype=np.uint64) for _ in range(3))
-    accepts = np.empty(size, dtype=bool)
+    scratch = _Scratch()
     steps = []
-    for lo, hi, weights in classes:
+    views = _class_views(spins, classes, _gathers(classes, field), field, minor, scratch)
+    for (lo, hi, weights), (block, view, accept) in zip(classes, views):
         # sweep t draws word (t + 1) n + v for vertex v, whose state is
         # s + (v + 1) γ + (t + 1) n γ: a class's base plus one offset
         base = (order[lo:hi].astype(np.uint64) + 1) * SPLITMIX_GAMMA
-        steps.append((lo, hi, weights, _sum_dtype(hi - lo, field), base, *(
-            buffer[:batch * (hi - lo)].reshape(batch, hi - lo)
-            for buffer in (words, shifts, limits, accepts))))
-    planes = classes[0][2]
-    stencil = (_stencil_arrays(batch, planes[0], spins.dtype)
-               if isinstance(planes, np.ndarray) else None)
-    gathered = np.empty_like(spins)
+        steps.append((lo, hi, weights, view, _sum_dtype(hi - lo, field),
+                      base[:, None] if minor else base, block, accept,
+                      *(scratch(name, block.shape, np.uint64)
+                        for name in ("words", "shifts", "limits"))))
+    # the improved trials' spins are gathered at the head of one buffer
+    scratch("improved", spins.shape, spins.dtype)
     for sweep in range(config.sweeps):
         temp = _temperature(config, sweep)
         if byte_deltas:
             table = _thresholds(_BYTE_DELTAS, temp)
         offset = seeds + (sweep + 1) * n * SPLITMIX_GAMMA % 2**64
-        for lo, hi, weights, sum_dtype, base, x, shifted, limit, accept in steps:
-            block = spins[:, lo:hi]
-            delta = _local_fields(spins, lo, hi, weights, field, stencil)
+        if not minor:
+            offset = offset[:, None]
+        for lo, hi, weights, view, sum_dtype, base, block, accept, x, shifted, limit in steps:
+            delta = _local_fields(spins, lo, hi, weights, field, view)
             delta *= block
             # the word's top 53 bits x make the uniform x 2^-53 in [0, 1)
-            np.add(offset[:, None], base, out=x)
+            np.add(offset, base, out=x)
             _premix(x, shifted)
             x ^= np.right_shift(x, 31, out=shifted)
             x >>= 11
@@ -475,7 +622,7 @@ def _anneal(spins, current, best, best_spins, seeds, config, layout) -> None:
                 np.less(x, np.take(table, index, mode="wrap", out=limit), out=accept)
             else:
                 np.less(x, _thresholds(delta, temp), out=accept)
-            current += np.multiply(delta, accept, out=delta).sum(axis=1, dtype=sum_dtype)
+            current += np.multiply(delta, accept, out=delta).sum(axis=axis, dtype=sum_dtype)
             # -1 = 0b1...11 and +1 = 0b0...01 differ in every bit but the
             # lowest, so xor with -2 flips a spin and xor with 0 keeps it
             flip = accept.view(np.int8)
@@ -483,39 +630,72 @@ def _anneal(spins, current, best, best_spins, seeds, config, layout) -> None:
             improved = np.flatnonzero(current > best)
             if len(improved):
                 best[improved] = current[improved]
-                # mode="wrap" lets np.take gather straight into its out=
-                best_spins[improved] = np.take(spins, improved, axis=0, mode="wrap",
-                                               out=gathered[:len(improved)])
+                shape = (n, len(improved)) if minor else (len(improved), n)
+                best_spins[_trials_at(improved, minor)] = np.take(
+                    spins, improved, axis=trials, mode="wrap",
+                    out=scratch("improved", shape, spins.dtype))
 
 
-def _climb(spins, current, best, best_spins, config, layout) -> np.ndarray:
+def _trials_at(index, minor: bool):
+    """The index of trials ``index`` in an array of the batch's order."""
+    return (slice(None), index) if minor else index
+
+
+def _climb(spins, current, best, best_spins, config, layout, minor) -> np.ndarray:
     """Run a batch's greedy sweeps, writing each trial's best cut and best
-    spins when it stops; returns the sweeps each trial executed."""
-    _, classes, field = layout
-    batch = len(spins)
+    spins; returns the sweeps each trial executed. The arrays of the
+    batch's size that a sweep writes are allocated once, before the first
+    sweep.
+
+    A trial stops after a sweep without a flip, which leaves its spins as
+    they were, so that a further sweep would flip nothing either. When
+    trials stop, a trial-major batch moves the others to the head of one
+    of two spin buffers, so that later sweeps cost what they cost; a
+    trial-minor batch, where a trial is one column of every op, sweeps
+    its stopped trials on unchanged.
+    """
+    order, classes, field = layout
+    n, batch = len(order), len(current)
+    axis = int(not minor)
     sweeps_executed = np.full(batch, config.sweeps, dtype=np.int64)
-    # batch rows of the trials still sweeping: a greedy trial stops
-    # after a sweep without a flip
-    live = np.arange(batch)
+    # the batch rows of the trials in spins, and which of them still sweep
+    live, running = np.arange(batch), np.ones(batch, dtype=bool)
     sum_dtypes = [_sum_dtype(hi - lo, field) for lo, hi, _ in classes]
+    gathers = _gathers(classes, field)
+    scratch = _Scratch()
+    views = _class_views(spins, classes, gathers, field, minor, scratch)
+    held, spare = spins.reshape(-1), None if minor else np.empty(spins.size, spins.dtype)
     for sweep in range(config.sweeps):
         flipped = np.zeros(len(live), dtype=bool)
-        for (lo, hi, weights), sum_dtype in zip(classes, sum_dtypes):
-            block = spins[:, lo:hi]
-            delta = block * _local_fields(spins, lo, hi, weights, field)
-            accept = delta > 0
-            flipped |= accept.any(axis=1)
-            block *= 1 - 2 * accept.view(np.int8)
-            current += np.multiply(delta, accept, out=delta).sum(axis=1, dtype=sum_dtype)
-        if not flipped.all():
-            done = ~flipped
+        for (lo, hi, weights), sum_dtype, (block, view, accept) in zip(classes, sum_dtypes,
+                                                                       views):
+            delta = _local_fields(spins, lo, hi, weights, field, view)
+            delta *= block
+            np.greater(delta, 0, out=accept)
+            flipped |= accept.any(axis=axis)
+            current += np.multiply(delta, accept, out=delta).sum(axis=axis, dtype=sum_dtype)
+            flip = accept.view(np.int8)
+            block ^= np.multiply(flip, -2, out=flip)
+        stopping = running & ~flipped
+        if not stopping.any():
+            continue
+        sweeps_executed[live[stopping]] = sweep + 1
+        running &= flipped
+        if not running.any():
+            break
+        if not minor:
+            done, kept = np.flatnonzero(stopping), np.flatnonzero(running)
             best[live[done]] = current[done]
-            best_spins[live[done]] = spins[done]
-            sweeps_executed[live[done]] = sweep + 1
-            live, spins, current = live[flipped], spins[flipped], current[flipped]
-            if not len(live):
-                break
-    best[live], best_spins[live] = current, spins
+            # the spare buffer takes the stopped trials after the kept ones
+            best_spins[live[done]] = np.take(
+                spins, done, axis=0, mode="wrap",
+                out=spare[len(kept) * n:len(live) * n].reshape(len(done), n))
+            spins = np.take(spins, kept, axis=0, mode="wrap",
+                            out=spare[:len(kept) * n].reshape(len(kept), n))
+            held, spare = spare, held
+            live, current, running = live[kept], current[kept], running[kept]
+            views = _class_views(spins, classes, gathers, field, minor, scratch)
+    best[live], best_spins[_trials_at(live, minor)] = current, spins
     return sweeps_executed
 
 
@@ -533,23 +713,24 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> TrialB
         seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
     if not seeds.size:
         raise ValueError("a batch needs at least one trial")
-    layout = order, _, _ = _sweep_layout(instance)
+    layout = order, classes, _ = _sweep_layout(instance)
+    minor = _trial_minor(classes, len(seeds))
 
     initial = _initial_spins(seeds, instance.n)
     current = cut_values(instance, initial)
-    # spins[r, p] is trial r's spin at position p; np.take keeps the rows
-    # C-contiguous, where initial[:, order] would come out column-major
-    spins = np.take(initial, order, axis=1)
+    # trial r's spin at position p is spins[r, p] trial-major and spins[p,
+    # r] trial-minor, C-contiguous either way
+    spins = initial.T[order] if minor else np.take(initial, order, axis=1)
     # trial i's best state so far; greedy only climbs, so its best is the
     # state it stops in, written when it stops and at the end of the batch
     best, best_spins = current.copy(), spins.copy()
     if config.kind == ANNEALING:
-        _anneal(spins, current, best, best_spins, seeds, config, layout)
+        _anneal(spins, current, best, best_spins, seeds, config, layout, minor)
         sweeps_executed = np.full(len(seeds), config.sweeps, dtype=np.int64)
     else:
-        sweeps_executed = _climb(spins, current, best, best_spins, config, layout)
-    by_vertex = np.empty_like(best_spins)
-    by_vertex[:, order] = best_spins
+        sweeps_executed = _climb(spins, current, best, best_spins, config, layout, minor)
+    by_vertex = np.empty_like(initial)
+    by_vertex[:, order] = best_spins.T if minor else best_spins
     by_vertex.flags.writeable = False
 
     # every trial's cut, recomputed from scratch in one pass

@@ -163,6 +163,59 @@ def test_annealing_sweeps_allocate_nothing_of_the_batch_size(monkeypatch):
     assert max(sweeps) < 128 * 1024
 
 
+def sweep_peaks(monkeypatch, inst, config, batch):
+    """The peak traced during each whole sweep of a batch, above what
+    was live when it began: a sweep begins at its first class's fields."""
+    local_fields = solvers._local_fields
+    marks = []
+
+    def marking(spins, lo, *args):
+        if lo == 0:
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+        return local_fields(spins, lo, *args)
+
+    monkeypatch.setattr(solvers, "_local_fields", marking)
+    tracemalloc.start()
+    try:
+        run_trials(inst, config, range(batch))
+    finally:
+        tracemalloc.stop()
+    return [peak - live for (live, _), (_, peak) in zip(marks, marks[1:])]
+
+
+def test_greedy_sweeps_allocate_nothing_of_the_batch_size(monkeypatch):
+    # 26 rows of a G72-size torus: its spins are 254 KB. Four trials stop
+    # after three sweeps and the others after four, so the third sweep
+    # ends by moving the 22 still sweeping to the other spin buffer.
+    inst = generate_torus(TorusSpec(100, 100, seed=1))
+    assert not solvers._trial_minor(_sweep_layout(inst)[1], 26)
+    sweeps = sweep_peaks(monkeypatch, inst, default_config(GREEDY, 50), 26)
+    assert len(sweeps) == 3
+    assert max(sweeps) < 128 * 1024
+
+
+def dense_graph(n, degree, seed):
+    """A random graph joining each vertex pair with probability degree /
+    (n - 1) by a +-1 edge, like Gset's G1-G10 at n = 800 and degree 48."""
+    rng = np.random.default_rng(seed)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(len(u)) < degree / (n - 1)
+    weights = rng.choice((-1, 1), size=int(keep.sum()))
+    return ProblemInstance(n, np.column_stack((u[keep] + 1, v[keep] + 1, weights)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_trial_minor_sweeps_allocate_nothing_of_the_batch_size(monkeypatch, kind):
+    # 100 trials of a G1-size random graph run trial-minor; a class's
+    # gathered neighbour spins reach about 300 KB
+    inst = dense_graph(800, 48, seed=1)
+    assert solvers._trial_minor(_sweep_layout(inst)[1], 100)
+    sweeps = sweep_peaks(monkeypatch, inst, default_config(kind, 6), 100)
+    assert len(sweeps) == 5
+    assert max(sweeps) < 128 * 1024
+
+
 def test_a_batch_holds_its_trials_as_arrays():
     inst = generate_torus(TorusSpec(6, 8, seed=2))
     seeds = np.array([5, 2**64 - 1, 0], dtype=np.uint64)
@@ -477,6 +530,42 @@ def test_batched_trials_equal_single_trials(kind, sweeps):
                 assert_same_outcome(outcome(result), expected)
 
 
+def order_batches():
+    """(instance, batch size, trial-minor) triples on which both memory
+    orders run: 400 trials of the odd 4x5 torus, whose widest class has 8
+    vertices, and a random graph of n = 40 and average degree about 13
+    at its widest class's width plus one, at that width and at one trial
+    fewer."""
+    graph = random_instance(np.random.default_rng(33), 40, edge_prob=0.35)
+    _, classes, _ = _sweep_layout(graph)
+    widest = max(hi - lo for lo, hi, _ in classes)
+    return [(generate_torus(TorusSpec(4, 5, seed=1000)), 400, True), (graph, widest + 1, True),
+            (graph, widest, True), (graph, widest - 1, False)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_both_memory_orders_match_the_reference_and_single_trials(kind):
+    config = default_config(kind, 12)
+    for inst, batch, minor in order_batches():
+        assert solvers._trial_minor(_sweep_layout(inst)[1], batch) == minor
+        seeds = [2**64 - 1, *range(batch - 1)]
+        for result, seed in zip(run_trials(inst, config, seeds), seeds, strict=True):
+            expected = reference_trial(inst, config, seed)
+            assert_same_outcome(outcome(result), expected)
+            assert_same_outcome(outcome(run_trial(inst, config, seed)), expected)
+
+
+def test_even_tori_and_narrow_slot_batches_stay_trial_major():
+    # an even torus at any batch size, and a slot batch below its widest
+    # class; one trial at or above it runs trial-minor
+    even = _sweep_layout(generate_torus(TorusSpec(4, 4, seed=2)))[1]
+    assert not any(solvers._trial_minor(even, batch) for batch in (1, 8, 400, 10**6))
+    odd = _sweep_layout(generate_torus(TorusSpec(101, 100, seed=3)))[1]
+    widest = max(hi - lo for lo, hi, _ in odd)
+    assert [solvers._trial_minor(odd, batch) for batch in (8, widest - 1, widest)] == [
+        False, False, True]
+
+
 def test_uniform_draw_boundaries_keep_the_streams():
     # 200 annealing trials of a 9x11 torus, 30 sweeps: sweep t of every
     # trial draws words (t+1)n .. (t+2)n-1 of its own stream, whether the
@@ -518,6 +607,17 @@ def test_integrity_guard_recomputes_every_trial_of_a_batch():
         with pytest.raises(RuntimeError,
                            match="internal cut accounting drifted from recomputation"):
             run_trials(inst, default_config(ANNEALING, 5), range(6))
+    # and the same slot corruption in a trial-minor batch, of both kinds
+    minor = generate_torus(TorusSpec(4, 5, seed=1000))
+    _, classes, _ = _sweep_layout(minor)
+    _, _, slots = classes[0]
+    _, _, weights = slots[0]
+    weights *= 3
+    assert solvers._trial_minor(classes, 400)
+    for kind in KINDS:
+        with pytest.raises(RuntimeError,
+                           match="internal cut accounting drifted from recomputation"):
+            run_trials(minor, default_config(kind, 5), range(400))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -593,6 +693,26 @@ def test_colour_classes_partition_vertices_into_independent_sets():
     assert _sweep_layout(ProblemInstance(graph.n, shuffled))[0].tolist() == (
         _sweep_layout(graph)[0].tolist()
     )
+
+
+def test_tori_are_coloured_in_closed_form(monkeypatch):
+    # every torus that torus_grid recognises, odd sides included, takes
+    # the closed-form colouring, equal to the greedy colouring; the loop
+    # colours the other graphs
+    for rows in range(3, 14):
+        for cols in range(3, 14):
+            inst = generate_torus(TorusSpec(rows, cols, seed=rows * cols))
+            expected = greedy_colouring(inst)
+            assert solvers._torus_colouring(rows, cols).tolist() == expected
+            if rows % 2 or cols % 2:
+                with monkeypatch.context() as patch:
+                    patch.setattr(solvers, "_greedy_colouring",
+                                  lambda *a: pytest.fail("a torus was coloured by the loop"))
+                    order, classes, _ = solvers._build_layout(inst)
+                class_of = np.empty(inst.n, dtype=np.int64)
+                for c, (lo, hi, _) in enumerate(classes):
+                    class_of[order[lo:hi]] = c
+                assert class_of.tolist() == expected
 
 
 def test_slot_weights_take_the_narrowest_field_dtype():
