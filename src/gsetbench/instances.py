@@ -115,10 +115,12 @@ def _canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise GsetFormatError(f"vertex count must be positive, got {n}")
     u, v, w = np.asarray(edges, dtype=np.int64).reshape(len(edges), 3).T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    loop, out_of_range = u == v, (lo < 1) | (hi > n)
-    failing = loop | out_of_range | _repeats(n, lo, hi)
-    if failing.any():
-        i = int(np.argmax(failing))
+    # a clean edge list is checked by reductions and one sorted key; a
+    # failing one is checked again edge by edge, to name its first fault
+    if len(w) and not (int(lo.min()) >= 1 and int(hi.max()) <= n
+                       and not np.any(lo == hi) and _distinct(n, lo, hi)):
+        loop, out_of_range = u == v, (lo < 1) | (hi > n)
+        i = int(np.argmax(loop | out_of_range | _repeats(n, lo, hi)))
         if loop[i]:
             raise GsetFormatError(f"edge {i + 1}: self-loop at vertex {u[i]}")
         if out_of_range[i]:
@@ -127,33 +129,52 @@ def _canonical_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             )
         raise GsetFormatError(f"edge {i + 1}: duplicate edge ({lo[i]}, {hi[i]})")
 
-    # |w| as uint64, where |-2^63| fits; the sum is taken exactly only
-    # when m copies of the largest |w| would reach the limit
-    size = np.abs(w).view(np.uint64)
-    if len(w) and int(size.max()) * len(w) >= _WEIGHT_SUM_LIMIT:
-        for i, total in enumerate(accumulate(size.tolist())):
+    # the sum is taken exactly only when m copies of the largest |w|
+    # would reach the limit; |w| is a Python int, then uint64, where
+    # |-2^63| fits
+    w = w.copy()
+    if len(w) and max(int(w.max()), -int(w.min())) * len(w) >= _WEIGHT_SUM_LIMIT:
+        for i, total in enumerate(accumulate(np.abs(w).view(np.uint64).tolist())):
             if total >= _WEIGHT_SUM_LIMIT:
                 raise GsetFormatError(f"edge {i + 1}: absolute edge weights sum to 2^62 or more")
     lo -= 1
     hi -= 1
-    arrays = (lo, hi, w.copy())
+    arrays = (lo, hi, w)
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+def _distinct(n: int, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether no pair (lo, hi) of edges in range 1..n occurs twice: one
+    key, sorted in place, below n = 2^31, and ``_repeats`` above."""
+    if n >= 2**31:
+        return not _repeats(n, lo, hi).any()
+    key = _pair_key(n, lo, hi)
+    # a stable sort finds the runs of a nearly sorted list, as a torus's is
+    key.sort(kind="stable")
+    return not np.any(key[1:] == key[:-1])
+
+
+def _pair_key(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lo*(n+1) + hi, one int64 key per edge, one-to-one on pairs within
+    1..n below n = 2^31."""
+    key = lo * (n + 1)
+    key += hi
+    return key
 
 
 def _repeats(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mask of the edges whose pair (lo, hi) occurs at a lower index.
 
     A stable sort puts each repeat of a pair after its first occurrence.
-    Below n = 2^31 it sorts one int64 key, lo*(n+1) + hi, which is
-    one-to-one on pairs within 1..n. An edge out of range may share its
-    key with another edge, but then it is marked itself or precedes the
-    edge it marks, so the first failing edge and its message stand.
+    Below n = 2^31 it sorts one int64 key, ``_pair_key``. An edge out of
+    range may share its key with another edge, but then it is marked
+    itself or precedes the edge it marks, so the first failing edge and
+    its message stand.
     """
     if n < 2**31:
-        key = lo * (n + 1)
-        key += hi
+        key = _pair_key(n, lo, hi)
         order = np.argsort(key, kind="stable")
         key = key[order]
         same = key[1:] == key[:-1]
@@ -331,14 +352,18 @@ def generate_torus(spec: TorusSpec) -> ProblemInstance:
     """
     rows, cols = spec.rows, spec.cols
     n = rows * cols
-    r, c = np.divmod(np.arange(n), cols)
-    right = r * cols + (c + 1) % cols
-    down = (r + 1) % rows * cols + c
     edges = np.empty((2 * n, 3), dtype=np.int64)
-    edges[:, 0] = np.repeat(np.arange(1, n + 1), 2)
-    edges[0::2, 1], edges[1::2, 1] = right + 1, down + 1
-    rng = np.random.default_rng(spec.seed)
-    edges[:, 2] = rng.integers(0, 2, size=2 * n) * 2 - 1
+    # [r, c, k] is the right (k = 0) or down (k = 1) edge of cell (r, c)
+    grid = edges.reshape(rows, cols, 2, 3)
+    cell = grid[:, :, 0, 0]
+    np.add.outer(np.arange(1, n + 1, cols), np.arange(cols), out=cell)
+    grid[:, :, 1, 0] = cell
+    grid[:, :-1, 0, 1], grid[:, -1, 0, 1] = cell[:, 1:], cell[:, 0]
+    grid[:-1, :, 1, 1], grid[-1, :, 1, 1] = cell[1:], cell[0]
+    weights = grid[..., 2]
+    np.multiply(np.random.default_rng(spec.seed).integers(0, 2, size=(rows, cols, 2)), 2,
+                out=weights)
+    weights -= 1
     return ProblemInstance(n, edges, name=spec.name)
 
 

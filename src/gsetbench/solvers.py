@@ -34,17 +34,17 @@ classes are slots and R is at least its widest class's vertex count.
 So an even torus's stencil is trial-major at any R, and so is a slot
 batch narrower than its widest class, where the trial-minor ops would
 run fewer than a class wide. ``scripts/kernel_shapes.py`` measures
-``run_trials`` in ns per spin update (median over six fresh processes
-of the minimum of 20 calls, 2-core host, Python 3.11, numpy 2.4; in
-parentheses, the same batch held trial-major, median of three):
+``run_trials``, set-up included, in ns per spin update (median over six
+fresh processes of the minimum of 20 calls, 2-core host, Python 3.11,
+numpy 2.4):
 
-    instance                  R    order        annealing     greedy
-    torus:100x100:1           4    trial-major   8.6           7.3
-    torus:100x100:1           26   trial-major   8.2           5.5
-    torus:101x100:3           8    trial-major  10.7           9.8
-    torus:101x100:3           26   trial-major  11.0           8.6
-    torus:4x5:1003            400  trial-minor  25.6 (57.0)   28.9 (75.1)
-    random, n 800, degree 48  100  trial-minor  51.2 (112)    46.0 (144)
+    instance                  R    order        annealing  greedy
+    torus:100x100:1           4    trial-major   7.1        5.6
+    torus:100x100:1           26   trial-major   7.1        3.8
+    torus:101x100:3           8    trial-major  10.0        8.3
+    torus:101x100:3           26   trial-major  10.0        7.5
+    torus:4x5:1003            400  trial-minor  22.5       25.7
+    random, n 800, degree 48  100  trial-minor  42.2       35.3
 
 A trial's randomness is counter-based: word c of the trial with seed s
 is output c + 1 of the SplitMix64 stream seeded at s (Steele, Lea and
@@ -53,17 +53,26 @@ which ``splitmix64`` computes for whole arrays of seeds and counters.
 Initial spin v (0-based) is +1 exactly when bit 63 of word v is set.
 The mix's last step, z ^= z >> 31, leaves bit 63 as it is, so the
 initial draw stops before it and reads bit 63 as the int64 sign. It
-draws the words in blocks of at most 2^13 (64 KB) through one scratch
-array: glibc's malloc may map a temporary of 128 KB or more afresh on
-each call, and then each of its pages costs a page fault. At annealing
-sweep t (0-based), vertex v's uniform is x 2^-53 with x = word (t + 1)
-n + v >> 11, numpy's own 53-bit construction of a double in [0, 1);
-each colour class computes its own words from its vertex ids. A batch
-computes them, and the other arrays of its size that a sweep writes,
-in arrays it allocates once. Greedy draws nothing after the initial
-spins. A trial is therefore a deterministic function of (instance,
-config, seed), whatever batch it runs in, and greedy with a longer
-budget only extends the same trajectory.
+runs in the sweep's position order, position p drawing word order[p]
+(``_sweep_layout``), so the spins need no reordering, and in blocks of
+at most 2^13 words (64 KB) through one scratch array: glibc's malloc
+may map a temporary of 128 KB or more afresh on each call, and then
+each of its pages costs a page fault. At annealing sweep t (0-based),
+vertex v's uniform is x 2^-53 with x = word (t + 1) n + v >> 11,
+numpy's own 53-bit construction of a double in [0, 1), and the initial
+draw is this formula's sweep -1; each colour class computes its own
+words from its vertex ids. A batch computes them, and the other arrays
+of its size that a sweep writes, in arrays it allocates once. Greedy
+draws nothing after the initial spins. A trial is therefore a
+deterministic function of (instance, config, seed), whatever batch it
+runs in, and greedy with a longer budget only extends the same
+trajectory.
+
+A trial's starting cut comes from the same class views as its sweeps:
+every class's local fields h on the initial spins give the energy E =
+1/2 sum_v s_v h_v, and the cut is (W - E) / 2, W the total weight. The
+final guard recomputes every best cut from the instance's edges
+(``evaluate.cut_values``), which share nothing with the layout.
 
 A flip of delta d at temperature T is accepted when x < k = ceil(e
 2^53), e = exp(min(d, 0) / T). That is the rule x 2^-53 < e for every
@@ -223,26 +232,33 @@ def _premix(z: np.ndarray, shifted: np.ndarray | None = None) -> None:
         z *= multiplier
 
 
-def _initial_spins(seeds: np.ndarray, n: int) -> np.ndarray:
-    """(len(seeds), n) C-contiguous int8 array of the initial +-1 spins
-    of the trials seeded at ``seeds``, a uint64 array, drawn block by
-    block (see the module docstring)."""
-    batch = len(seeds)
-    spins = np.empty((batch, n), dtype=np.int8)
-    width = min(n, _DRAW_BLOCK)
-    height = _DRAW_BLOCK // width
-    steps = (np.arange(width, dtype=np.uint64) + 1) * SPLITMIX_GAMMA
-    scratch = np.empty(height * width, dtype=np.uint64)
-    for lo in range(0, n, width):
-        hi = min(lo + width, n)
-        # word lo + c's state is (s + lo γ) + (c + 1) γ
-        offset = lo * SPLITMIX_GAMMA % 2**64
-        for top in range(0, batch, height):
-            bottom = min(top + height, batch)
-            z = scratch[:(bottom - top) * (hi - lo)].reshape(bottom - top, hi - lo)
-            np.add.outer(seeds[top:bottom] + offset, steps[:hi - lo], out=z)
+def _initial_spins(seeds: np.ndarray, order: np.ndarray, minor: bool) -> np.ndarray:
+    """The initial +-1 spins of the trials seeded at ``seeds``, a uint64
+    array, in position order: a C-contiguous int8 array, (n, R)
+    trial-minor and (R, n) trial-major, whose position p holds bit 63 of
+    word ``order[p]``, drawn block by block (see the module docstring)."""
+    batch, n = len(seeds), len(order)
+    spins = np.empty((n, batch) if minor else (batch, n), dtype=np.int8)
+    # a block is `across` positions of `down` trials
+    across = _DRAW_BLOCK // min(batch, _DRAW_BLOCK) if minor else min(n, _DRAW_BLOCK)
+    down = _DRAW_BLOCK // across
+    steps = np.empty(across, dtype=np.uint64)
+    scratch = np.empty(across * down, dtype=np.uint64)
+    for lo in range(0, n, across):
+        hi = min(lo + across, n)
+        # position p's state is s + (order[p] + 1) γ
+        step = np.multiply(order[lo:hi].view(np.uint64), SPLITMIX_GAMMA, out=steps[:hi - lo])
+        step += SPLITMIX_GAMMA
+        for top in range(0, batch, down):
+            bottom = min(top + down, batch)
+            z = scratch[:(hi - lo) * (bottom - top)]
+            if minor:
+                z = np.add.outer(step, seeds[top:bottom], out=z.reshape(hi - lo, bottom - top))
+                block = spins[lo:hi, top:bottom]
+            else:
+                z = np.add.outer(seeds[top:bottom], step, out=z.reshape(bottom - top, hi - lo))
+                block = spins[top:bottom, lo:hi]
             _premix(z)
-            block = spins[top:bottom, lo:hi]
             np.less(z.view(np.int64), 0, out=block.view(np.bool_))
             block *= 2
             block -= 1
@@ -576,19 +592,33 @@ def _gathers(classes, field) -> list:
             for lo, hi, weights in classes]
 
 
-def _anneal(spins, current, best, best_spins, seeds, config, layout, minor) -> None:
+def _starting_cuts(total_weight: int, spins, classes, field, views, minor: bool) -> np.ndarray:
+    """Each trial's cut from its classes' local fields h: C = (W - E) / 2
+    with W the total weight and energy E = 1/2 sum_v s_v h_v, since every
+    edge's term w s_u s_v appears at both its ends. |E| and |W| are at
+    most the sum of |w|, below 2^62, so every sum stays exact in int64."""
+    twice_energy = np.zeros(spins.shape[int(minor)], dtype=np.int64)
+    for (lo, hi, weights), (block, view, _) in zip(classes, views):
+        energies = _local_fields(spins, lo, hi, weights, field, view)
+        energies *= block
+        twice_energy += energies.sum(axis=int(not minor), dtype=_sum_dtype(hi - lo, field))
+    twice_energy //= 2
+    return np.subtract(total_weight, twice_energy, out=twice_energy) // 2
+
+
+def _anneal(spins, current, best, best_spins, seeds, config, layout, minor, views,
+            scratch) -> None:
     """Run a batch's annealing sweeps, updating its spins, cuts, best cuts
-    and best spins in place. The arrays of the batch's size that a sweep
-    writes are allocated once, before the first sweep; only the
-    thresholds of fields wider than int8 are not."""
+    and best spins in place, with ``views`` the classes' ``_class_views``
+    in ``scratch``. The arrays of the batch's size that a sweep writes are
+    allocated once, before the first sweep; only the thresholds of fields
+    wider than int8 are not."""
     order, classes, field = layout
     n = len(order)
     axis, trials = int(not minor), int(minor)
     # int8 fields bound |delta| by 127, so a delta's byte indexes a table
     byte_deltas = field == np.int8
-    scratch = _Scratch()
     steps = []
-    views = _class_views(spins, classes, _gathers(classes, field), field, minor, scratch)
     for (lo, hi, weights), (block, view, accept) in zip(classes, views):
         # sweep t draws word (t + 1) n + v for vertex v, whose state is
         # s + (v + 1) γ + (t + 1) n γ: a class's base plus one offset
@@ -641,11 +671,13 @@ def _trials_at(index, minor: bool):
     return (slice(None), index) if minor else index
 
 
-def _climb(spins, current, best, best_spins, config, layout, minor) -> np.ndarray:
+def _climb(spins, current, best, best_spins, config, layout, minor, views, gathers,
+           scratch) -> np.ndarray:
     """Run a batch's greedy sweeps, writing each trial's best cut and best
-    spins; returns the sweeps each trial executed. The arrays of the
-    batch's size that a sweep writes are allocated once, before the first
-    sweep.
+    spins; returns the sweeps each trial executed. ``views`` are the
+    classes' ``_class_views`` from ``gathers`` in ``scratch``. The arrays
+    of the batch's size that a sweep writes are allocated once, before
+    the first sweep.
 
     A trial stops after a sweep without a flip, which leaves its spins as
     they were, so that a further sweep would flip nothing either. When
@@ -661,9 +693,6 @@ def _climb(spins, current, best, best_spins, config, layout, minor) -> np.ndarra
     # the batch rows of the trials in spins, and which of them still sweep
     live, running = np.arange(batch), np.ones(batch, dtype=bool)
     sum_dtypes = [_sum_dtype(hi - lo, field) for lo, hi, _ in classes]
-    gathers = _gathers(classes, field)
-    scratch = _Scratch()
-    views = _class_views(spins, classes, gathers, field, minor, scratch)
     held, spare = spins.reshape(-1), None if minor else np.empty(spins.size, spins.dtype)
     for sweep in range(config.sweeps):
         flipped = np.zeros(len(live), dtype=bool)
@@ -713,23 +742,24 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> TrialB
         seeds = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
     if not seeds.size:
         raise ValueError("a batch needs at least one trial")
-    layout = order, classes, _ = _sweep_layout(instance)
+    layout = order, classes, field = _sweep_layout(instance)
     minor = _trial_minor(classes, len(seeds))
-
-    initial = _initial_spins(seeds, instance.n)
-    current = cut_values(instance, initial)
     # trial r's spin at position p is spins[r, p] trial-major and spins[p,
     # r] trial-minor, C-contiguous either way
-    spins = initial.T[order] if minor else np.take(initial, order, axis=1)
+    spins = _initial_spins(seeds, order, minor)
+    gathers, scratch = _gathers(classes, field), _Scratch()
+    views = _class_views(spins, classes, gathers, field, minor, scratch)
+    current = _starting_cuts(instance.total_weight(), spins, classes, field, views, minor)
     # trial i's best state so far; greedy only climbs, so its best is the
     # state it stops in, written when it stops and at the end of the batch
     best, best_spins = current.copy(), spins.copy()
     if config.kind == ANNEALING:
-        _anneal(spins, current, best, best_spins, seeds, config, layout, minor)
+        _anneal(spins, current, best, best_spins, seeds, config, layout, minor, views, scratch)
         sweeps_executed = np.full(len(seeds), config.sweeps, dtype=np.int64)
     else:
-        sweeps_executed = _climb(spins, current, best, best_spins, config, layout, minor)
-    by_vertex = np.empty_like(initial)
+        sweeps_executed = _climb(spins, current, best, best_spins, config, layout, minor,
+                                 views, gathers, scratch)
+    by_vertex = np.empty((len(seeds), instance.n), dtype=np.int8)
     by_vertex[:, order] = best_spins.T if minor else best_spins
     by_vertex.flags.writeable = False
 

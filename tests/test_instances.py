@@ -435,6 +435,33 @@ def test_torus_deterministic_and_seed_sensitive():
     assert a.name == "torus:4x5:9"
 
 
+def reference_torus_edges(spec):
+    """The (u, v, w) rows of ``spec``'s torus cell by cell, as
+    ``generate_torus`` documents them: each 1-based vertex in id order
+    emits its right edge, then its down edge, and the weights are the
+    seed's {0, 1} draws in emission order, mapped to -1 and +1."""
+    rows, cols = spec.rows, spec.cols
+    bits = np.random.default_rng(spec.seed).integers(0, 2, size=2 * rows * cols).tolist()
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            for target in (r * cols + (c + 1) % cols, (r + 1) % rows * cols + c):
+                edges.append((r * cols + c + 1, target + 1, 2 * bits[len(edges)] - 1))
+    return edges
+
+
+def test_torus_edges_equal_the_cell_by_cell_reference():
+    shapes = [(rows, cols) for rows in range(3, 14) for cols in range(3, 14)] + [(100, 200)]
+    for rows, cols in shapes:
+        spec = TorusSpec(rows, cols, seed=rows * 100 + cols)
+        inst = generate_torus(spec)
+        expected = ProblemInstance(rows * cols, reference_torus_edges(spec))
+        assert inst._key() == expected._key() and inst.name == spec.name
+        for got, want in zip((inst.eu, inst.ev, inst.ew), (expected.eu, expected.ev, expected.ew)):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
+
 def test_torus_roundtrips_through_gset_text():
     inst = generate_torus(TorusSpec(3, 4, seed=2))
     assert parse_gset(write_gset(inst)) == inst

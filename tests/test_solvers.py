@@ -19,7 +19,7 @@ from conftest import (
 from gsetbench import instances, solvers
 from gsetbench.campaign import read_log
 from gsetbench.codec import decode_hex
-from gsetbench.evaluate import cut_value, evaluate_solution
+from gsetbench.evaluate import cut_value, cut_values, evaluate_solution
 from gsetbench.instances import (
     ProblemInstance,
     TorusSpec,
@@ -115,27 +115,33 @@ def test_splitmix64_reference_vectors():
 @pytest.mark.parametrize("batch, n", [(1, 1), (3, 2**13 - 1), (3, 2**13), (2, 2**13 + 1),
                                       (2, 20000), (400, 20), (26, 10000)])
 def test_initial_spins_are_the_top_bits_of_the_stream_words(batch, n):
-    # the block draw, on shapes at and across its block bounds, with the
-    # last seed at 2^64 - 1 so that each block's seed offset wraps
-    seeds = np.random.default_rng(n).integers(2**64, size=batch, dtype=np.uint64)
+    # the block draw in position order, both memory orders, on shapes at
+    # and across its block bounds, with the last seed at 2^64 - 1 so that
+    # a state wraps: position p takes bit 63 of word order[p]
+    rng = np.random.default_rng(n)
+    seeds = rng.integers(2**64, size=batch, dtype=np.uint64)
     seeds[-1] = 2**64 - 1
-    spins = _initial_spins(seeds, n)
-    assert spins.dtype == np.int8 and spins.flags.c_contiguous
-    expected = (splitmix64(seeds, np.arange(n)) >> 63).astype(np.int8) * 2 - 1
-    assert np.array_equal(spins, expected)
+    order = rng.permutation(n)
+    expected = (splitmix64(seeds, order) >> 63).astype(np.int8) * 2 - 1
+    for minor, by_position in ((False, expected), (True, expected.T)):
+        spins = _initial_spins(seeds, order, minor)
+        assert spins.dtype == np.int8 and spins.flags.c_contiguous
+        assert np.array_equal(spins, by_position)
 
 
 def test_initial_draw_keeps_its_temporaries_small():
     # the words are drawn block by block, so the peak stays far below the
     # (R, n) uint64 array of all of them, 2 MB here
     seeds = np.arange(26, dtype=np.uint64)
-    tracemalloc.start()
-    try:
-        spins = _initial_spins(seeds, 10000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < spins.nbytes + 256 * 1024
+    order = np.random.default_rng(3).permutation(10000)
+    for minor in (False, True):
+        tracemalloc.start()
+        try:
+            spins = _initial_spins(seeds, order, minor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < spins.nbytes + 256 * 1024
 
 
 def test_annealing_sweeps_allocate_nothing_of_the_batch_size(monkeypatch):
@@ -165,7 +171,9 @@ def test_annealing_sweeps_allocate_nothing_of_the_batch_size(monkeypatch):
 
 def sweep_peaks(monkeypatch, inst, config, batch):
     """The peak traced during each whole sweep of a batch, above what
-    was live when it began: a sweep begins at its first class's fields."""
+    was live when it began: a sweep begins at its first class's fields,
+    and the first such call of a batch, which computes the starting cut
+    before the sweeps' buffers are made, begins no sweep."""
     local_fields = solvers._local_fields
     marks = []
 
@@ -181,6 +189,7 @@ def sweep_peaks(monkeypatch, inst, config, batch):
         run_trials(inst, config, range(batch))
     finally:
         tracemalloc.stop()
+    marks = marks[1:]
     return [peak - live for (live, _), (_, peak) in zip(marks, marks[1:])]
 
 
@@ -591,22 +600,28 @@ def test_best_spins_are_read_only_int8_rows():
 
 
 def test_integrity_guard_recomputes_every_trial_of_a_batch():
-    # corrupt one class's cached weights, a weight plane of the even
-    # torus and a slot of the odd one: the kernel's incremental cuts then
+    # corrupt one class's cached weights, each weight plane of the even
+    # torus in turn and a slot of the odd one: the starting cuts and the
+    # kernel's incremental cuts, both read through the layout, then
     # disagree with the cuts recomputed from the instance's edges
-    even = generate_torus(TorusSpec(4, 4, seed=2))
-    _, classes, _ = _sweep_layout(even)
-    _, _, planes = classes[0]
-    planes[0] *= 3
+    corrupted = []
+    for plane in range(4):
+        even = generate_torus(TorusSpec(4, 4, seed=2))
+        _, classes, _ = _sweep_layout(even)
+        _, _, planes = classes[0]
+        planes[plane] *= 3
+        corrupted.append((even, KINDS))
     odd = generate_torus(TorusSpec(4, 5, seed=1000))
     _, classes, _ = _sweep_layout(odd)
     _, _, slots = classes[0]
     _, _, weights = slots[0]
     weights *= 3
-    for inst in (even, odd):
-        with pytest.raises(RuntimeError,
-                           match="internal cut accounting drifted from recomputation"):
-            run_trials(inst, default_config(ANNEALING, 5), range(6))
+    corrupted.append((odd, (ANNEALING,)))
+    for inst, kinds in corrupted:
+        for kind in kinds:
+            with pytest.raises(RuntimeError,
+                               match="internal cut accounting drifted from recomputation"):
+                run_trials(inst, default_config(kind, 5), range(6))
     # and the same slot corruption in a trial-minor batch, of both kinds
     minor = generate_torus(TorusSpec(4, 5, seed=1000))
     _, classes, _ = _sweep_layout(minor)
@@ -618,6 +633,79 @@ def test_integrity_guard_recomputes_every_trial_of_a_batch():
         with pytest.raises(RuntimeError,
                            match="internal cut accounting drifted from recomputation"):
             run_trials(minor, default_config(kind, 5), range(400))
+
+
+def test_a_batch_recomputes_its_cuts_from_the_edges_once(monkeypatch):
+    # the starting cuts come from the layout's fields; only the final
+    # guard reads the edges, for all trials in one pass
+    calls = []
+
+    def counting(instance, spins):
+        calls.append(spins.shape)
+        return cut_values(instance, spins)
+
+    monkeypatch.setattr(solvers, "cut_values", counting)
+    for shape, batch in (((6, 8), 5), ((4, 5), 400), ((4, 5), 3)):
+        inst = generate_torus(TorusSpec(*shape, seed=1000))
+        for kind in KINDS:
+            calls.clear()
+            run_trials(inst, default_config(kind, 5), range(batch))
+            assert calls == [(batch, inst.n)]
+
+
+def starting_cuts(inst, by_vertex):
+    """The starting cuts that ``run_trials`` computes from the layout's
+    fields for the (R, n) spins ``by_vertex``, held in the memory order
+    of a batch of R trials."""
+    order, classes, field = _sweep_layout(inst)
+    minor = solvers._trial_minor(classes, len(by_vertex))
+    spins = np.ascontiguousarray(by_vertex[:, order].T if minor else by_vertex[:, order])
+    views = solvers._class_views(spins, classes, solvers._gathers(classes, field), field,
+                                 minor, solvers._Scratch())
+    return solvers._starting_cuts(inst.total_weight(), spins, classes, field, views, minor)
+
+
+def test_the_starting_cut_from_fields_equals_the_cut_of_the_edges():
+    # every layout and memory order, fields of every dtype, and one trial
+    graph, _, _ = order_batches()[1]
+    widest = max(hi - lo for lo, hi, _ in _sweep_layout(graph)[1])
+    rng = np.random.default_rng(21)
+    cases = [
+        (generate_torus(TorusSpec(6, 8, seed=2)), 5, False, np.int8),
+        (generate_torus(TorusSpec(101, 100, seed=3)), 8, False, np.int8),
+        (generate_torus(TorusSpec(4, 5, seed=1000)), 400, True, np.int8),
+        (graph, widest - 1, False, np.int8),
+        (graph, widest, True, np.int8),
+        (load_gset(DATA / "weighted_300.gset"), 6, False, np.int16),
+        (scaled_instance(rng, 9, 2**31), 7, True, np.int32),
+        (load_gset(DATA / "weighted_2e40.gset"), 6, False, np.int64),
+        (weighted_torus(rng, 6, 4, 128), 1, False, np.int16),
+    ]
+    for inst, batch, minor, field in cases:
+        _, classes, got_field = _sweep_layout(inst)
+        assert (solvers._trial_minor(classes, batch), got_field) == (minor, field)
+        seeds = np.array([2**64 - 1, *range(batch - 1)], dtype=np.uint64)
+        by_vertex = (splitmix64(seeds, np.arange(inst.n)) >> 63).astype(np.int8) * 2 - 1
+        assert np.array_equal(starting_cuts(inst, by_vertex), cut_values(inst, by_vertex))
+
+
+def test_the_starting_cut_is_exact_near_the_weight_sum_limit():
+    # a matching of positive weights whose sum W sits just under 2^62:
+    # fully cut, the energy is -W, twice it is 2 - 2^63 and W - E = 2W
+    # is just under 2^63, so each step must stay inside int64
+    pairs, limit = 5, 2**62
+    weights = [limit // pairs - 1] * (pairs - 1)
+    weights.append(limit - 1 - sum(weights))
+    inst = ProblemInstance(2 * pairs, [(2 * k + 1, 2 * k + 2, w) for k, w in enumerate(weights)])
+    assert inst.total_weight() == limit - 1 and _sweep_layout(inst)[2] == np.int64
+    rng = np.random.default_rng(4)
+    by_vertex = np.array([[1, -1] * pairs, [1, 1] * pairs, [-1, 1] * pairs,
+                          random_config(rng, 2 * pairs), random_config(rng, 2 * pairs)],
+                         dtype=np.int8)
+    expected = [naive_cut(inst, spins) for spins in by_vertex.tolist()]
+    assert expected[:3] == [limit - 1, 0, limit - 1]
+    assert starting_cuts(inst, by_vertex).tolist() == expected
+    assert cut_values(inst, by_vertex).tolist() == expected
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -632,7 +720,9 @@ def test_a_class_row_sum_is_exact_in_its_narrow_dtype(monkeypatch, kind, pairs, 
     assert field == np.int8 and [hi - lo for lo, hi, _ in classes] == [pairs, pairs]
     assert solvers._sum_dtype(pairs, field) == sum_dtype
     monkeypatch.setattr(solvers, "_initial_spins",
-                        lambda seeds, n: np.ones((len(seeds), n), dtype=np.int8))
+                        lambda seeds, order, minor: np.ones(
+                            (len(order), len(seeds)) if minor else (len(seeds), len(order)),
+                            dtype=np.int8))
     batch = run_trials(inst, default_config(kind, 1), range(3))
     assert batch.best_cuts.tolist() == [pairs * 127] * 3
 
