@@ -19,15 +19,15 @@ made only when a set is read row by row or a log line is parsed.
 campaigns and single ``solve`` runs alike, and ``format_records``
 writes a set's lines, each ending in ``format=3``. The log is flushed
 per batch, so a crashed campaign can be resumed from whatever records
-made it to disk; a report and a resume read and check it by one rule,
-in which only a terminated line is a record. The batch builder rounds
-the wall time once to the value the lines hold, so a record reads back
-from its line unchanged and a campaign summarizes the records it wrote,
-as a later report of the log does. ``summarize`` reads a set's columns
-alone, and takes a list of records as one set first; it aggregates only
-order-insensitive quantities, which is what makes parallel output
-identical to serial output. Its per-target figures are
-``metrics.TargetOutcome`` objects.
+made it to disk; a report and a resume read it by one rule, in which
+only a terminated line is a record, into one set, the only place where
+rows become columns, and check that set by one rule. The batch builder
+rounds the wall time once to the value the lines hold, so a record
+reads back from its line unchanged and a campaign summarizes the
+records it wrote, as a later report of the log does. ``summarize``
+reads a set's columns alone; it aggregates only order-insensitive
+quantities, which is what makes parallel output identical to serial
+output. Its per-target figures are ``metrics.TargetOutcome`` objects.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -154,8 +154,8 @@ class RecordSet:
     """Records of trials of ``solver`` on the instance ``instance``, a
     column per field, row i being one trial's: int64 ``index``,
     ``best_cut`` and ``sweeps_executed``, uint64 ``seed``, float64
-    ``wall_time_s``, and ``spins_hex``, each row's hex spins or None, or
-    None when no row has them.
+    ``wall_time_s``, and the list ``spins_hex``, each row's hex spins or
+    None.
 
     It is also the sequence of its rows' ``TrialRecord``s, each made
     when it is read. Its columns are checked by ``TrialRecord``'s rules,
@@ -170,7 +170,7 @@ class RecordSet:
     best_cut: np.ndarray
     sweeps_executed: np.ndarray
     wall_time_s: np.ndarray
-    spins_hex: list | None = None
+    spins_hex: list
 
     def __post_init__(self) -> None:
         wall = self.wall_time_s
@@ -187,27 +187,16 @@ class RecordSet:
     def __getitem__(self, i) -> TrialRecord:
         return TrialRecord(int(self.index[i]), self.instance, self.solver, int(self.seed[i]),
                            int(self.best_cut[i]), int(self.sweeps_executed[i]),
-                           float(self.wall_time_s[i]),
-                           None if self.spins_hex is None else self.spins_hex[i])
-
-
-def _record_set(instance: str, solver: SolverConfig, rows) -> RecordSet:
-    """``TrialRecord`` rows of ``solver`` on ``instance`` as one set."""
-    spins = [r.spins_hex for r in rows]
-    return RecordSet(instance, solver, *(np.array([getattr(r, c) for r in rows], dtype)
-                                         for c, dtype in _COLUMNS.items()),
-                     None if spins.count(None) == len(spins) else spins)
+                           float(self.wall_time_s[i]), self.spins_hex[i])
 
 
 def _joined(sets: list[RecordSet]) -> RecordSet:
     """The rows of ``sets``, which share one instance and solver, in order."""
     if len(sets) == 1:
         return sets[0]
-    spins = None
-    if any(s.spins_hex is not None for s in sets):
-        spins = [h for s in sets for h in (s.spins_hex or repeat(None, len(s)))]
     return RecordSet(sets[0].instance, sets[0].solver,
-                     *(np.concatenate([getattr(s, c) for s in sets]) for c in _COLUMNS), spins)
+                     *(np.concatenate([getattr(s, c) for s in sets]) for c in _COLUMNS),
+                     list(chain.from_iterable(s.spins_hex for s in sets)))
 
 
 def _campaign_text(campaign: tuple) -> str:
@@ -240,8 +229,7 @@ def format_records(records: RecordSet) -> str:
         temps += f" temp_end={solver.temp_end!r}"
     columns = [getattr(records, c).tolist() for c in ("index", "seed", "best_cut",
                                                        "sweeps_executed")]
-    columns.append([""] * len(records) if records.spins_hex is None else
-                   ["" if h is None else f" spins={h}" for h in records.spins_hex])
+    columns.append(["" if h is None else f" spins={h}" for h in records.spins_hex])
     # runs of equal walls are told apart by their bits, as -0.0 equals
     # 0.0 but is written with its sign
     walls = records.wall_time_s
@@ -255,11 +243,6 @@ def format_records(records: RecordSet) -> str:
                   f"{tail}{spins} format={LOG_FORMAT}\n"
                   for index, seed, cut, executed, spins in zip(*(c[start:end] for c in columns))]
     return "".join(lines)
-
-
-def format_record(record: TrialRecord) -> str:
-    """The log line of ``record``, without its newline."""
-    return format_records(_record_set(record.instance, record.solver, [record]))[:-1]
 
 
 _REQUIRED_FIELDS = ("index", "instance", "kind", "sweeps", "seed", "best_cut",
@@ -316,13 +299,15 @@ def parse_record(line: str) -> TrialRecord:
         raise ValueError(f"trial {fields['index']}: {exc}") from None
 
 
-def _read_records(path, data: bytes) -> tuple[list[TrialRecord], int]:
-    """The records of log ``path``, whose bytes are ``data``, and how many
-    leading bytes to keep. Each terminated line not blank or # is a record.
-    An unterminated last line that would be one, torn by a crash or still
-    being written, is left out with a note on stderr, and the kept bytes
-    end before it; any other unterminated line is kept. A refusal names
-    the log."""
+def _read_records(path, data: bytes) -> tuple[RecordSet | None, int]:
+    """The records of log ``path``, whose bytes are ``data``, as one set,
+    or None if it holds none, and how many leading bytes to keep. Each
+    terminated line not blank or # is a record. An unterminated last line
+    that would be one, torn by a crash or still being written, is left
+    out with a note on stderr, and the kept bytes end before it; any other
+    unterminated line is kept. A record of another instance or solver
+    config than the first cannot join its columns and is refused. A
+    refusal names the log."""
     end = data.rfind(b"\n") + 1
     keep = len(data) if data[end:].strip()[:1] in (b"", b"#") else end
     if keep < len(data):
@@ -330,14 +315,25 @@ def _read_records(path, data: bytes) -> tuple[list[TrialRecord], int]:
               file=sys.stderr)
     lines = map(str.strip, _read_utf8(path, data[:end]).splitlines())
     try:
-        return [parse_record(line) for line in lines if line and line[0] != "#"], keep
+        rows = [parse_record(line) for line in lines if line and line[0] != "#"]
+        if not rows:
+            return None, keep
+        first = rows[0]
+        for row in rows:
+            if row.instance != first.instance or row.solver != first.solver:
+                raise ValueError(f"records mix campaigns: trial {row.index} ran "
+                                 f"{_campaign_text(row.campaign)}, not "
+                                 f"{_campaign_text(first.campaign)}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    columns = (np.array([getattr(r, c) for r in rows], dtype) for c, dtype in _COLUMNS.items())
+    return RecordSet(first.instance, first.solver, *columns, [r.spins_hex for r in rows]), keep
 
 
-def read_log(path) -> list[TrialRecord]:
-    """The records of a log file; blank and # lines and a torn last
-    record are left out, as a resume leaves them."""
+def read_log(path) -> RecordSet | None:
+    """The records of a log file as one set, or None if it holds none;
+    blank and # lines and a torn last record are left out, as a resume
+    leaves them."""
     return _read_records(path, Path(path).read_bytes())[0]
 
 
@@ -366,27 +362,13 @@ class CampaignSummary:
     targets: tuple[TargetOutcome, ...]
 
 
-def _check_records(records, campaign: tuple | None = None,
+def _check_records(records: RecordSet, campaign: tuple | None = None,
                    num_trials: int | None = None) -> RecordSet:
-    """``records``, a ``RecordSet`` or a nonempty list of ``TrialRecord``
-    rows, as one set of trials of ``campaign``, by default the first
-    record's, each once: a record of another campaign, a repeated trial
-    index, or, given ``num_trials``, an index past it is refused. Rows
-    become a set once; the master seeds are recovered in one pass, and
-    the first record at fault is named."""
-    if not isinstance(records, RecordSet):
-        campaign = campaign or records[0].campaign
-        # a row of another instance or solver cannot join the columns;
-        # the first such row is at fault unless a row before it is
-        other = next((j for j, r in enumerate(records)
-                      if r.instance != campaign[0] or r.solver != campaign[1]), len(records))
-        checked = _check_records(_record_set(*campaign[:2], records[:other]), campaign,
-                                 num_trials)
-        if other < len(records):
-            raise ValueError(f"records mix campaigns: trial {records[other].index} ran "
-                             f"{_campaign_text(records[other].campaign)}, not "
-                             f"{_campaign_text(campaign)}")
-        return checked
+    """``records`` as one set of trials of ``campaign``, by default the
+    first record's, each once: a record of another campaign, a repeated
+    trial index, or, given ``num_trials``, an index past it is refused.
+    The master seeds are recovered in one pass, and the first record at
+    fault is named."""
     masters = master_seed_of(records.seed, records.index.astype(np.uint64))
     if campaign is None:
         campaign = (records.instance, records.solver, int(masters[0]))
@@ -411,18 +393,16 @@ def _check_records(records, campaign: tuple | None = None,
     return records
 
 
-def summarize(records, targets=()) -> CampaignSummary:
-    """Aggregate trial records into a campaign summary.
+def summarize(records: RecordSet, targets=()) -> CampaignSummary:
+    """Aggregate a set of trial records into a campaign summary.
 
-    ``records`` is a ``RecordSet`` or an iterable of ``TrialRecord``s,
-    which are made one set first. Order-insensitive: any permutation of
-    the same records gives the same summary. Records must share one
-    ``TrialRecord.campaign``: mixing scan rungs or campaigns in one
-    summary is an error.
+    Order-insensitive: any permutation of the same records gives the
+    same summary. Records must share one ``TrialRecord.campaign``: mixing
+    scan rungs or campaigns in one summary is an error, and so is an
+    empty set or the None that ``read_log`` gives for a log without
+    records.
     """
-    if not isinstance(records, RecordSet):
-        records = list(records)
-    if not len(records):
+    if not records:
         raise ValueError("cannot summarize an empty record set")
     records = _check_records(records)
 
@@ -474,8 +454,8 @@ def trial_records(
     is rounded once, as the log lines write it."""
     walls = np.full(len(indices), float(f"{wall_time_s:.6e}"))
     columns = (indices, seeds, best_cuts, sweeps_executed, walls)
-    return RecordSet(instance_name, solver, *map(np.asarray, columns, _COLUMNS.values()),
-                     None if best_spins is None else list(map(encode_hex, best_spins)))
+    spins = [None] * len(walls) if best_spins is None else list(map(encode_hex, best_spins))
+    return RecordSet(instance_name, solver, *map(np.asarray, columns, _COLUMNS.values()), spins)
 
 
 def _run_batch(

@@ -13,13 +13,13 @@ half's local fields are read from slices of the other half's spins, a
 stencil on the checkerboard halves (Jacobs and Rebbi, J. Comput. Phys.
 41, 203, 1981; Isakov et al., Comput. Phys. Commun. 192, 265, 2015).
 A torus with an odd side is coloured in closed form too, every other
-graph by a loop, and both gather their fields through neighbour index
-arrays, one per neighbour slot. Greedy accepts only strictly improving
-flips and stops early after a sweep with no flip; simulated annealing
-accepts non-worsening flips always and worsening flips with
-probability exp(delta / T), cooling T on a geometric schedule from
-temp_start to temp_end across the sweep budget, and always consumes
-the whole budget.
+graph by a loop, and both gather their fields through one neighbour
+index array per class, its neighbour slots laid end to end. Greedy
+accepts only strictly improving flips and stops early after a sweep
+with no flip; simulated annealing accepts non-worsening flips always
+and worsening flips with probability exp(delta / T), cooling T on a
+geometric schedule from temp_start to temp_end across the sweep
+budget, and always consumes the whole budget.
 
 Trials run as a batch of one config under many seeds, R of them, held
 in one of two memory orders. Trial-major, the spins are an (R, n)
@@ -199,9 +199,7 @@ class TrialBatch:
     def __len__(self) -> int:
         return len(self.best_cuts)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i) -> TrialResult:
         return TrialResult(best_cut=int(self.best_cuts[i]), best_spins=self.best_spins[i],
                            sweeps_executed=int(self.sweeps_executed[i]),
                            wall_time_s=self.wall_time_s)
@@ -292,11 +290,17 @@ def _sweep_layout(instance: ProblemInstance):
     and (r - 1, j), wrapping; the second is j - 1 where the cell is
     (r, 2j) and j + 1 where it is (r, 2j + 1).
 
-    On every other graph ``weights`` are slots: slot k is ``(count,
-    neighbours, weights)``, the positions of the k-th neighbour of the
-    class's first ``count`` vertices (those with degree above k) and the
-    edge weights. Summing the slots gives every local field with no
-    padding, so the work per class is its number of edge ends.
+    On every other graph ``weights`` are the class's slots as one gather.
+    Slot k holds the positions of the k-th neighbour of the class's first
+    ``count`` vertices (those with degree above k) and the edge weights,
+    and ``weights`` is ``(neighbours, weights, later)``: every slot's
+    positions and weights end to end, the first slot's padded to the
+    class's width with position 0 and weight 0, and the ``(count,
+    offset)`` of each later slot. The first width products of the gather
+    are then one term of every vertex's field, a vertex of degree 0
+    included, and each later slot's ``count`` products add to the first
+    ``count`` of them, so the work per class is its number of edge ends
+    and of its vertices of degree 0.
 
     Every weight has the dtype ``field``: the narrowest of int8, int16,
     int32 and int64 that holds the instance's largest per-vertex sum of
@@ -339,24 +343,32 @@ def _build_layout(instance: ProblemInstance):
     # the absolute weights sum below 2^62, so twice that fits in int64
     running = np.concatenate(([0], np.cumsum(np.abs(weight))))
     field = _field_dtype(int((running[indptr[1:]] - running[indptr[:-1]]).max()))
-    weight = weight.astype(field)
     colour = (_greedy_colouring(instance, dst[by_src >= instance.m]) if grid is None
               else _torus_colouring(*grid[:2]))
 
     order = np.lexsort((-degree, colour))
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
+    # each edge end's neighbour position and weight, and past the last
+    # one the padding, position 0 and weight 0
+    neighbour = np.append(position[dst], 0)
+    weight = np.append(weight, 0).astype(field)
     bounds = np.searchsorted(colour[order], np.arange(colour.max() + 2)).tolist()
     classes = []
     for lo, hi in zip(bounds, bounds[1:]):
         vertices = order[lo:hi]
         vertex_degree = degree[vertices]
-        slots = []
-        for k in range(int(vertex_degree[0])):
+        starts = indptr[vertices]
+        # the vertices fall in degree, so those of degree 0 end the class
+        ends = [np.where(vertex_degree > 0, starts, len(dst))]
+        later, offset = [], hi - lo
+        for k in range(1, int(vertex_degree[0])):
             count = int(np.count_nonzero(vertex_degree > k))
-            at = indptr[vertices[:count]] + k
-            slots.append((count, position[dst[at]], weight[at]))
-        classes.append((lo, hi, tuple(slots)))
+            ends.append(starts[:count] + k)
+            later.append((count, offset))
+            offset += count
+        at = np.concatenate(ends)
+        classes.append((lo, hi, (neighbour[at], weight[at], later)))
     return order, tuple(classes), field
 
 
@@ -486,32 +498,15 @@ def _stencil_arrays(batch: int, plane: np.ndarray, spin_dtype, scratch: _Scratch
             scratch("beside", shape, spin_dtype))
 
 
-def _slot_gather(slots, width: int, field) -> tuple:
-    """A slot class's slots as one gather, ``(neighbours, weights,
-    later)``: every slot's positions and weights end to end, the first
-    slot's padded to the class's ``width`` with position 0 and weight 0,
-    and the ``(count, offset)`` of each later slot. The first ``width``
-    products of the gather are then one term of every vertex's field, a
-    vertex of degree 0 included, and each later slot's ``count`` products
-    add to the first ``count`` of them."""
-    pad = width - (slots[0][0] if slots else 0)
-    parts = (*slots[:1], (pad, np.zeros(pad, np.int64), np.zeros(pad, field)), *slots[1:])
-    later, offset = [], width
-    for count, _, _ in slots[1:]:
-        later.append((count, offset))
-        offset += count
-    return (np.concatenate([neighbours for _, neighbours, _ in parts]),
-            np.concatenate([weights for _, _, weights in parts]), later)
-
-
 def _slot_view(gather: tuple, width: int, field, spins: np.ndarray, minor: bool,
                scratch: _Scratch) -> tuple:
     """The arrays that ``_local_fields`` computes a slot class's fields
-    in, for ``spins`` held trial-minor or not: ``(axis, neighbours,
-    weights, gathered, product, fields, sums)``. The gather runs along
-    the position ``axis``, its weights are shaped to multiply it, the
-    class's fields are the head of the product, and ``sums`` pairs each
-    later slot's products with the fields they add to."""
+    in, from its ``gather`` (see ``_sweep_layout``), for ``spins`` held
+    trial-minor or not: ``(axis, neighbours, weights, gathered, product,
+    fields, sums)``. The gather runs along the position ``axis``, its
+    weights are shaped to multiply it, the class's fields are the head of
+    the product, and ``sums`` pairs each later slot's products with the
+    fields they add to."""
     neighbours, weights, later = gather
     if minor:
         shape, weights = (len(neighbours), spins.shape[1]), weights[:, None]
@@ -527,39 +522,36 @@ def _slot_view(gather: tuple, width: int, field, spins: np.ndarray, minor: bool,
     return int(not minor), neighbours, weights, gathered, product, part(0, width), sums
 
 
-def _class_views(spins: np.ndarray, classes, gathers, field, minor: bool,
-                 scratch: _Scratch) -> list:
+def _class_views(spins: np.ndarray, classes, field, minor: bool, scratch: _Scratch) -> list:
     """Per class, ``(block, view, accept)`` for ``spins``: the class's
-    spins, the arrays that ``_local_fields`` computes its fields in and a
-    bool array of the block's shape; all but the block are heads of
-    ``scratch``'s buffers. ``gathers`` holds each slot class's
-    ``_slot_gather`` and None for an even torus's classes."""
+    spins, the arrays that ``_local_fields`` computes its fields in, from
+    ``_stencil_arrays`` for an even torus's planes and ``_slot_view`` for
+    a slot gather, and a bool array of the block's shape; all but the
+    block are heads of ``scratch``'s buffers."""
     views = []
-    for (lo, hi, weights), gather in zip(classes, gathers):
+    for lo, hi, weights in classes:
         block = spins[lo:hi] if minor else spins[:, lo:hi]
-        if gather is None:
+        if isinstance(weights, np.ndarray):
             view = _stencil_arrays(len(spins), weights[0], spins.dtype, scratch)
         else:
-            view = _slot_view(gather, hi - lo, field, spins, minor, scratch)
+            view = _slot_view(weights, hi - lo, field, spins, minor, scratch)
         views.append((block, view, scratch("accept", block.shape, bool)))
     return views
 
 
-def _local_fields(spins, lo: int, hi: int, weights, field, view: tuple | None = None):
-    """The array of sum_j w_vj * s_j at positions lo:hi, of dtype
-    ``field`` and laid out as ``spins``: (R, hi - lo) trial-major, (hi -
+def _local_fields(spins, lo: int, hi: int, weights, view: tuple):
+    """The array of sum_j w_vj * s_j at positions lo:hi, of the layout's
+    field dtype and laid out as ``spins``: (R, hi - lo) trial-major, (hi -
     lo, R) trial-minor. It is computed from the class's ``weights`` (see
     ``_sweep_layout``), an even torus's planes by slices of the other
-    half, slots by one gather, in the arrays of ``view``, from
-    ``_stencil_arrays`` or ``_slot_view``; without a view, ``spins`` are
-    trial-major and new arrays are made.
+    half, a slot gather by one ``np.take``, in the arrays of its ``view``
+    from ``_class_views``.
     """
     if isinstance(weights, np.ndarray):
         batch = len(spins)
         same, beside_w, down, up = weights
         rows, width = same.shape
-        fields, product, padded, beside = view or _stencil_arrays(batch, same, spins.dtype,
-                                                                  _Scratch())
+        fields, product, padded, beside = view
         # class 0 comes first and holds cell (0, 0), so its entries are
         # the even cells of their pairs on the even rows
         k = int(lo > 0)
@@ -576,20 +568,13 @@ def _local_fields(spins, lo: int, hi: int, weights, field, view: tuple | None = 
         beside[:, right, -1] = other[:, right, 0]
         fields += np.multiply(beside, beside_w, out=product)
         return fields.reshape(batch, hi - lo)
-    axis, neighbours, slot_weights, gathered, product, fields, sums = view or _slot_view(
-        _slot_gather(weights, hi - lo, field), hi - lo, field, spins, False, _Scratch())
+    axis, neighbours, slot_weights, gathered, product, fields, sums = view
     # mode="wrap" lets np.take gather straight into its out=
     np.take(spins, neighbours, axis=axis, mode="wrap", out=gathered)
     np.multiply(gathered, slot_weights, out=product)
     for total, part in sums:
         total += part
     return fields
-
-
-def _gathers(classes, field) -> list:
-    """Each class's ``_slot_gather``, or None for an even torus's."""
-    return [None if isinstance(weights, np.ndarray) else _slot_gather(weights, hi - lo, field)
-            for lo, hi, weights in classes]
 
 
 def _starting_cuts(total_weight: int, spins, classes, field, views, minor: bool) -> np.ndarray:
@@ -599,7 +584,7 @@ def _starting_cuts(total_weight: int, spins, classes, field, views, minor: bool)
     most the sum of |w|, below 2^62, so every sum stays exact in int64."""
     twice_energy = np.zeros(spins.shape[int(minor)], dtype=np.int64)
     for (lo, hi, weights), (block, view, _) in zip(classes, views):
-        energies = _local_fields(spins, lo, hi, weights, field, view)
+        energies = _local_fields(spins, lo, hi, weights, view)
         energies *= block
         twice_energy += energies.sum(axis=int(not minor), dtype=_sum_dtype(hi - lo, field))
     twice_energy //= 2
@@ -637,7 +622,7 @@ def _anneal(spins, current, best, best_spins, seeds, config, layout, minor, view
         if not minor:
             offset = offset[:, None]
         for lo, hi, weights, view, sum_dtype, base, block, accept, x, shifted, limit in steps:
-            delta = _local_fields(spins, lo, hi, weights, field, view)
+            delta = _local_fields(spins, lo, hi, weights, view)
             delta *= block
             # the word's top 53 bits x make the uniform x 2^-53 in [0, 1)
             np.add(offset, base, out=x)
@@ -671,13 +656,12 @@ def _trials_at(index, minor: bool):
     return (slice(None), index) if minor else index
 
 
-def _climb(spins, current, best, best_spins, config, layout, minor, views, gathers,
+def _climb(spins, current, best, best_spins, config, layout, minor, views,
            scratch) -> np.ndarray:
     """Run a batch's greedy sweeps, writing each trial's best cut and best
     spins; returns the sweeps each trial executed. ``views`` are the
-    classes' ``_class_views`` from ``gathers`` in ``scratch``. The arrays
-    of the batch's size that a sweep writes are allocated once, before
-    the first sweep.
+    classes' ``_class_views`` in ``scratch``. The arrays of the batch's
+    size that a sweep writes are allocated once, before the first sweep.
 
     A trial stops after a sweep without a flip, which leaves its spins as
     they were, so that a further sweep would flip nothing either. When
@@ -698,7 +682,7 @@ def _climb(spins, current, best, best_spins, config, layout, minor, views, gathe
         flipped = np.zeros(len(live), dtype=bool)
         for (lo, hi, weights), sum_dtype, (block, view, accept) in zip(classes, sum_dtypes,
                                                                        views):
-            delta = _local_fields(spins, lo, hi, weights, field, view)
+            delta = _local_fields(spins, lo, hi, weights, view)
             delta *= block
             np.greater(delta, 0, out=accept)
             flipped |= accept.any(axis=axis)
@@ -723,7 +707,7 @@ def _climb(spins, current, best, best_spins, config, layout, minor, views, gathe
                             out=spare[:len(kept) * n].reshape(len(kept), n))
             held, spare = spare, held
             live, current, running = live[kept], current[kept], running[kept]
-            views = _class_views(spins, classes, gathers, field, minor, scratch)
+            views = _class_views(spins, classes, field, minor, scratch)
     best[live], best_spins[_trials_at(live, minor)] = current, spins
     return sweeps_executed
 
@@ -747,8 +731,8 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> TrialB
     # trial r's spin at position p is spins[r, p] trial-major and spins[p,
     # r] trial-minor, C-contiguous either way
     spins = _initial_spins(seeds, order, minor)
-    gathers, scratch = _gathers(classes, field), _Scratch()
-    views = _class_views(spins, classes, gathers, field, minor, scratch)
+    scratch = _Scratch()
+    views = _class_views(spins, classes, field, minor, scratch)
     current = _starting_cuts(instance.total_weight(), spins, classes, field, views, minor)
     # trial i's best state so far; greedy only climbs, so its best is the
     # state it stops in, written when it stops and at the end of the batch
@@ -758,7 +742,7 @@ def run_trials(instance: ProblemInstance, config: SolverConfig, seeds) -> TrialB
         sweeps_executed = np.full(len(seeds), config.sweeps, dtype=np.int64)
     else:
         sweeps_executed = _climb(spins, current, best, best_spins, config, layout, minor,
-                                 views, gathers, scratch)
+                                 views, scratch)
     by_vertex = np.empty((len(seeds), instance.n), dtype=np.int8)
     by_vertex[:, order] = best_spins.T if minor else best_spins
     by_vertex.flags.writeable = False

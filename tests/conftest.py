@@ -131,8 +131,11 @@ def assert_stencil_fields_equal_gathers(instance, rng, batches=(1, 3, 8)):
     assert len(classes) == len(gathered) == 2
     for batch in batches:
         spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(batch, instance.n))
-        for (lo, hi, planes), (_, _, slots) in zip(classes, gathered):
-            assert isinstance(planes, np.ndarray) and isinstance(slots, tuple)
-            fields = solvers._local_fields(spins, lo, hi, planes, field)
+        views = [solvers._class_views(spins, layout, field, False, solvers._Scratch())
+                 for layout in (classes, gathered)]
+        for (lo, hi, planes), (_, _, gather), (_, stencil, _), (_, slots, _) in zip(
+                classes, gathered, *views):
+            assert isinstance(planes, np.ndarray) and isinstance(gather, tuple)
+            fields = solvers._local_fields(spins, lo, hi, planes, stencil)
             assert fields.dtype == field
-            assert np.array_equal(fields, solvers._local_fields(spins, lo, hi, slots, field))
+            assert np.array_equal(fields, solvers._local_fields(spins, lo, hi, gather, slots))

@@ -16,7 +16,7 @@ from gsetbench.campaign import (
     CampaignConfig,
     RecordSet,
     TrialRecord,
-    format_record,
+    format_records,
     master_seed_of,
     parse_record,
     read_log,
@@ -25,6 +25,7 @@ from gsetbench.campaign import (
     summarize,
     write_scan_csv,
 )
+from gsetbench.cli import main
 from gsetbench.codec import decode_hex
 from gsetbench.instances import ProblemInstance, TorusSpec, generate_torus
 from gsetbench.metrics import TargetSpec, write_summary_csv
@@ -42,6 +43,28 @@ def make_record(index, cut, sweeps=50, time=0.001, **kw):
         wall_time_s=time,
         **kw,
     )
+
+
+def record_columns(rows):
+    """The columns of ``make_record`` rows, for a ``RecordSet``."""
+    return dict(
+        index=np.array([r.index for r in rows], dtype=np.int64),
+        seed=np.array([r.seed for r in rows], dtype=np.uint64),
+        best_cut=np.array([r.best_cut for r in rows], dtype=np.int64),
+        sweeps_executed=np.array([r.sweeps_executed for r in rows], dtype=np.int64),
+        wall_time_s=np.array([r.wall_time_s for r in rows], dtype=np.float64),
+        spins_hex=[r.spins_hex for r in rows],
+    )
+
+
+def record_set(rows):
+    """Rows of one instance and solver config as one set."""
+    return RecordSet(rows[0].instance, rows[0].solver, **record_columns(rows))
+
+
+def record_line(record):
+    """The log line of one record, without its newline."""
+    return format_records(record_set([record]))[:-1]
 
 
 def logged_seeds(instance, log, master_seed, num_trials):
@@ -113,17 +136,17 @@ def test_seeds_of_integer_types_are_kept_as_python_ints():
     assert type(config.master_seed) is int and config.master_seed == 2**64 - 1
     record = replace(make_record(0, 9), seed=True)
     assert type(record.seed) is int
-    assert format_record(record) == format_record(replace(record, seed=1))
+    assert record_line(record) == record_line(replace(record, seed=1))
 
 
 def test_record_roundtrip():
     record = make_record(3, 9, spins_hex="c318")
-    assert parse_record(format_record(record)) == record
+    assert parse_record(record_line(record)) == record
     bare = TrialRecord(
         index=0, instance="g", solver=SolverConfig(GREEDY, 5), seed=7,
         best_cut=4, sweeps_executed=2, wall_time_s=0.5,
     )
-    assert parse_record(format_record(bare)) == bare
+    assert parse_record(record_line(bare)) == bare
 
 
 def test_parse_record_rejects_malformed_lines():
@@ -134,7 +157,7 @@ def test_parse_record_rejects_malformed_lines():
 
 
 def test_parse_record_refuses_other_log_formats():
-    line = format_record(make_record(0, 5, spins_hex="c318"))
+    line = record_line(make_record(0, 5, spins_hex="c318"))
     assert line.endswith(" format=3")
     with pytest.raises(ValueError, match="log format 1.*re-run the campaign"):
         parse_record(line[: -len(" format=3")])
@@ -145,7 +168,7 @@ def test_parse_record_refuses_other_log_formats():
 
 
 def test_summarize_aggregates():
-    records = [make_record(i, cut) for i, cut in enumerate((5, 5, 7, 9))]
+    records = record_set([make_record(i, cut) for i, cut in enumerate((5, 5, 7, 9))])
     summary = summarize(records, targets=(TargetSpec("six", 6),))
     assert summary.highest_cut == 9
     assert summary.min_cut == 5
@@ -162,14 +185,14 @@ def test_summarize_is_order_insensitive():
     records = [make_record(i, cut) for i, cut in enumerate((5, 8, 7, 9, 5))]
     # a plain float sum of these wall times depends on their order
     timed = [make_record(i, 5, time=t) for i, t in enumerate((1.0, 1e-16, 1e-16))]
-    for record_set in (records, timed):
-        a = summarize(record_set, targets=(TargetSpec("t", 7),))
-        b = summarize(list(reversed(record_set)), targets=(TargetSpec("t", 7),))
+    for rows in (records, timed):
+        a = summarize(record_set(rows), targets=(TargetSpec("t", 7),))
+        b = summarize(record_set(rows[::-1]), targets=(TargetSpec("t", 7),))
         assert a == b
 
 
 def test_summarize_unreachable_target():
-    records = [make_record(i, 5) for i in range(4)]
+    records = record_set([make_record(i, 5) for i in range(4)])
     outcome = summarize(records, targets=(TargetSpec("high", 100),)).targets[0]
     assert outcome.successes == 0
     assert outcome.repetitions is None
@@ -178,16 +201,20 @@ def test_summarize_unreachable_target():
 
 
 def test_summarize_rejects_bad_record_sets():
-    with pytest.raises(ValueError, match="empty"):
-        summarize([])
+    record = make_record(0, 5)
+    empty = RecordSet(record.instance, record.solver, **record_columns([]))
+    # read_log gives None for a log without records
+    for records in (empty, None):
+        with pytest.raises(ValueError, match="^cannot summarize an empty record set$"):
+            summarize(records)
     with pytest.raises(ValueError, match="mix"):
-        summarize([make_record(0, 5), make_record(1, 5, sweeps=60)])
+        summarize(record_set([record, mixed_record(1, 5)]))
     with pytest.raises(ValueError, match="duplicate"):
-        summarize([make_record(0, 5), make_record(0, 6)])
+        summarize(record_set([record, make_record(0, 6)]))
 
 
 def test_single_trial_summary_degenerates():
-    summary = summarize([make_record(0, 7)])
+    summary = summarize(record_set([make_record(0, 7)]))
     assert summary.highest_cut == summary.min_cut == summary.average_cut == 7
 
 
@@ -411,7 +438,8 @@ def test_sweep_scan_shape(torus):
 
 def test_scan_csv_roundtrip():
     summaries = [
-        summarize([make_record(i, cut, sweeps=sweeps) for i, cut in enumerate(cuts)])
+        summarize(record_set([make_record(i, cut, sweeps=sweeps)
+                              for i, cut in enumerate(cuts)]))
         for sweeps, cuts in ((10, (14, 7, 10)), (30, (15, 7)))
     ]
     buf = io.StringIO()
@@ -441,8 +469,8 @@ def test_summary_csv_has_target_rows(torus):
 def test_read_log_skips_blank_and_comment_lines(tmp_path):
     log = tmp_path / "log.txt"
     record = make_record(0, 5)
-    log.write_text(f"# campaign log\n\n{format_record(record)}\n")
-    assert read_log(log) == [record]
+    log.write_text(f"# campaign log\n\n{record_line(record)}\n")
+    assert list(read_log(log)) == [record]
 
 
 def test_read_log_rejects_torn_line_glued_to_next_record(torus, tmp_path):
@@ -456,6 +484,43 @@ def test_read_log_rejects_torn_line_glued_to_next_record(torus, tmp_path):
         read_log(log)
 
 
+def test_read_log_refuses_a_record_of_another_instance_or_schedule(torus, tmp_path,
+                                                                  monkeypatch):
+    # a log spliced from two campaigns is refused by its reader alone, at
+    # the first record that cannot join the first record's columns, even
+    # after a duplicate
+    config = campaign_config(num_trials=3, sweeps=10, kind=GREEDY)
+    runs = "instance=torus:4x4:1 kind=greedy_local_search sweeps=10 master_seed=777"
+    others = [(generate_torus(TorusSpec(4, 4, seed=2)), config, runs.replace(":1 ", ":2 ")),
+              (torus, replace(config, solver=default_config(GREEDY, 20)),
+               runs.replace("sweeps=10", "sweeps=20"))]
+    run_campaign(torus, config, log_path=tmp_path / "first.log")
+    lines = (tmp_path / "first.log").read_text().splitlines(keepends=True)
+    for k, (instance, other_config, ran) in enumerate(others):
+        other, spliced = tmp_path / f"other{k}.log", tmp_path / f"spliced{k}.log"
+        run_campaign(instance, other_config, log_path=other)
+        trial_2 = other.read_text().splitlines(keepends=True)[2]
+        spliced.write_text("".join([*lines[:2], lines[1], trial_2, lines[2]]))
+        message = f"{spliced}: records mix campaigns: trial 2 ran {ran}, not {runs}"
+        with monkeypatch.context() as patch:
+            patch.setattr(campaign, "_check_records", lambda *a: pytest.fail("a set was checked"))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read_log(spliced)
+
+
+@pytest.mark.parametrize("text", ["\n# notes\n\n", "# notes, unterminated",
+                                  record_line(make_record(0, 5))[:40]])
+def test_a_log_without_records_reads_as_none(tmp_path, capsys, text):
+    # blank and comment lines, or one torn record, which is left out
+    log = tmp_path / "campaign.log"
+    log.write_text(text)
+    assert read_log(log) is None
+    capsys.readouterr()
+    note = f"{log}: left out an unterminated last line (40 bytes)\n" if "=" in text else ""
+    assert main(["report", str(log)]) == 1
+    assert capsys.readouterr().err == f"{note}error: {log}: cannot summarize an empty record set\n"
+
+
 def test_appends_start_on_a_fresh_line(torus, tmp_path, capsys):
     # a log that holds only an unterminated comment takes a new campaign
     # and a resume alike: the comment is no torn record, so it is kept
@@ -464,7 +529,7 @@ def test_appends_start_on_a_fresh_line(torus, tmp_path, capsys):
     for name, resume in (("new.log", False), ("resumed.log", True)):
         log = tmp_path / name
         log.write_text("# greedy on torus:4x4:1")
-        assert read_log(log) == []
+        assert read_log(log) is None
         run_campaign(torus, config, log_path=log, resume=resume)
         after = log.read_text().splitlines()
         assert after[0] == "# greedy on torus:4x4:1"
@@ -489,7 +554,7 @@ def test_new_campaign_refuses_a_log_that_holds_records(torus, tmp_path):
 
 
 def test_parse_record_rejects_unknown_fields():
-    line = format_record(make_record(0, 5))
+    line = record_line(make_record(0, 5))
     with pytest.raises(ValueError, match="record has unknown field bogus"):
         parse_record(line.replace(" format=3", " bogus=7 format=3"))
     # a record from another log format gets the format message first
@@ -497,21 +562,6 @@ def test_parse_record_rejects_unknown_fields():
         parse_record(line.replace(" format=3", " bogus=7 format=2"))
     with pytest.raises(ValueError, match="log format 1"):
         parse_record(line.replace(" format=3", " bogus=7"))
-
-
-def record_columns(rows):
-    """The columns of ``make_record`` rows, for a ``RecordSet``."""
-    return dict(
-        index=np.array([r.index for r in rows], dtype=np.int64),
-        seed=np.array([r.seed for r in rows], dtype=np.uint64),
-        best_cut=np.array([r.best_cut for r in rows], dtype=np.int64),
-        sweeps_executed=np.array([r.sweeps_executed for r in rows], dtype=np.int64),
-        wall_time_s=np.array([r.wall_time_s for r in rows], dtype=np.float64),
-    )
-
-
-def record_set(rows):
-    return RecordSet(rows[0].instance, rows[0].solver, **record_columns(rows))
 
 
 # each value breaks one rule of a record; the sweep budget is 50
@@ -538,7 +588,7 @@ def test_a_record_set_refuses_a_bad_row_in_the_words_of_its_record(field, value,
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         RecordSet(rows[0].instance, rows[0].solver, **columns)
     # a log line gets the same words, after its trial's
-    line = re.sub(rf"(?<!\S){field}=\S+", f"{field}={value}", format_record(rows[2]))
+    line = re.sub(rf"(?<!\S){field}=\S+", f"{field}={value}", record_line(rows[2]))
     trial = value if field == "index" else 2
     with pytest.raises(ValueError, match=f"^trial {trial}: {re.escape(message)}$"):
         parse_record(line)
@@ -562,11 +612,16 @@ def mixed_record(index, cut):
 
 
 @pytest.mark.parametrize("rows, message", [
-    # an earlier duplicate precedes a later campaign mix
+    # an earlier duplicate precedes a later master-seed mix
     ([make_record(0, 5), make_record(1, 5), make_record(1, 6), mixed_record(3, 5)],
      "duplicate trial index 1"),
+    # but a record of another schedule is refused when the log is read,
+    # before any duplicate or master-seed mix
     ([make_record(0, 5), make_record(1, 5), make_record(1, 6),
-      make_record(3, 5, sweeps=60)], "duplicate trial index 1"),
+      make_record(3, 5, sweeps=60)],
+     "records mix campaigns: trial 3 ran instance=torus:4x4:1 kind=simulated_annealing "
+     "sweeps=60 temp_start=3.0 temp_end=0.05 master_seed=1, not instance=torus:4x4:1 "
+     "kind=simulated_annealing sweeps=50 temp_start=3.0 temp_end=0.05 master_seed=1"),
     # and a mix precedes a later duplicate
     ([make_record(0, 5), mixed_record(1, 5), make_record(0, 6)],
      "records mix campaigns: trial 1 ran instance=torus:4x4:1 kind=simulated_annealing "
@@ -582,12 +637,17 @@ def mixed_record(index, cut):
      "sweeps=60 temp_start=3.0 temp_end=0.05 master_seed=1, not instance=torus:4x4:1 "
      "kind=simulated_annealing sweeps=50 temp_start=3.0 temp_end=0.05 master_seed=1"),
 ])
-def test_the_first_record_at_fault_is_named(rows, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        summarize(rows)
-    if len({(r.instance, r.solver) for r in rows}) == 1:
+def test_the_first_record_at_fault_is_named(tmp_path, rows, message):
+    log = tmp_path / "campaign.log"
+    log.write_text("".join(record_line(r) + "\n" for r in rows))
+    if len({(r.instance, r.solver) for r in rows}) > 1:
+        # a row of another schedule cannot join the first row's columns
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{log}: {message}')}$"):
+            read_log(log)
+        return
+    for records in (read_log(log), record_set(rows)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            summarize(record_set(rows))
+            summarize(records)
 
 
 def test_an_index_past_the_trial_count_is_named_after_an_earlier_fault(torus, tmp_path):
@@ -607,12 +667,19 @@ def test_a_campaign_without_resume_builds_no_trial_record(torus, tmp_path, monke
     def refused(self):
         raise AssertionError("a TrialRecord was built")
 
+    log = tmp_path / "campaign.log"
     config = campaign_config(num_trials=400, kind=kind, targets=(TargetSpec("t", 8),))
     monkeypatch.setattr(TrialRecord, "__post_init__", refused)
-    summary = run_campaign(torus, config, log_path=tmp_path / "campaign.log",
-                           include_spins=True)
+    summary = run_campaign(torus, config, log_path=log, include_spins=True)
     monkeypatch.undo()
-    assert summary == summarize(read_log(tmp_path / "campaign.log"), config.targets)
+    # reading the log makes its rows; summarizing its set and checking it
+    # for a resume of the finished campaign make none
+    records = read_log(log)
+    monkeypatch.setattr(TrialRecord, "__post_init__", refused)
+    assert summary == summarize(records, config.targets)
+    monkeypatch.setattr(campaign, "_read_records", lambda path, data: (records, len(data)))
+    resumed = run_campaign(torus, config, log_path=log, resume=True, include_spins=True)
+    assert resumed == summary
 
 
 @pytest.mark.parametrize("kind", [ANNEALING, GREEDY])
@@ -643,9 +710,9 @@ def test_a_record_set_summarizes_as_its_rows_and_its_log(torus, tmp_path, monkey
     assert isinstance(records, campaign.RecordSet)
     assert len(np.unique(records.wall_time_s)) > 1
     rows = list(records)
-    assert sorted(rows, key=lambda r: r.index) == read_log(log)
+    assert sorted(rows, key=lambda r: r.index) == list(read_log(log))
     summary = summarize(records, config.targets)
-    for other in (list(reversed(rows)), read_log(log)):
+    for other in (record_set(rows[::-1]), read_log(log)):
         again = summarize(other, config.targets)
         assert again == summary
         assert again.avg_trial_time_s.hex() == summary.avg_trial_time_s.hex()

@@ -11,7 +11,7 @@ from gsetbench import campaign as campaign_mod
 from gsetbench import registry, solvers
 from gsetbench.campaign import (
     LOG_FORMAT,
-    format_record,
+    format_records,
     parse_record,
     read_log,
     replay_record,
@@ -327,7 +327,7 @@ def test_batched_records_read_back_as_their_lines(tmp_path, monkeypatch, capsys,
     live = capsys.readouterr().out
     lines = log.read_text().splitlines()
     assert len(lines) == 23
-    assert [format_record(parse_record(line)) for line in lines] == lines
+    assert format_records(read_log(log)) == log.read_text()
     assert all((" spins=" in line) == (include_spins == "true") for line in lines)
     assert main(["report", str(log), "--target", "top:30"]) == 0
     assert capsys.readouterr().out == live

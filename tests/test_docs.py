@@ -1,8 +1,12 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
 from gsetbench import cli
+
+MODULES = ("instances", "codec", "evaluate", "oracle", "solvers", "metrics", "campaign",
+           "registry", "cli")
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,3 +29,15 @@ def test_documented_commands_name_a_subcommand():
     assert {name for name, _ in commands} >= {"README.md", "scripts/fetch_gset.py"}
     wrong = [f"{name}: {line}" for name, line in commands if line.split()[1] not in cli._NAMES]
     assert not wrong
+
+
+def test_documented_module_names_resolve():
+    # a backticked `module.name` in README.md, `gsetbench.` prefix and call
+    # arguments allowed, names something the module has; `module.py` names
+    # a file
+    pattern = rf"`(?:gsetbench\.)?({'|'.join(MODULES)})\.(?!py`)(\w+)[^`]*`"
+    names = set(re.findall(pattern, (ROOT / "README.md").read_text()))
+    assert len(names) >= 10
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"gsetbench.{module}"), name)]
+    assert not missing

@@ -586,8 +586,8 @@ def test_uniform_draw_boundaries_keep_the_streams():
     batched = run_trials(inst, config, seeds)
     for result, seed in zip(batched, seeds):
         assert_same_outcome(outcome(result), outcome(run_trial(inst, config, seed)))
-    for result, seed in zip(batched[:2], seeds):
-        assert_same_outcome(outcome(result), reference_trial(inst, config, seed))
+    for i in range(2):
+        assert_same_outcome(outcome(batched[i]), reference_trial(inst, config, seeds[i]))
 
 
 def test_best_spins_are_read_only_int8_rows():
@@ -601,9 +601,10 @@ def test_best_spins_are_read_only_int8_rows():
 
 def test_integrity_guard_recomputes_every_trial_of_a_batch():
     # corrupt one class's cached weights, each weight plane of the even
-    # torus in turn and a slot of the odd one: the starting cuts and the
-    # kernel's incremental cuts, both read through the layout, then
-    # disagree with the cuts recomputed from the instance's edges
+    # torus in turn and the head of the odd one's gather, its first slot:
+    # the starting cuts and the kernel's incremental cuts, both read
+    # through the layout, then disagree with the cuts recomputed from the
+    # instance's edges
     corrupted = []
     for plane in range(4):
         even = generate_torus(TorusSpec(4, 4, seed=2))
@@ -613,9 +614,8 @@ def test_integrity_guard_recomputes_every_trial_of_a_batch():
         corrupted.append((even, KINDS))
     odd = generate_torus(TorusSpec(4, 5, seed=1000))
     _, classes, _ = _sweep_layout(odd)
-    _, _, slots = classes[0]
-    _, _, weights = slots[0]
-    weights *= 3
+    lo, hi, (_, weights, _) = classes[0]
+    weights[:hi - lo] *= 3
     corrupted.append((odd, (ANNEALING,)))
     for inst, kinds in corrupted:
         for kind in kinds:
@@ -625,9 +625,8 @@ def test_integrity_guard_recomputes_every_trial_of_a_batch():
     # and the same slot corruption in a trial-minor batch, of both kinds
     minor = generate_torus(TorusSpec(4, 5, seed=1000))
     _, classes, _ = _sweep_layout(minor)
-    _, _, slots = classes[0]
-    _, _, weights = slots[0]
-    weights *= 3
+    lo, hi, (_, weights, _) = classes[0]
+    weights[:hi - lo] *= 3
     assert solvers._trial_minor(classes, 400)
     for kind in KINDS:
         with pytest.raises(RuntimeError,
@@ -660,8 +659,7 @@ def starting_cuts(inst, by_vertex):
     order, classes, field = _sweep_layout(inst)
     minor = solvers._trial_minor(classes, len(by_vertex))
     spins = np.ascontiguousarray(by_vertex[:, order].T if minor else by_vertex[:, order])
-    views = solvers._class_views(spins, classes, solvers._gathers(classes, field), field,
-                                 minor, solvers._Scratch())
+    views = solvers._class_views(spins, classes, field, minor, solvers._Scratch())
     return solvers._starting_cuts(inst.total_weight(), spins, classes, field, views, minor)
 
 
@@ -820,7 +818,7 @@ def test_slot_weights_take_the_narrowest_field_dtype():
             arrays = [planes for _, _, planes in classes]
             assert {planes.shape for planes in arrays} == {(4, rows, cols // 2)}
         else:
-            arrays = [weights for _, _, slots in classes for _, _, weights in slots]
+            arrays = [weights for _, _, (_, weights, _) in classes]
         assert {weights.dtype for weights in arrays} == {np.dtype(dtype)}
 
 
